@@ -6,6 +6,7 @@ Run with ``PYTHONPATH=src python -m pytest -q perfbench``.
 """
 
 import dataclasses
+import itertools
 import json
 import shutil
 import subprocess
@@ -33,7 +34,31 @@ TINY = {
 
 def test_every_workload_has_a_tiny_size():
     names = {w["name"] for w in SPEC["workloads"]}
-    assert set(TINY) == names == set(workloads.WORKLOADS)
+    assert set(TINY) == set(workloads.WORKLOADS) == names | {"decode-radius"}
+
+
+@pytest.mark.xfail(reason="decode returns 'ok' with a wrong support at weight N/2 = 32 "
+                          "(perfbench/NOTES.md, Findings)")
+def test_decode_at_the_radius_gives_no_wrong_answer():
+    # Signal 38 of seed 4 of decode-radius: its true support holds eight
+    # adjacent nodes, and decode swaps node 78 for 206.
+    wl = workloads.WORKLOADS["decode-radius"]
+    frame = wl.setup(4, "")
+    case = next(itertools.islice(wl.cases(4), 38, None))
+    assert case.in_radius
+    assert not wl.check(frame, case, wl.run(frame, case)).wrong
+
+
+@pytest.mark.xfail(reason="decode returns 'ok' for some signals of weight N/2 + 1 = 33 "
+                          "(perfbench/NOTES.md, Findings)")
+def test_decode_past_the_radius_rejects():
+    # Signal 3237 of seed 202 in a stream of weight-33 signals: decode
+    # drops node 132 and answers with the other 32 nodes.
+    wl = workloads.DecodeWorkload("decode-33", weights=(33,), trace_ops=1)
+    frame = wl.setup(202, "")
+    case = next(itertools.islice(wl.cases(202), 3237, None))
+    assert not case.in_radius
+    assert wl.run(frame, case).status != decoder.STATUS_OK
 
 
 @pytest.mark.parametrize("name", sorted(TINY))

@@ -312,6 +312,9 @@ class SweepWorkload:
 
 WORKLOADS = {w.name: w for w in (
     DecodeWorkload("decode-sparse", weights=tuple(range(1, 9)), trace_ops=1000),
+    # Not in BENCHMARK.json: at the radius decode returns "ok" with a wrong
+    # support for some weight-32 signals and accepts some weight-33 ones
+    # (NOTES.md, Findings).  Runs that meet a wrong support exit 1.
     DecodeWorkload("decode-radius", weights=(32, 32, 32, 33), trace_ops=400),
     EnumWorkload(),
     SweepWorkload(),
