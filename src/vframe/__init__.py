@@ -81,7 +81,6 @@ from .montecarlo import (
     EstimateConfig,
     SmddResult,
     bds_decode,
-    colex_supports,
     compare_to_bound,
     estimate_distortion,
     projection_residual,
@@ -90,6 +89,7 @@ from .montecarlo import (
     sample_uniform_sphere,
     smdd_exact,
     smdd_greedy,
+    smdd_residuals,
 )
 from .poly import (
     poly_add,

@@ -273,12 +273,12 @@ def cmd_simulate(args):
         payload["verdict"] = {"passed": verdict.passed, "margin": verdict.margin}
     if args.samples_csv:
         X = montecarlo.sample_sphere_batch(frame.n, args.samples, seed)
+        mins = montecarlo.smdd_residuals(frame, X, args.l, budget=args.budget)
+        ratios = mins / np.einsum("sn,sn->s", X, X.conj()).real
         with open(args.samples_csv, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["index", "residual_ratio"])
-            for i, x in enumerate(X):
-                res = montecarlo.smdd_exact(frame, x, args.l, budget=args.budget)
-                writer.writerow([i, res.residual_sq / float(np.vdot(x, x).real)])
+            writer.writerows(enumerate(ratios.tolist()))
     _emit_json(payload, args.out)
     return 0
 
@@ -312,6 +312,22 @@ def cmd_sweep(args):
     if args.resume and not args.out:
         raise VframeError("--resume needs --out")
     done = _sweep_keys_done(args.out) if (args.resume and args.out) else set()
+    cells = [
+        (n, factor * n, l)
+        for n in n_list
+        for factor in factors
+        for l in (range(0, n + 1) if args.l == "all" else _parse_int_list(args.l))
+        if (n, factor * n, l) not in done
+    ]
+    if args.samples > 0:
+        # Refuse the whole grid up front rather than after the cells before
+        # the first over-budget one have run.
+        for n, m, l in cells:
+            if l > 0 and math.comb(m, l) > args.budget:
+                raise VframeError(
+                    f"cell (N,M,L)=({n},{m},{l}) needs C({m},{l}) = {math.comb(m, l)} "
+                    f"supports, over --budget {args.budget}"
+                )
     fresh = not (args.resume and args.out and os.path.exists(args.out))
     fh = open(args.out, "a" if not fresh else "w", newline="", encoding="utf-8") if args.out else sys.stdout
     try:
@@ -319,23 +335,19 @@ def cmd_sweep(args):
             fh.write(f"# config: {json.dumps(cfg)}\n")
             csv.writer(fh).writerow(header)
         writer = csv.writer(fh)
-        for n in n_list:
-            for factor in factors:
-                m = factor * n
-                l_values = range(0, n + 1) if args.l == "all" else _parse_int_list(args.l)
-                for l in l_values:
-                    if (n, m, l) in done:
-                        continue
-                    report, row = _bound_row(bnd.BoundInput(n, m, l))
-                    if args.samples > 0:
-                        frame = frames.make_vandermonde_frame(frames.default_nodes(m), n)
-                        est = montecarlo.estimate_distortion(
-                            frame, l, args.samples, seed, budget=args.budget
-                        )
-                        verdict = montecarlo.compare_to_bound(est, report)
-                        row += [est.mean, est.stderr, verdict.margin, verdict.passed]
-                    writer.writerow(row)
-                    fh.flush()
+        frame = None
+        for n, m, l in cells:
+            report, row = _bound_row(bnd.BoundInput(n, m, l))
+            if args.samples > 0:
+                if frame is None or (frame.n, frame.m) != (n, m):
+                    frame = frames.make_vandermonde_frame(frames.default_nodes(m), n)
+                est = montecarlo.estimate_distortion(
+                    frame, l, args.samples, seed, budget=args.budget
+                )
+                verdict = montecarlo.compare_to_bound(est, report)
+                row += [est.mean, est.stderr, verdict.margin, verdict.passed]
+            writer.writerow(row)
+            fh.flush()
     finally:
         if args.out:
             fh.close()

@@ -2,10 +2,11 @@
 
 Signals are drawn uniformly from the complex unit sphere (normalized
 complex Gaussians).  For each sample the exact sparse minimum-distance
-distortion is found by enumerating every size-L support, projecting
-onto its row span and taking the smallest squared residual; averaging
-over samples estimates the frame's mean distortion, which is then
-compared against the closed-form lower bound.
+distortion is found by enumerating every size-L support in
+lexicographic order, projecting onto its row span and taking the
+smallest squared residual; averaging over samples estimates the frame's
+mean distortion, which is then compared against the closed-form lower
+bound.
 
 Distortion is accumulated per sample as the *relative* squared
 residual ||x - proj||^2 / ||x||^2.  On the unit sphere the two agree
@@ -20,6 +21,7 @@ sample loop is chunked or parallelized.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -97,57 +99,30 @@ def projection_residual(rows, x) -> float:
     return max(norm_sq - float(np.vdot(coeffs, coeffs).real), 0.0)
 
 
-def colex_supports(m: int, l: int) -> list[tuple[int, ...]]:
-    """All 0-based size-l subsets of range(m) in colexicographic order."""
-
-    def build(limit, k):
-        if k == 0:
-            yield ()
-            return
-        for top in range(k - 1, limit):
-            for rest in build(top, k - 1):
-                yield rest + (top,)
-
-    return list(build(m, l))
+def _supports(m: int, l: int, budget: int) -> np.ndarray:
+    """(K, l) array of all 0-based size-l subsets of range(m), K = C(m, l),
+    in lexicographic order.  Raises BudgetExceeded when K > budget."""
+    count = math.comb(m, l)
+    if count > budget:
+        raise BudgetExceeded(f"C({m},{l}) = {count} exceeds budget {budget}")
+    flat = itertools.chain.from_iterable(itertools.combinations(range(m), l))
+    return np.fromiter(flat, dtype=np.intp, count=count * l).reshape(count, l)
 
 
 def _support_bases(matrix: np.ndarray, supports: np.ndarray) -> np.ndarray:
-    """(K, l, n) orthonormal row-space bases, zero-padded below rank."""
-    subs = matrix[supports]                              # (K, l, n)
-    if subs.shape[1] == 0:
-        return np.zeros_like(subs)
-    _, s, vh = np.linalg.svd(subs, full_matrices=False)  # s: (K, k), vh: (K, k, n)
+    """Conjugated orthonormal row-space bases of the (K, l) supports,
+    stacked as (K * l, n): l rows per support, zero rows below rank."""
+    _, s, vh = np.linalg.svd(matrix[supports], full_matrices=False)  # vh: (K, l, n)
     keep = s > RANK_REL_TOL * s[:, :1]
-    return vh * keep[:, :, None]
+    return (vh * keep[:, :, None]).reshape(-1, matrix.shape[1]).conj()
 
 
-def _min_residuals(matrix, supports, X, want_rows: bool = False):
-    """Smallest squared residual over the given supports, per sample.
-
-    Returns (mins, residual_rows) where residual_rows is the full
-    (S, K) matrix when want_rows is set (used for tie-breaking), else
-    None.  Work is chunked over samples to bound memory.
-    """
-    supports = np.asarray(supports, dtype=np.intp).reshape(len(supports), -1)
-    bases = _support_bases(matrix, supports)
-    k_count, ldim, n = bases.shape
-    norms = np.einsum("sn,sn->s", X, X.conj()).real
-    if ldim == 0:
-        res = np.broadcast_to(norms[:, None], (X.shape[0], k_count)).copy()
-        return norms.copy(), (res if want_rows else None)
-    flat = bases.reshape(k_count * ldim, n).conj()
-    chunk = max(1, int(6_000_000 // max(k_count * ldim, 1)))
-    mins = np.empty(X.shape[0])
-    rows = np.empty((X.shape[0], k_count)) if want_rows else None
-    for start in range(0, X.shape[0], chunk):
-        xs = X[start : start + chunk]
-        proj = xs @ flat.T                               # (s, K*l)
-        energy = (proj.real**2 + proj.imag**2).reshape(len(xs), k_count, ldim).sum(axis=2)
-        res = np.maximum(norms[start : start + chunk, None] - energy, 0.0)
-        mins[start : start + chunk] = res.min(axis=1)
-        if want_rows:
-            rows[start : start + chunk] = res
-    return mins, rows
+def _residual_block(bases: np.ndarray, l: int, xs: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """(s, K) squared residuals of the samples xs (squared norms `norms`)
+    against every support whose stacked bases come from _support_bases."""
+    proj = xs @ bases.T                                  # (s, K*l)
+    energy = (proj.real**2 + proj.imag**2).reshape(len(xs), -1, l).sum(axis=2)
+    return np.maximum(norms[:, None] - energy, 0.0)
 
 
 @dataclass(frozen=True)
@@ -163,32 +138,53 @@ class SmddResult:
 def smdd_exact(frame: Frame, x, l: int, budget: int = DEFAULT_BUDGET) -> SmddResult:
     """Exact sparsity-constrained minimum distortion by full enumeration.
 
-    Minimizes ||x - proj||^2 over all size-l supports; ties within
-    TIE_TOL are broken toward the lexicographically smallest support.
-    Raises BudgetExceeded when C(M, l) exceeds the subset budget.
+    Minimizes ||x - proj||^2 over all size-l supports, visited in
+    lexicographic order; ties within TIE_TOL are broken toward the
+    first, i.e. lexicographically smallest, support.  Raises
+    BudgetExceeded when C(M, l) exceeds the subset budget.
     """
     x = np.asarray(x, dtype=complex).ravel()
     if x.size != frame.n:
         raise ValueError(f"signal has length {x.size}, expected {frame.n}")
     if not 0 <= l <= frame.m:
         raise DomainError(f"need 0 <= L <= M, got L={l}")
-    norm_sq = float(np.vdot(x, x).real)
     if l == 0:
-        return SmddResult((), norm_sq, False)
-    count = math.comb(frame.m, l)
-    if count > budget:
-        raise BudgetExceeded(f"C({frame.m},{l}) = {count} exceeds budget {budget}")
-    supports = colex_supports(frame.m, l)
-    _, rows = _min_residuals(frame.matrix, np.asarray(supports), x[None, :], want_rows=True)
-    res = rows[0]
-    best = float(res.min())
-    cand = np.nonzero(res <= best + TIE_TOL)[0]
-    pick = min(supports[int(i)] for i in cand)
+        return SmddResult((), float(np.vdot(x, x).real), False)
+    xs = x[None, :]
+    norms = np.einsum("sn,sn->s", xs, xs.conj()).real
+    supports = _supports(frame.m, l, budget)
+    res = _residual_block(_support_bases(frame.matrix, supports), l, xs, norms)[0]
+    cand = np.flatnonzero(res <= res.min() + TIE_TOL)
+    pick = cand[0]
     return SmddResult(
-        tuple(int(i) + 1 for i in pick),
-        float(res[supports.index(pick)]),
+        tuple(int(i) + 1 for i in supports[pick]),
+        float(res[pick]),
         bool(cand.size > 1),
     )
+
+
+def smdd_residuals(frame: Frame, X, l: int, budget: int = DEFAULT_BUDGET) -> np.ndarray:
+    """smdd_exact's squared residual for each row of the (S, N) batch X.
+
+    The support bases are built once for the whole batch; samples are
+    projected in chunks to bound memory.  Raises BudgetExceeded when
+    C(M, l) exceeds the subset budget.
+    """
+    X = np.asarray(X, dtype=complex)
+    if X.ndim != 2 or X.shape[1] != frame.n:
+        raise ValueError(f"samples have shape {X.shape}, expected (S, {frame.n})")
+    if not 0 <= l <= frame.m:
+        raise DomainError(f"need 0 <= L <= M, got L={l}")
+    norms = np.einsum("sn,sn->s", X, X.conj()).real
+    if l == 0:
+        return norms
+    bases = _support_bases(frame.matrix, _supports(frame.m, l, budget))
+    chunk = max(1, 6_000_000 // bases.shape[0])
+    mins = np.empty(X.shape[0])
+    for start in range(0, X.shape[0], chunk):
+        stop = start + chunk
+        mins[start:stop] = _residual_block(bases, l, X[start:stop], norms[start:stop]).min(axis=1)
+    return mins
 
 
 def smdd_greedy(frame: Frame, x, l: int) -> SmddResult:
@@ -204,6 +200,7 @@ def smdd_greedy(frame: Frame, x, l: int) -> SmddResult:
         raise DomainError(f"need 0 <= L <= M, got L={l}")
     chosen: list[int] = []
     residual = x.copy()
+    norm_sq = resid_sq = float(np.vdot(x, x).real)
     row_norms = np.linalg.norm(frame.matrix, axis=1)
     for _ in range(l):
         scores = np.abs(frame.matrix.conj() @ residual) / row_norms
@@ -212,28 +209,27 @@ def smdd_greedy(frame: Frame, x, l: int) -> SmddResult:
         if scores[best] <= 1e-14:
             break
         chosen.append(best)
-        resid_sq = projection_residual(frame.matrix[chosen], x)
-        # Re-project explicitly so the residual drives the next pick.
+        # One SVD of the chosen rows gives both the residual that drives
+        # the next pick and its squared norm (as in projection_residual).
         _, s, vh = np.linalg.svd(frame.matrix[chosen], full_matrices=False)
-        rank = int(np.count_nonzero(s > RANK_REL_TOL * s[0]))
-        basis = vh[:rank]
-        residual = x - basis.T @ (basis.conj() @ x)
+        basis = vh[: int(np.count_nonzero(s > RANK_REL_TOL * s[0]))]
+        coeffs = basis.conj() @ x
+        residual = x - basis.T @ coeffs
+        resid_sq = max(norm_sq - float(np.vdot(coeffs, coeffs).real), 0.0)
         if resid_sq <= 1e-28:
             break
     chosen.sort()
-    return SmddResult(
-        tuple(i + 1 for i in chosen),
-        projection_residual(frame.matrix[chosen], x) if chosen else float(np.vdot(x, x).real),
-        False,
-    )
+    return SmddResult(tuple(i + 1 for i in chosen), resid_sq, False)
 
 
 def bds_decode(frame: Frame, x, delta: float, budget: int = DEFAULT_BUDGET):
     """Smallest L whose SMDD residual meets ||x - proj||^2 <= delta ||x||^2.
 
     Binary search over L in [0, N], valid because the SMDD residual is
-    non-increasing in L.  Comparisons carry a 1e-12 relative slack so
-    exactly-representable signals at delta = 0 resolve correctly.
+    non-increasing in L and reaches 0 at L = N (every frame spans C^N),
+    so L = N is enumerated only when the search ends there.
+    Comparisons carry a 1e-12 relative slack so exactly-representable
+    signals at delta = 0 resolve correctly.
     Returns (l_min, smdd_exact result at l_min).
     """
     if not 0.0 <= delta <= 1.0:
@@ -243,24 +239,21 @@ def bds_decode(frame: Frame, x, delta: float, budget: int = DEFAULT_BUDGET):
     thr = delta * norm_sq + 1e-12 * norm_sq
     results: dict[int, SmddResult] = {}
 
-    def resid(l: int) -> float:
+    def result(l: int) -> SmddResult:
         if l not in results:
             results[l] = smdd_exact(frame, x, l, budget=budget)
-        return results[l].residual_sq
+        return results[l]
 
-    if resid(0) <= thr:
+    if result(0).residual_sq <= thr:
         return 0, results[0]
     lo, hi = 0, frame.n
-    if resid(hi) > thr:
-        # Spanning frames make this unreachable; guard for safety.
-        return hi, results[hi]
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if resid(mid) <= thr:
+        if result(mid).residual_sq <= thr:
             hi = mid
         else:
             lo = mid
-    return hi, results[hi]
+    return hi, result(hi)
 
 
 # -- distortion estimation ---------------------------------------------------
@@ -308,9 +301,9 @@ def estimate_distortion(
 
     Deterministic given (frame, l, n_samples, seed): per-sample streams
     are derived from (seed, index) and reduced in index order.  When
-    C(M, l) exceeds the budget, either raises BudgetExceeded or, with
-    fallback_greedy, substitutes the greedy search and labels the
-    estimate approximate.
+    C(M, l) exceeds the budget, either raises BudgetExceeded before any
+    sample is drawn or, with fallback_greedy, substitutes the greedy
+    search and labels the estimate approximate.
     """
     if n_samples < 1:
         raise DomainError("need n_samples >= 1")
@@ -321,19 +314,16 @@ def estimate_distortion(
     if l == 0:
         # Every sample contributes ||x||^2 / ||x||^2 == 1.0 exactly.
         return DistortionEstimate(1.0, 0.0, n_samples, config)
-    approximate = False
+    count = math.comb(frame.m, l)
+    approximate = count > budget
+    if approximate and not fallback_greedy:
+        raise BudgetExceeded(f"C({frame.m},{l}) = {count} exceeds budget {budget}")
     X = sample_sphere_batch(frame.n, n_samples, seed)
     norms = np.einsum("sn,sn->s", X, X.conj()).real
-    if math.comb(frame.m, l) > budget:
-        if not fallback_greedy:
-            raise BudgetExceeded(
-                f"C({frame.m},{l}) exceeds budget {budget}; pass fallback_greedy to approximate"
-            )
-        approximate = True
+    if approximate:
         mins = np.array([smdd_greedy(frame, x, l).residual_sq for x in X])
     else:
-        supports = np.asarray(colex_supports(frame.m, l))
-        mins, _ = _min_residuals(frame.matrix, supports, X)
+        mins = smdd_residuals(frame, X, l, budget)
     ratios = mins / norms
     mean = float(ratios.mean())
     stderr = float(ratios.std(ddof=1) / math.sqrt(n_samples)) if n_samples > 1 else 0.0

@@ -257,6 +257,18 @@ def test_sweep_with_samples(capsys):
     assert float(rows[0]["est_mean"]) == 1.0  # L = 0 row
 
 
+def test_sweep_checks_every_budget_before_writing(tmp_path, capsys):
+    out_path = tmp_path / "sweep.csv"
+    code, _, err = run(
+        capsys,
+        ["sweep", "--n-list", "3,4", "--m-factors", "2", "--samples", "50",
+         "--budget", "20", "--seed", "1", "--out", str(out_path)],
+    )
+    assert code == 1
+    assert "(N,M,L)=(4,8,2)" in err and "--budget 20" in err
+    assert not out_path.exists()
+
+
 def test_sweep_resume_requires_out(capsys):
     code, _, err = run(capsys, ["sweep", "--n-list", "3", "--resume"])
     assert code == 1 and "error:" in err

@@ -134,6 +134,14 @@ def test_smdd_tie_breaks_lexicographic():
     res = vf.smdd_exact(frame, x, 1)
     assert res.support == (1,)
     assert res.ties_broken
+    # {1,4} and {2,3} both fit exactly; {1,4} is lexicographically smaller
+    # although {2,3} comes first in colexicographic order
+    frame = vf.make_general_frame([[1, 0, 0], [1, 0, 1], [0, 1, -1], [0, 1, 0]])
+    x = np.array([1.0, 1.0, 0.0], dtype=complex) / math.sqrt(2)
+    res = vf.smdd_exact(frame, x, 2)
+    assert res.support == (1, 4)
+    assert res.residual_sq <= 1e-12
+    assert res.ties_broken
 
 
 def test_smdd_budget():
@@ -147,12 +155,6 @@ def test_smdd_monotone_in_weight():
     x = vf.sample_uniform_sphere(5, vf.sample_rng(6, 0))
     res = [vf.smdd_exact(frame, x, l).residual_sq for l in range(0, 6)]
     assert all(b <= a + 1e-12 for a, b in zip(res, res[1:]))
-
-
-def test_colex_order():
-    sup = vf.colex_supports(4, 2)
-    assert sup == [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 3)]
-    assert vf.colex_supports(3, 0) == [()]
 
 
 # -- BDS --------------------------------------------------------------------------
@@ -189,6 +191,19 @@ def test_bds_matches_linear_scan():
             l for l in range(0, 5) if vf.smdd_exact(frame, x, l).residual_sq <= thr
         )
         assert vf.bds_decode(frame, x, delta)[0] == scan
+
+
+def test_bds_enumerates_only_the_weights_it_bisects():
+    # bisection over [0, 4] probes L = 2 and L = 1 only: C(8, 3) and
+    # C(8, 4) lie over the budget and must never be enumerated
+    frame = vf.make_gaussian_frame(8, 4, seed=31)
+    for i in range(8):
+        x = vf.sample_uniform_sphere(4, vf.sample_rng(9, i))
+        scan = next(l for l in range(0, 5) if vf.smdd_exact(frame, x, l).residual_sq <= 0.5 + 1e-12)
+        assert scan <= 2
+        l, res = vf.bds_decode(frame, x, 0.5, budget=math.comb(8, 2))
+        assert l == scan
+        assert res == vf.smdd_exact(frame, x, l)
 
 
 def test_bds_domain():
@@ -238,6 +253,10 @@ def test_estimate_agrees_with_per_sample_smdd():
         res = vf.smdd_exact(frame, x, 2)
         ratios.append(res.residual_sq / float(np.vdot(x, x).real))
     assert est.mean == pytest.approx(float(np.mean(ratios)), abs=1e-15)
+    X = vf.sample_sphere_batch(4, 40, seed=5)
+    residuals = [vf.smdd_exact(frame, x, 2).residual_sq for x in X]
+    np.testing.assert_allclose(vf.smdd_residuals(frame, X, 2), residuals, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(vf.smdd_residuals(frame, X, 0), 1.0, rtol=0, atol=1e-15)
 
 
 # -- greedy fallback ------------------------------------------------------------------
