@@ -25,8 +25,9 @@ verification, decode falls back to a stabilized locator estimate: the
 locator coefficients are re-fit by least squares to the syndrome
 recurrence (stacked with the conjugate-reversed syndromes when the
 nodes are unit-modulus, which doubles the data and tames clustered
-supports), candidate weights are scanned in increasing order, roots
-are matched to the nearest inverse node, and each candidate must pass
+supports), candidate weights are scanned in increasing order, the
+support of a weight-w locator is the w inverse nodes where it is
+smallest in modulus, and each candidate must pass
 the synthesis-residual gate.  Worst-case configurations at w = N/2
 sit at the edge of double-precision identifiability, so a small
 failure rate remains near N = 64 at full weight; failures surface as
@@ -35,6 +36,7 @@ non-"ok" statuses, never as wrong answers.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -294,6 +296,18 @@ def _candidate(frame, r, s, locations, norm_r, _collapsed=False):
     return rep, residual
 
 
+@functools.lru_cache(maxsize=None)
+def _recurrence_index(n, w, count):
+    """Gather indices into `count` concatenated length-n sequences:
+    row i of sequence c reads its entries i+w-1 down to i, and its
+    right-hand side entry i+w."""
+    i = np.arange(n - w)[:, None]
+    rows = i + (w - 1) - np.arange(w)[None, :]
+    rows = np.vstack([rows + c * n for c in range(count)])
+    rhs = np.concatenate([np.arange(w, n) + c * n for c in range(count)])
+    return rows, rhs
+
+
 def _recurrence_fit(s, seqs, w):
     """Least-squares locator tail for weight w plus its relative misfit.
 
@@ -302,13 +316,10 @@ def _recurrence_fit(s, seqs, w):
     nodes are unit-modulus, doubling the equations).
     """
     n = s.size
-    blocks, rhs = [], []
-    for seq in seqs:
-        win = np.lib.stride_tricks.sliding_window_view(seq, w)[: n - w]
-        blocks.append(win[:, ::-1])
-        rhs.append(-seq[w:])
-    a = np.vstack(blocks)
-    b = np.concatenate(rhs)
+    rows, rhs = _recurrence_index(n, w, len(seqs))
+    flat = np.concatenate(seqs)
+    a = flat[rows]
+    b = -flat[rhs]
     x = _lstsq(a, b)
     misfit = float(np.linalg.norm(a @ x - b))
     scale = np.abs(s).max() * math.sqrt(a.shape[0])
@@ -356,23 +367,25 @@ def _recurrence_candidates(s, t, unit_circle):
     return out
 
 
-def _match_roots_to_nodes(sigma, nodes):
-    """Support matching each locator root to its nearest inverse node;
-    None when the roots do not map to distinct nodes."""
+def _smallest_at_nodes(sigma, nodes):
+    """Support of the w inverse nodes where |sigma| is smallest, with
+    w = deg sigma; None when sigma does not evaluate to finite values.
+
+    A soft Chien search: the locator of a weight-w representation
+    vanishes at its w inverse nodes.  Unlike find_error_locations it
+    applies no threshold, so a locator fitted slightly off the nodes
+    still names its support, and a wrong pick is caught by the
+    synthesis-residual gate.  One Horner pass over the M nodes costs
+    O(M w), against O(w^3) for the roots of sigma.
+    """
     w = sigma.size - 1
     if w == 0:
         return ()
-    roots = np.roots(sigma[::-1])
-    if roots.size != w or not np.all(np.isfinite(roots)):
+    vals = np.abs(poly_eval(sigma, 1.0 / nodes))
+    if not np.all(np.isfinite(vals)):
         return None
-    tiny = np.abs(roots) < 1e-12
-    if np.any(tiny):
-        return None
-    idx = np.abs((1.0 / roots)[:, None] - nodes[None, :]).argmin(axis=1)
-    support = tuple(sorted(int(i) + 1 for i in set(idx.tolist())))
-    if len(support) != w:
-        return None
-    return support
+    idx = np.argpartition(vals, w - 1)[:w]
+    return tuple(sorted(int(i) + 1 for i in idx))
 
 
 def decode(frame: Frame, r, tol: float = RESIDUAL_TOL) -> DecodeOutcome:
@@ -424,7 +437,7 @@ def decode(frame: Frame, r, tol: float = RESIDUAL_TOL) -> DecodeOutcome:
     # wrong weight stay mere candidates.
     unit_circle = bool(np.all(np.abs(np.abs(frame.nodes) - 1.0) <= 1e-9))
     for w, sigma in _recurrence_candidates(s, t, unit_circle):
-        support = _match_roots_to_nodes(sigma, frame.nodes)
+        support = _smallest_at_nodes(sigma, frame.nodes)
         if support is None:
             continue
         if settle(_candidate(frame, r, s, support, norm_r)):

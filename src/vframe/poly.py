@@ -19,9 +19,14 @@ DEGREE_REL_TOL = 1e-9
 
 NEG_INF = -math.inf
 
+_COMPLEX = np.dtype(complex)
+_max = np.maximum.reduce
+
 
 def as_poly(coeffs) -> np.ndarray:
     """Coerce to a 1-D complex coefficient array (no trimming)."""
+    if type(coeffs) is np.ndarray and coeffs.dtype == _COMPLEX and coeffs.ndim == 1:
+        return coeffs                              # hot path: already one
     p = np.atleast_1d(np.asarray(coeffs, dtype=complex))
     if p.ndim != 1:
         raise ValueError("polynomial coefficients must be one-dimensional")
@@ -34,10 +39,13 @@ def poly_trim(p, rel_tol: float = DEGREE_REL_TOL) -> np.ndarray:
     if p.size == 0:
         return p
     mags = np.abs(p)
-    top = mags.max()
+    top = _max(mags)
     if top == 0.0:
         return p[:0]
-    keep = np.nonzero(mags > rel_tol * top)[0]
+    floor = rel_tol * top
+    if mags[-1] > floor:
+        return p
+    keep = (mags > floor).nonzero()[0]
     if keep.size == 0:
         return p[:0]
     return p[: keep[-1] + 1]

@@ -261,6 +261,33 @@ def test_decode_never_wrong_mixed_weights():
     assert count_ok >= 10_000 // 2  # all decodable trials decoded
 
 
+def _full_weight_case(trial):
+    """Trial `trial` of the N=64, M=256 full-weight acceptance stream."""
+    frame = roots_frame(64, 256)
+    rng = vf.sample_rng(20260809, trial)
+    rep = vf.random_sparse_rep(256, 32, rng, (0.5, 2.0))
+    return frame, rep, vf.synthesize(frame, rep)
+
+
+def test_decode_fallback_names_support_of_off_node_locator():
+    # Euclid fails here and the fitted weight-32 locator's roots sit off
+    # the nodes, close enough that two map to one nearest node; the
+    # smallest locator values at the nodes still name the true support.
+    frame, rep, r = _full_weight_case(221)
+    out = vf.decode(frame, r)
+    assert out.status == STATUS_OK
+    assert out.rep.support == rep.support
+    assert np.linalg.norm(out.rep.values - rep.values) <= 1e-9 * np.linalg.norm(rep.values)
+
+
+def test_decode_rejects_near_fit_on_wrong_support():
+    # A candidate that swaps two of the 32 nodes re-synthesizes to about
+    # 2e-5; with tol=1e-4 it must not come back "ok".
+    frame, rep, r = _full_weight_case(52)
+    out = vf.decode(frame, r, tol=1e-4)
+    assert out.status != STATUS_OK or out.rep.support == rep.support
+
+
 def test_uniqueness_boundary_two_representations():
     # split a weight-(N+1) annihilator into two reps of weight (N+1)/2
     n, m = 5, 10
