@@ -272,13 +272,10 @@ def cmd_simulate(args):
         verdict = montecarlo.compare_to_bound(est, report)
         payload["verdict"] = {"passed": verdict.passed, "margin": verdict.margin}
     if args.samples_csv:
-        X = montecarlo.sample_sphere_batch(frame.n, args.samples, seed)
-        mins = montecarlo.smdd_residuals(frame, X, args.l, budget=args.budget)
-        ratios = mins / np.einsum("sn,sn->s", X, X.conj()).real
         with open(args.samples_csv, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["index", "residual_ratio"])
-            writer.writerows(enumerate(ratios.tolist()))
+            writer.writerows(enumerate(est.ratios.tolist()))
     _emit_json(payload, args.out)
     return 0
 

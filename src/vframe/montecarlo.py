@@ -8,6 +8,16 @@ smallest squared residual; averaging over samples estimates the frame's
 mean distortion, which is then compared against the closed-form lower
 bound.
 
+Scoring kernel: a support S with rank-masked orthonormal basis V_S has
+projection energy ||P_S x||^2 = x^H G_S x, G_S = V_S^H V_S.  When
+N <= 4L each sample is lifted to N^2 real features and each support to
+N^2 real weights, and one real GEMM scores a batch against every
+support; that costs N^2 multiply-adds per (sample, support), no more
+than the 4*L*N of projecting onto the stacked bases, which remain the
+kernel for N > 4L.  Either table is built on every call, from one SVD
+per support, and freed when the call returns: N^2 * C(M, L) * 8 bytes
+for the Gram table, L * N * C(M, L) * 16 bytes for the stacked bases.
+
 Distortion is accumulated per sample as the *relative* squared
 residual ||x - proj||^2 / ||x||^2.  On the unit sphere the two agree
 to sampler precision, and the ratio is exact where it matters: at
@@ -23,7 +33,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -99,30 +109,83 @@ def projection_residual(rows, x) -> float:
     return max(norm_sq - float(np.vdot(coeffs, coeffs).real), 0.0)
 
 
-def _supports(m: int, l: int, budget: int) -> np.ndarray:
+def _supports(m: int, l: int) -> np.ndarray:
     """(K, l) array of all 0-based size-l subsets of range(m), K = C(m, l),
-    in lexicographic order.  Raises BudgetExceeded when K > budget."""
+    in lexicographic order."""
     count = math.comb(m, l)
-    if count > budget:
-        raise BudgetExceeded(f"C({m},{l}) = {count} exceeds budget {budget}")
     flat = itertools.chain.from_iterable(itertools.combinations(range(m), l))
     return np.fromiter(flat, dtype=np.intp, count=count * l).reshape(count, l)
 
 
-def _support_bases(matrix: np.ndarray, supports: np.ndarray) -> np.ndarray:
-    """Conjugated orthonormal row-space bases of the (K, l) supports,
-    stacked as (K * l, n): l rows per support, zero rows below rank."""
-    _, s, vh = np.linalg.svd(matrix[supports], full_matrices=False)  # vh: (K, l, n)
-    keep = s > RANK_REL_TOL * s[:, :1]
-    return (vh * keep[:, :, None]).reshape(-1, matrix.shape[1]).conj()
+def _gram_features(xs: np.ndarray) -> np.ndarray:
+    """(s, N*N) real lift of the samples xs: |x_a|^2, then 2 Re(conj(x_a) x_b)
+    and 2 Im(conj(x_a) x_b) for a < b, in triu_indices order."""
+    a, b = np.triu_indices(xs.shape[1], 1)
+    cross = 2.0 * (xs[:, a].conj() * xs[:, b])
+    return np.concatenate([xs.real**2 + xs.imag**2, cross.real, cross.imag], axis=1)
 
 
-def _residual_block(bases: np.ndarray, l: int, xs: np.ndarray, norms: np.ndarray) -> np.ndarray:
-    """(s, K) squared residuals of the samples xs (squared norms `norms`)
-    against every support whose stacked bases come from _support_bases."""
-    proj = xs @ bases.T                                  # (s, K*l)
-    energy = (proj.real**2 + proj.imag**2).reshape(len(xs), -1, l).sum(axis=2)
-    return np.maximum(norms[:, None] - energy, 0.0)
+@dataclass(frozen=True)
+class _SupportTable:
+    """Every size-l support of one frame with the weights that score a
+    batch of samples against all of them in one GEMM.
+
+    V is a support's rank-masked orthonormal basis (the conjugated rows
+    of its SVD's vh above RANK_REL_TOL).  With gram set, weights is the
+    (N*N, K) real table of the projectors G = V^H V, one column per
+    support: G_aa, then Re G_ab and -Im G_ab for a < b, so that
+    _gram_features(x) @ weights = x^H G x.  Otherwise weights is the
+    (N, l*K) complex matrix of the stacked bases: column j*K + k holds
+    basis vector j of support k, so each sample's energies add up over
+    l contiguous blocks.
+    """
+
+    supports: np.ndarray
+    weights: np.ndarray
+    gram: bool
+
+    def energies(self, xs: np.ndarray) -> np.ndarray:
+        """(s, K) projection energies ||P_S x||^2 of the (s, N) samples xs."""
+        if self.gram:
+            return _gram_features(xs) @ self.weights
+        proj = (xs @ self.weights).reshape(len(xs), self.supports.shape[1], -1)
+        energy = np.zeros((len(xs), proj.shape[2]))
+        for j in range(proj.shape[1]):
+            energy += proj[:, j].real ** 2 + proj[:, j].imag ** 2
+        return energy
+
+
+def _support_table(frame: Frame, l: int, budget: int) -> _SupportTable:
+    """The frame's support table for weight l >= 1, built in blocks of
+    supports.  Raises BudgetExceeded when C(M, l) exceeds the budget."""
+    count = math.comb(frame.m, l)
+    if count > budget:
+        raise BudgetExceeded(f"C({frame.m},{l}) = {count} exceeds budget {budget}")
+    matrix = frame.matrix
+    m, n = matrix.shape
+    supports = _supports(m, l)
+    k = len(supports)
+    # x^H G x costs N*N real multiply-adds per (sample, support), the
+    # stacked bases 4*l*N; past N = 4l the Gram table would do more work
+    # and take N/(2l) > 2 times the stacked bases' memory.
+    gram = n <= 4 * l
+    weights = np.empty((n * n, k)) if gram else np.empty((l, k, n), dtype=complex)
+    a, b = np.triu_indices(n, 1)
+    block = max(1, 2**18 // (l * n))
+    for start in range(0, k, block):
+        stop = start + block
+        _, s, vh = np.linalg.svd(matrix[supports[start:stop]], full_matrices=False)
+        v = (vh * (s > RANK_REL_TOL * s[:, :1])[:, :, None]).conj()    # (B, l, n)
+        if gram:
+            g = v.conj().transpose(0, 2, 1) @ v                          # (B, n, n)
+            upper = g[:, a, b]
+            weights[:, start:stop] = np.concatenate(
+                [g.diagonal(axis1=1, axis2=2).real, upper.real, -upper.imag], axis=1).T
+        else:
+            weights[:, start:stop] = v.transpose(1, 0, 2)
+    if not gram:
+        weights = weights.reshape(l * k, n).T
+    return _SupportTable(supports, weights, gram)
 
 
 @dataclass(frozen=True)
@@ -151,13 +214,13 @@ def smdd_exact(frame: Frame, x, l: int, budget: int = DEFAULT_BUDGET) -> SmddRes
     if l == 0:
         return SmddResult((), float(np.vdot(x, x).real), False)
     xs = x[None, :]
-    norms = np.einsum("sn,sn->s", xs, xs.conj()).real
-    supports = _supports(frame.m, l, budget)
-    res = _residual_block(_support_bases(frame.matrix, supports), l, xs, norms)[0]
+    norm = np.einsum("sn,sn->s", xs, xs.conj()).real[0]
+    table = _support_table(frame, l, budget)
+    res = np.maximum(norm - table.energies(xs)[0], 0.0)
     cand = np.flatnonzero(res <= res.min() + TIE_TOL)
     pick = cand[0]
     return SmddResult(
-        tuple(int(i) + 1 for i in supports[pick]),
+        tuple(int(i) + 1 for i in table.supports[pick]),
         float(res[pick]),
         bool(cand.size > 1),
     )
@@ -166,9 +229,10 @@ def smdd_exact(frame: Frame, x, l: int, budget: int = DEFAULT_BUDGET) -> SmddRes
 def smdd_residuals(frame: Frame, X, l: int, budget: int = DEFAULT_BUDGET) -> np.ndarray:
     """smdd_exact's squared residual for each row of the (S, N) batch X.
 
-    The support bases are built once for the whole batch; samples are
-    projected in chunks to bound memory.  Raises BudgetExceeded when
-    C(M, l) exceeds the subset budget.
+    Samples are scored in chunks, to bound memory, against one support
+    table; the smallest residual over supports is the norm less
+    the largest projection energy.  Raises BudgetExceeded when C(M, l)
+    exceeds the subset budget.
     """
     X = np.asarray(X, dtype=complex)
     if X.ndim != 2 or X.shape[1] != frame.n:
@@ -178,13 +242,12 @@ def smdd_residuals(frame: Frame, X, l: int, budget: int = DEFAULT_BUDGET) -> np.
     norms = np.einsum("sn,sn->s", X, X.conj()).real
     if l == 0:
         return norms
-    bases = _support_bases(frame.matrix, _supports(frame.m, l, budget))
-    chunk = max(1, 6_000_000 // bases.shape[0])
-    mins = np.empty(X.shape[0])
+    table = _support_table(frame, l, budget)
+    chunk = max(1, 2**21 // table.weights.shape[1])
+    top = np.empty(X.shape[0])
     for start in range(0, X.shape[0], chunk):
-        stop = start + chunk
-        mins[start:stop] = _residual_block(bases, l, X[start:stop], norms[start:stop]).min(axis=1)
-    return mins
+        top[start:start + chunk] = table.energies(X[start:start + chunk]).max(axis=1)
+    return np.maximum(norms - top, 0.0)
 
 
 def smdd_greedy(frame: Frame, x, l: int) -> SmddResult:
@@ -271,13 +334,17 @@ class EstimateConfig:
 
 @dataclass(frozen=True)
 class DistortionEstimate:
-    """Sample mean/stderr of the per-sample relative SMDD residual."""
+    """Sample mean/stderr of the per-sample relative SMDD residual.
+
+    ratios holds the per-sample values in sample-index order (None on
+    an estimate built by hand)."""
 
     mean: float
     stderr: float
     n_samples: int
     config: EstimateConfig
     approximate: bool = False
+    ratios: np.ndarray | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -313,7 +380,7 @@ def estimate_distortion(
     config = EstimateConfig(frame_id(frame), frame.n, frame.m, l, seed)
     if l == 0:
         # Every sample contributes ||x||^2 / ||x||^2 == 1.0 exactly.
-        return DistortionEstimate(1.0, 0.0, n_samples, config)
+        return DistortionEstimate(1.0, 0.0, n_samples, config, ratios=np.ones(n_samples))
     count = math.comb(frame.m, l)
     approximate = count > budget
     if approximate and not fallback_greedy:
@@ -327,7 +394,7 @@ def estimate_distortion(
     ratios = mins / norms
     mean = float(ratios.mean())
     stderr = float(ratios.std(ddof=1) / math.sqrt(n_samples)) if n_samples > 1 else 0.0
-    return DistortionEstimate(mean, stderr, n_samples, config, approximate)
+    return DistortionEstimate(mean, stderr, n_samples, config, approximate, ratios)
 
 
 def compare_to_bound(est: DistortionEstimate, report: BoundReport) -> BoundComparison:

@@ -206,6 +206,30 @@ def test_simulate_samples_csv(tmp_path, capsys):
     assert mean == pytest.approx(json.loads(out)["estimate"]["mean"], abs=1e-12)
 
 
+def test_simulate_samples_csv_draws_once_and_follows_greedy(tmp_path, capsys, monkeypatch):
+    from vframe import montecarlo
+
+    draws = []
+    batch = montecarlo.sample_sphere_batch
+    monkeypatch.setattr(montecarlo, "sample_sphere_batch",
+                        lambda *a, **k: draws.append(a) or batch(*a, **k))
+    path = tmp_path / "samples.csv"
+    # C(8, 2) = 28 supports over --budget 3: the estimate and the rows are greedy
+    code, out, err = run(
+        capsys,
+        ["simulate", "--n", "4", "--m", "8", "--l", "2", "--samples", "20", "--budget", "3",
+         "--greedy", "--seed", "1", "--samples-csv", str(path)],
+    )
+    assert code == 0, err
+    assert len(draws) == 1
+    est = json.loads(out)["estimate"]
+    assert est["approximate"] is True
+    rows = list(csv.DictReader(path.open()))
+    assert [int(r["index"]) for r in rows] == list(range(20))
+    mean = np.mean([float(r["residual_ratio"]) for r in rows])
+    assert mean == pytest.approx(est["mean"], abs=1e-12)
+
+
 # -- sweep ------------------------------------------------------------------------
 
 def test_sweep_grid_complete(tmp_path, capsys):

@@ -287,6 +287,13 @@ def test_frame_id_stable():
     assert vf.frame_id(a) != vf.frame_id(roots_frame(3, 7))
 
 
+def test_frame_id_pinned():
+    vand = roots_frame(8, 32)
+    general = vf.make_general_frame([[1, 0, 0], [1, 0, 1], [0, 1, -1], [0, 1, 0]])
+    assert vf.frame_id(vand) == "vandermonde:m=32:n=8:ed880cf9"
+    assert vf.frame_id(general) == "general:m=4:n=3:04fc2090"
+
+
 def test_gaussian_frame_seeded():
     a = vf.make_gaussian_frame(8, 4, seed=5)
     b = vf.make_gaussian_frame(8, 4, seed=5)

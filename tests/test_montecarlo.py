@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import stats
 
 import vframe as vf
+from vframe import montecarlo
 from vframe.errors import BudgetExceeded, ConfigMismatch, DomainError
 
 
@@ -155,6 +157,84 @@ def test_smdd_monotone_in_weight():
     x = vf.sample_uniform_sphere(5, vf.sample_rng(6, 0))
     res = [vf.smdd_exact(frame, x, l).residual_sq for l in range(0, 6)]
     assert all(b <= a + 1e-12 for a, b in zip(res, res[1:]))
+
+
+def dup_rows_frame(m, n, seed):
+    # Gaussian rows with two repeats (one scaled), so some supports are
+    # rank-deficient.
+    rows = vf.make_gaussian_frame(m, n, seed=seed).matrix.copy()
+    rows[m - 1] = rows[0]
+    rows[m - 2] = 2j * rows[1]
+    return vf.make_general_frame(rows)
+
+
+@pytest.mark.parametrize("m,n", [(9, 3), (12, 10)])
+@pytest.mark.parametrize("kind", ["gaussian", "duplicated"])
+def test_support_energies_match_projection_residual(m, n, kind):
+    # N <= 4L scores with the Gram table, N > 4L with stacked bases:
+    # (9, 3) is Gram at every L, (12, 10) stacked at L = 1, 2, Gram at L = 3
+    frame = vf.make_gaussian_frame(m, n, seed=(41, m)) if kind == "gaussian" else dup_rows_frame(m, n, 43)
+    X = vf.sample_sphere_batch(n, 3, seed=(45, m)) * np.array([[1.0], [0.5], [3.0]])
+    for l in (1, 2, 3):
+        table = montecarlo._support_table(frame, l, montecarlo.DEFAULT_BUDGET)
+        assert table.gram == (n <= 4 * l)
+        assert table.supports.shape == (math.comb(m, l), l)
+        energies = table.energies(X)
+        for x, energy in zip(X, energies):
+            norm = float(np.vdot(x, x).real)
+            direct = [vf.projection_residual(frame.matrix[s], x) for s in table.supports]
+            np.testing.assert_allclose(np.maximum(norm - energy, 0.0), direct, rtol=0, atol=1e-12)
+
+
+def test_kernel_matches_stacked_reference_on_mc_enum_cell():
+    # Values of the complex stacked-basis kernel (the only one before the
+    # Gram table) on the N=8, M=32, L=4 cell, stream (1, 1).
+    frame = roots_frame(8, 32)
+    X = vf.sample_sphere_batch(8, 1000, seed=(1, 1))
+    res = vf.smdd_residuals(frame, X, 4)
+    assert montecarlo._support_table(frame, 4, montecarlo.DEFAULT_BUDGET).gram
+    reference = [float.fromhex(h) for h in (
+        "0x1.01863b0854510p-5", "0x1.9e7c34d2bd310p-5", "0x1.453a233f23c60p-5",
+        "0x1.fe9c2150d94e0p-6", "0x1.dbe99fc37f080p-5", "0x1.03d145fe7b240p-4")]
+    np.testing.assert_allclose(res[:6], reference, rtol=0, atol=2e-15)
+    np.testing.assert_allclose(res[[270, 999]], [0.1836232351621241, 0.09143799905813721],
+                               rtol=0, atol=2e-15)
+    assert abs(float(res.mean()) - 0.07130588313606415) <= 1e-15
+    est = vf.estimate_distortion(frame, 4, 1000, seed=(1, 1))
+    assert abs(est.mean - 0.07130588313606415) <= 1e-15
+    expected = [
+        ((1, 13, 18, 28), 0.03143607644836732),
+        ((11, 17, 18, 20), 0.05059633557349308),
+        ((5, 6, 11, 18), 0.039700573769658076),
+        ((3, 17, 24, 28), 0.031165154013611196),
+        ((2, 13, 14, 28), 0.05809479907836235),
+    ]
+    for x, (support, residual_sq) in zip(X, expected):
+        got = vf.smdd_exact(frame, x, 4)
+        assert got.support == support and not got.ties_broken
+        assert abs(got.residual_sq - residual_sq) <= 2e-15
+
+
+def test_exact_search_keeps_no_support_table():
+    # every call builds its own table (N^2 * C(M, L) * 8 = 583 kB here)
+    # and frees it; bds_decode bisects through L = 3, 1 and 2
+    x = vf.sample_uniform_sphere(6, vf.sample_rng(14, 0))
+    assert vf.bds_decode(roots_frame(6, 24), x, 0.3)[0] == 2
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        frame = roots_frame(6, 24)
+        assert vf.bds_decode(frame, x, 0.3)[0] == 2
+        vf.estimate_distortion(frame, 3, 10, seed=14)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept < 36 * math.comb(24, 3) * 8 // 10
+    # the budget is checked on every call
+    with pytest.raises(BudgetExceeded):
+        vf.smdd_exact(frame, x, 3, budget=math.comb(24, 3) - 1)
+    with pytest.raises(BudgetExceeded):
+        vf.smdd_residuals(frame, x[None, :], 3, budget=math.comb(24, 3) - 1)
 
 
 # -- BDS --------------------------------------------------------------------------
