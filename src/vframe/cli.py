@@ -40,10 +40,6 @@ def _parse_int_list(text):
     return [int(tok) for tok in str(text).split(",") if tok.strip()]
 
 
-def _pairs(values):
-    return [[float(v.real), float(v.imag)] for v in np.asarray(values, dtype=complex)]
-
-
 def _emit_json(payload, out_path):
     text = json.dumps(payload, indent=2)
     if out_path:
@@ -53,7 +49,7 @@ def _emit_json(payload, out_path):
         print(text)
 
 
-def _config(args, subcommand, fmt, seed=None, **extra):
+def _config(subcommand, fmt, seed=None, **extra):
     cfg = {"subcommand": subcommand, "format": fmt}
     if seed is not None:
         cfg["seed"] = seed
@@ -82,7 +78,7 @@ def cmd_frame(args):
     else:
         frame = frames.make_gaussian_frame(args.m, args.n, (seed, 0x46524d45))
     payload = {
-        "config": _config(args, "frame", JSON_KIND, seed, n=args.n, m=args.m, kind=args.kind),
+        "config": _config("frame", JSON_KIND, seed, n=args.n, m=args.m, kind=args.kind),
         "frame": frames.frame_to_json(frame),
     }
     if args.out:
@@ -100,9 +96,7 @@ def cmd_encode(args):
     if args.rep_json:
         obj = json.loads(args.rep_json)
         rep = frames.SparseRep(
-            frame.m,
-            tuple(int(i) for i in obj["support"]),
-            np.array([complex(p[0], p[1]) for p in obj["values"]], dtype=complex),
+            frame.m, tuple(int(i) for i in obj["support"]), frames.pairs_to_complex(obj["values"])
         )
     elif args.weight is not None:
         rng = montecarlo.sample_rng(seed, 0)
@@ -112,11 +106,11 @@ def cmd_encode(args):
     signal = frames.synthesize(frame, rep)
     payload = {
         "config": _config(
-            args, "encode", JSON_KIND, seed,
+            "encode", JSON_KIND, seed,
             frame=source, n=frame.n, m=frame.m, weight=args.weight,
         ),
-        "rep": {"support": list(rep.support), "values": _pairs(rep.values)},
-        "signal": _pairs(signal),
+        "rep": {"support": list(rep.support), "values": frames.complex_to_pairs(rep.values)},
+        "signal": frames.complex_to_pairs(signal),
     }
     _emit_json(payload, args.out)
     return 0
@@ -131,7 +125,7 @@ def _read_signal(args):
         pairs = obj["signal"] if isinstance(obj, dict) else obj
     else:
         raise VframeError("provide --signal-json or --signal-file")
-    return np.array([complex(p[0], p[1]) for p in pairs], dtype=complex)
+    return frames.pairs_to_complex(pairs)
 
 
 def cmd_decode(args):
@@ -141,7 +135,7 @@ def cmd_decode(args):
     outcome = decoder.decode(frame, r, tol=args.tol)
     payload = {
         "config": _config(
-            args, "decode", JSON_KIND, seed,
+            "decode", JSON_KIND, seed,
             frame=source, n=frame.n, m=frame.m, tol=args.tol,
         ),
         "outcome": decoder.outcome_to_json(outcome),
@@ -177,7 +171,7 @@ def cmd_roundtrip(args):
                 successes += 1
     payload = {
         "config": _config(
-            args, "roundtrip", JSON_KIND, seed,
+            "roundtrip", JSON_KIND, seed,
             n=args.n, m=args.m, weight=args.weight, trials=args.trials,
             tol=args.tol, mag_min=args.mag_min, mag_max=args.mag_max,
         ),
@@ -224,14 +218,14 @@ def cmd_bound(args):
     if args.asymptotic:
         if args.r is None or args.eps is None:
             raise VframeError("--asymptotic needs --r and --eps")
-        cfg = _config(args, "bound", CSV_KIND, asymptotic=True, r=args.r, eps=args.eps)
+        cfg = _config("bound", CSV_KIND, asymptotic=True, r=args.r, eps=args.eps)
         k0 = bnd.asymptotic_kappa0(args.r, args.eps)
         rows = [[args.r, args.eps, k0, bnd.asymptotic_bound(args.r, args.eps)]]
         _write_csv(rows, ASYMPTOTIC_HEADER, cfg, args.out)
         return 0
     if args.n is None or args.m is None or args.l is None:
         raise VframeError("bound needs --n, --m and --l (or --asymptotic)")
-    cfg = _config(args, "bound", CSV_KIND, n=args.n, m=args.m, l=args.l)
+    cfg = _config("bound", CSV_KIND, n=args.n, m=args.m, l=args.l)
     _, row = _bound_row(bnd.BoundInput(args.n, args.m, args.l))
     _write_csv([row], BOUND_HEADER, cfg, args.out)
     return 0
@@ -248,7 +242,7 @@ def cmd_simulate(args):
     )
     payload = {
         "config": _config(
-            args, "simulate", JSON_KIND, seed,
+            "simulate", JSON_KIND, seed,
             frame=source, n=frame.n, m=frame.m, l=args.l,
             samples=args.samples, budget=args.budget, greedy=args.greedy,
         ),
@@ -299,7 +293,7 @@ def cmd_sweep(args):
     n_list = _parse_int_list(args.n_list)
     factors = _parse_int_list(args.m_factors)
     cfg = _config(
-        args, "sweep", CSV_KIND, seed,
+        "sweep", CSV_KIND, seed,
         n_list=n_list, m_factors=factors, l=args.l,
         samples=args.samples, resume=args.resume,
     )
@@ -309,21 +303,21 @@ def cmd_sweep(args):
     if args.resume and not args.out:
         raise VframeError("--resume needs --out")
     done = _sweep_keys_done(args.out) if (args.resume and args.out) else set()
+    # Refuse the whole grid up front, an invalid cell or one over budget,
+    # rather than after the cells before it have been written.
     cells = [
-        (n, factor * n, l)
+        bnd.BoundInput(n, factor * n, l)
         for n in n_list
         for factor in factors
         for l in (range(0, n + 1) if args.l == "all" else _parse_int_list(args.l))
         if (n, factor * n, l) not in done
     ]
     if args.samples > 0:
-        # Refuse the whole grid up front rather than after the cells before
-        # the first over-budget one have run.
-        for n, m, l in cells:
-            if l > 0 and math.comb(m, l) > args.budget:
+        for inp in cells:
+            if inp.l > 0 and math.comb(inp.m, inp.l) > args.budget:
                 raise VframeError(
-                    f"cell (N,M,L)=({n},{m},{l}) needs C({m},{l}) = {math.comb(m, l)} "
-                    f"supports, over --budget {args.budget}"
+                    f"cell (N,M,L)=({inp.n},{inp.m},{inp.l}) needs C({inp.m},{inp.l}) = "
+                    f"{math.comb(inp.m, inp.l)} supports, over --budget {args.budget}"
                 )
     fresh = not (args.resume and args.out and os.path.exists(args.out))
     fh = open(args.out, "a" if not fresh else "w", newline="", encoding="utf-8") if args.out else sys.stdout
@@ -333,13 +327,13 @@ def cmd_sweep(args):
             csv.writer(fh).writerow(header)
         writer = csv.writer(fh)
         frame = None
-        for n, m, l in cells:
-            report, row = _bound_row(bnd.BoundInput(n, m, l))
+        for inp in cells:
+            report, row = _bound_row(inp)
             if args.samples > 0:
-                if frame is None or (frame.n, frame.m) != (n, m):
-                    frame = frames.make_vandermonde_frame(frames.default_nodes(m), n)
+                if frame is None or (frame.n, frame.m) != (inp.n, inp.m):
+                    frame = frames.make_vandermonde_frame(frames.default_nodes(inp.m), inp.n)
                 est = montecarlo.estimate_distortion(
-                    frame, l, args.samples, seed, budget=args.budget
+                    frame, inp.l, args.samples, seed, budget=args.budget
                 )
                 verdict = montecarlo.compare_to_bound(est, report)
                 row += [est.mean, est.stderr, verdict.margin, verdict.passed]

@@ -50,9 +50,8 @@ from .errors import (
     RootCountMismatch,
     VframeError,
 )
-from .frames import VANDERMONDE, ZERO_REL_TOL, Frame, SparseRep, synthesize
+from .frames import VANDERMONDE, ZERO_REL_TOL, Frame, SparseRep, complex_to_pairs, synthesize
 from .poly import (
-    DEGREE_REL_TOL,
     poly_degree,
     poly_divmod,
     poly_eval,
@@ -124,7 +123,7 @@ def key_equation_residual(s, sigma, omega) -> float:
     return float(np.abs(diff).max()) if diff.size else 0.0
 
 
-def solve_key_equation(s, t: int, rel_tol: float = DEGREE_REL_TOL):
+def solve_key_equation(s, t: int):
     """Locator/evaluator pair (sigma, omega) from the syndromes.
 
     Runs the extended Euclid division algorithm on (z^N, S1[z]) with
@@ -151,13 +150,13 @@ def solve_key_equation(s, t: int, rel_tol: float = DEGREE_REL_TOL):
 
     r_prev = np.zeros(n + 1, dtype=complex)
     r_prev[n] = 1.0                                # z^N
-    r_cur = poly_trim(s, rel_tol)
+    r_cur = poly_trim(s)
     v_prev = s[:0]                                 # multipliers of S1
     v_cur = one.copy()
     for _ in range(n + 2):
-        if poly_degree(r_cur, rel_tol) <= t - 1:
+        if poly_degree(r_cur) <= t - 1:
             break
-        q, rem = poly_divmod(r_prev, r_cur, rel_tol)
+        q, rem = poly_divmod(r_prev, r_cur)
         v_next = poly_sub(v_prev, poly_mul(q, v_cur))
         r_prev, v_prev = r_cur, v_cur
         r_cur, v_cur = rem, v_next
@@ -173,20 +172,20 @@ def solve_key_equation(s, t: int, rel_tol: float = DEGREE_REL_TOL):
 
     if v_cur.size == 0 or abs(v_cur[0]) <= 1e-12 * np.abs(v_cur).max():
         raise NumericBreakdown("locator constant term vanished")
-    sigma = poly_trim(v_cur / v_cur[0], rel_tol)
-    omega = poly_trim(r_cur / v_cur[0], rel_tol)
+    sigma = poly_trim(v_cur / v_cur[0])
+    omega = poly_trim(r_cur / v_cur[0])
     return sigma, omega
 
 
-def find_error_locations(sigma, frame: Frame, tol: float = ROOT_ACCEPT_TOL) -> list[int]:
+def find_error_locations(sigma, frame: Frame) -> list[int]:
     """1-based indices j for which 1/z_j is a root of sigma.
 
     Evaluates sigma at every inverse node and accepts values below
-    tol * (1 + the largest evaluation magnitude); the absolute floor
-    keeps the test meaningful when every evaluation is small.  The
-    accepted count must equal deg sigma, otherwise the weight exceeded
-    the decoding radius (or numerics failed) and RootCountMismatch is
-    raised.
+    ROOT_ACCEPT_TOL * (1 + the largest evaluation magnitude); the
+    absolute floor keeps the test meaningful when every evaluation is
+    small.  The accepted count must equal deg sigma, otherwise the
+    weight exceeded the decoding radius (or numerics failed) and
+    RootCountMismatch is raised.
     """
     if frame.kind != VANDERMONDE:
         raise ValueError("root location requires a vandermonde frame")
@@ -194,7 +193,7 @@ def find_error_locations(sigma, frame: Frame, tol: float = ROOT_ACCEPT_TOL) -> l
     if sigma.size == 0 or abs(sigma[0] - 1.0) > 1e-6:
         raise ValueError("locator must be normalized with sigma(0) = 1")
     vals = np.abs(poly_eval(sigma, 1.0 / frame.nodes))
-    hits = np.nonzero(vals < tol * (1.0 + vals.max()))[0]
+    hits = np.nonzero(vals < ROOT_ACCEPT_TOL * (1.0 + vals.max()))[0]
     deg = poly_degree(sigma)
     deg = 0 if deg < 0 else int(deg)
     if hits.size != deg:
@@ -455,7 +454,7 @@ def outcome_to_json(outcome: DecodeOutcome) -> dict:
     return {
         "status": outcome.status,
         "support": list(outcome.rep.support),
-        "values": [[float(v.real), float(v.imag)] for v in outcome.rep.values],
+        "values": complex_to_pairs(outcome.rep.values),
         "residual": outcome.residual,
         "locator_degree": outcome.locator_degree,
     }

@@ -190,13 +190,13 @@ class SparseRep:
         return dense
 
     @classmethod
-    def from_dense(cls, dense, zero_tol: float = ZERO_REL_TOL) -> "SparseRep":
+    def from_dense(cls, dense) -> "SparseRep":
         c = np.asarray(dense, dtype=complex).ravel()
         mags = np.abs(c)
         top = mags.max() if c.size else 0.0
         if top == 0.0:
             return cls(ambient_len=c.size, support=(), values=np.zeros(0, complex))
-        idx = np.nonzero(mags > zero_tol * top)[0]
+        idx = np.nonzero(mags > ZERO_REL_TOL * top)[0]
         return cls(
             ambient_len=c.size,
             support=tuple(int(i) + 1 for i in idx),
@@ -231,12 +231,12 @@ def synthesize(frame: Frame, rep) -> np.ndarray:
     return c @ frame.matrix
 
 
-def check_condition_I(frame: Frame, tol: float = SINGULAR_REL_TOL, budget: int = CONDITION_BUDGET):
+def check_condition_I(frame: Frame, budget: int = CONDITION_BUDGET):
     """Check that every N-row submatrix of the frame is non-singular.
 
-    Returns (True, None) when the smallest singular value of every N x N
-    submatrix exceeds tol times its largest, else (False, witness) with
-    the first violating 1-based row subset in lexicographic order.
+    Returns (True, None) when each N x N submatrix's smallest singular
+    value exceeds SINGULAR_REL_TOL times its largest, else (False, w),
+    w the lexicographically first violating 1-based row subset.
     """
     m, n = frame.m, frame.n
     total = math.comb(m, n)
@@ -250,7 +250,7 @@ def check_condition_I(frame: Frame, tol: float = SINGULAR_REL_TOL, budget: int =
             return True, None
         subs = frame.matrix[np.asarray(batch)]          # (B, n, n)
         s = np.linalg.svd(subs, compute_uv=False)       # (B, n)
-        bad = np.nonzero(s[:, -1] <= tol * s[:, 0])[0]
+        bad = np.nonzero(s[:, -1] <= SINGULAR_REL_TOL * s[:, 0])[0]
         if bad.size:
             witness = tuple(i + 1 for i in batch[int(bad[0])])
             return False, witness
@@ -309,11 +309,13 @@ def baseline_representation(frame: Frame, r) -> np.ndarray:
 # vandermonde frame stores only its nodes; the power matrix is
 # reconstructed on load.
 
-def _pairs(a: np.ndarray):
+def complex_to_pairs(a) -> list:
+    """[[re, im], ...] of the complex values of a, flattened."""
     return [[float(z.real), float(z.imag)] for z in np.asarray(a, dtype=complex).ravel()]
 
 
-def _unpairs(pairs) -> np.ndarray:
+def pairs_to_complex(pairs) -> np.ndarray:
+    """1-D complex array from [[re, im], ...]."""
     return np.array([complex(p[0], p[1]) for p in pairs], dtype=complex)
 
 
@@ -323,20 +325,20 @@ def frame_to_json(frame: Frame) -> dict:
             "n": frame.n,
             "m": frame.m,
             "kind": VANDERMONDE,
-            "nodes": _pairs(frame.nodes),
+            "nodes": complex_to_pairs(frame.nodes),
         }
     return {
         "kind": GENERAL,
-        "rows": [_pairs(row) for row in frame.matrix],
+        "rows": [complex_to_pairs(row) for row in frame.matrix],
     }
 
 
 def frame_from_json(obj: dict) -> Frame:
     kind = obj.get("kind")
     if kind == VANDERMONDE:
-        return make_vandermonde_frame(_unpairs(obj["nodes"]), int(obj["n"]))
+        return make_vandermonde_frame(pairs_to_complex(obj["nodes"]), int(obj["n"]))
     if kind == GENERAL:
-        return make_general_frame(np.array([_unpairs(row) for row in obj["rows"]]))
+        return make_general_frame(np.array([pairs_to_complex(row) for row in obj["rows"]]))
     raise ValueError(f"unknown frame kind {kind!r}")
 
 

@@ -39,9 +39,7 @@ import numpy as np
 
 from .bounds import BoundReport
 from .errors import BudgetExceeded, ConfigMismatch, DomainError
-from .frames import Frame, frame_id
-
-RANK_REL_TOL = 1e-10
+from .frames import SINGULAR_REL_TOL, Frame, frame_id
 
 # Residuals within this of the minimum count as ties (broken toward the
 # lexicographically smallest support).
@@ -89,12 +87,19 @@ def sample_sphere_batch(n: int, n_samples: int, seed) -> np.ndarray:
 
 # -- projections and exact SMDD ---------------------------------------------
 
+def _span_basis(rows: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the span of the non-empty (k, n) rows: the vh
+    rows of their SVD whose singular values exceed SINGULAR_REL_TOL times the largest."""
+    _, s, vh = np.linalg.svd(rows, full_matrices=False)
+    return vh[: int(np.count_nonzero(s > SINGULAR_REL_TOL * s[0]))]
+
+
 def projection_residual(rows, x) -> float:
     """Squared distance from x to the span of the given frame rows.
 
-    The span is orthonormalized through an SVD with relative rank
-    tolerance RANK_REL_TOL, so rank-deficient subsets project onto
-    their actual span.  An empty subset returns ||x||^2.
+    The span is orthonormalized by _span_basis, so rank-deficient
+    subsets project onto their actual span.  An empty subset returns
+    ||x||^2.
     """
     x = np.asarray(x, dtype=complex).ravel()
     rows = np.asarray(rows, dtype=complex)
@@ -103,9 +108,7 @@ def projection_residual(rows, x) -> float:
         return norm_sq
     if rows.ndim != 2 or rows.shape[1] != x.size:
         raise ValueError("rows must be a (k, n) array matching x")
-    _, s, vh = np.linalg.svd(rows, full_matrices=False)
-    rank = int(np.count_nonzero(s > RANK_REL_TOL * s[0])) if s.size else 0
-    coeffs = vh[:rank].conj() @ x
+    coeffs = _span_basis(rows).conj() @ x
     return max(norm_sq - float(np.vdot(coeffs, coeffs).real), 0.0)
 
 
@@ -131,7 +134,7 @@ class _SupportTable:
     batch of samples against all of them in one GEMM.
 
     V is a support's rank-masked orthonormal basis (the conjugated rows
-    of its SVD's vh above RANK_REL_TOL).  With gram set, weights is the
+    of its SVD's vh above SINGULAR_REL_TOL).  With gram set, weights is the
     (N*N, K) real table of the projectors G = V^H V, one column per
     support: G_aa, then Re G_ab and -Im G_ab for a < b, so that
     _gram_features(x) @ weights = x^H G x.  Otherwise weights is the
@@ -175,7 +178,7 @@ def _support_table(frame: Frame, l: int, budget: int) -> _SupportTable:
     for start in range(0, k, block):
         stop = start + block
         _, s, vh = np.linalg.svd(matrix[supports[start:stop]], full_matrices=False)
-        v = (vh * (s > RANK_REL_TOL * s[:, :1])[:, :, None]).conj()    # (B, l, n)
+        v = (vh * (s > SINGULAR_REL_TOL * s[:, :1])[:, :, None]).conj()    # (B, l, n)
         if gram:
             g = v.conj().transpose(0, 2, 1) @ v                          # (B, n, n)
             upper = g[:, a, b]
@@ -186,6 +189,19 @@ def _support_table(frame: Frame, l: int, budget: int) -> _SupportTable:
     if not gram:
         weights = weights.reshape(l * k, n).T
     return _SupportTable(supports, weights, gram)
+
+
+def _signals(frame: Frame, X, l: int) -> np.ndarray:
+    """X as an (S, N) complex batch for a search of weight l.  Raises ValueError
+    on another shape or a non-finite entry, DomainError unless 0 <= l <= M."""
+    X = np.asarray(X, dtype=complex)
+    if X.ndim != 2 or X.shape[1] != frame.n:
+        raise ValueError(f"signals have shape {X.shape}, expected (S, {frame.n})")
+    if not np.isfinite(X).all():
+        raise ValueError("signals must be finite")
+    if not 0 <= l <= frame.m:
+        raise DomainError(f"need 0 <= L <= M, got L={l}")
+    return X
 
 
 @dataclass(frozen=True)
@@ -206,14 +222,10 @@ def smdd_exact(frame: Frame, x, l: int, budget: int = DEFAULT_BUDGET) -> SmddRes
     first, i.e. lexicographically smallest, support.  Raises
     BudgetExceeded when C(M, l) exceeds the subset budget.
     """
-    x = np.asarray(x, dtype=complex).ravel()
-    if x.size != frame.n:
-        raise ValueError(f"signal has length {x.size}, expected {frame.n}")
-    if not 0 <= l <= frame.m:
-        raise DomainError(f"need 0 <= L <= M, got L={l}")
+    xs = _signals(frame, np.ravel(x)[None, :], l)
+    x = xs[0]
     if l == 0:
         return SmddResult((), float(np.vdot(x, x).real), False)
-    xs = x[None, :]
     norm = np.einsum("sn,sn->s", xs, xs.conj()).real[0]
     table = _support_table(frame, l, budget)
     res = np.maximum(norm - table.energies(xs)[0], 0.0)
@@ -234,11 +246,7 @@ def smdd_residuals(frame: Frame, X, l: int, budget: int = DEFAULT_BUDGET) -> np.
     the largest projection energy.  Raises BudgetExceeded when C(M, l)
     exceeds the subset budget.
     """
-    X = np.asarray(X, dtype=complex)
-    if X.ndim != 2 or X.shape[1] != frame.n:
-        raise ValueError(f"samples have shape {X.shape}, expected (S, {frame.n})")
-    if not 0 <= l <= frame.m:
-        raise DomainError(f"need 0 <= L <= M, got L={l}")
+    X = _signals(frame, X, l)
     norms = np.einsum("sn,sn->s", X, X.conj()).real
     if l == 0:
         return norms
@@ -258,9 +266,7 @@ def smdd_greedy(frame: Frame, x, l: int) -> SmddResult:
     upper-bounds the exact minimum and is labeled approximate wherever
     it is surfaced; it never feeds bound-comparison verdicts.
     """
-    x = np.asarray(x, dtype=complex).ravel()
-    if not 0 <= l <= frame.m:
-        raise DomainError(f"need 0 <= L <= M, got L={l}")
+    x = _signals(frame, np.ravel(x)[None, :], l)[0]
     chosen: list[int] = []
     residual = x.copy()
     norm_sq = resid_sq = float(np.vdot(x, x).real)
@@ -272,10 +278,9 @@ def smdd_greedy(frame: Frame, x, l: int) -> SmddResult:
         if scores[best] <= 1e-14:
             break
         chosen.append(best)
-        # One SVD of the chosen rows gives both the residual that drives
+        # One basis of the chosen rows gives both the residual that drives
         # the next pick and its squared norm (as in projection_residual).
-        _, s, vh = np.linalg.svd(frame.matrix[chosen], full_matrices=False)
-        basis = vh[: int(np.count_nonzero(s > RANK_REL_TOL * s[0]))]
+        basis = _span_basis(frame.matrix[chosen])
         coeffs = basis.conj() @ x
         residual = x - basis.T @ coeffs
         resid_sq = max(norm_sq - float(np.vdot(coeffs, coeffs).real), 0.0)

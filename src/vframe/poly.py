@@ -33,8 +33,8 @@ def as_poly(coeffs) -> np.ndarray:
     return p
 
 
-def poly_trim(p, rel_tol: float = DEGREE_REL_TOL) -> np.ndarray:
-    """Drop trailing coefficients below rel_tol times the max magnitude."""
+def poly_trim(p) -> np.ndarray:
+    """Drop trailing coefficients below DEGREE_REL_TOL times the max magnitude."""
     p = as_poly(p)
     if p.size == 0:
         return p
@@ -42,7 +42,7 @@ def poly_trim(p, rel_tol: float = DEGREE_REL_TOL) -> np.ndarray:
     top = _max(mags)
     if top == 0.0:
         return p[:0]
-    floor = rel_tol * top
+    floor = DEGREE_REL_TOL * top
     if mags[-1] > floor:
         return p
     keep = (mags > floor).nonzero()[0]
@@ -51,9 +51,9 @@ def poly_trim(p, rel_tol: float = DEGREE_REL_TOL) -> np.ndarray:
     return p[: keep[-1] + 1]
 
 
-def poly_degree(p, rel_tol: float = DEGREE_REL_TOL):
+def poly_degree(p):
     """Degree after trimming; -inf for the zero polynomial."""
-    t = poly_trim(p, rel_tol)
+    t = poly_trim(p)
     return NEG_INF if t.size == 0 else t.size - 1
 
 
@@ -91,13 +91,13 @@ def poly_mul(p, q) -> np.ndarray:
     return np.convolve(p, q)
 
 
-def poly_divmod(p, q, rel_tol: float = DEGREE_REL_TOL):
+def poly_divmod(p, q):
     """Quotient and remainder of p by q with deg(rem) < deg(q).
 
     Raises DivideByZeroPoly when q trims to the zero polynomial.
     """
-    p = poly_trim(p, rel_tol)
-    q = poly_trim(q, rel_tol)
+    p = poly_trim(p)
+    q = poly_trim(q)
     if q.size == 0:
         raise DivideByZeroPoly("division by the zero polynomial")
     if p.size < q.size:
@@ -111,7 +111,7 @@ def poly_divmod(p, q, rel_tol: float = DEGREE_REL_TOL):
         quot[k] = c
         rem[k : dq + k + 1] -= c * q
     # positions dq and above are eliminated exactly; drop their dust
-    return quot, poly_trim(rem[:dq], rel_tol)
+    return quot, poly_trim(rem[:dq])
 
 
 def poly_derivative(p) -> np.ndarray:

@@ -293,6 +293,16 @@ def test_sweep_checks_every_budget_before_writing(tmp_path, capsys):
     assert not out_path.exists()
 
 
+def test_sweep_checks_every_cell_before_writing(tmp_path, capsys):
+    out_path = tmp_path / "sweep.csv"
+    code, _, err = run(
+        capsys,
+        ["sweep", "--n-list", "3,2", "--m-factors", "2", "--l", "3", "--out", str(out_path)],
+    )
+    assert code == 1 and "need 0 <= L <= N" in err
+    assert not out_path.exists()
+
+
 def test_sweep_resume_requires_out(capsys):
     code, _, err = run(capsys, ["sweep", "--n-list", "3", "--resume"])
     assert code == 1 and "error:" in err

@@ -152,6 +152,31 @@ def test_smdd_budget():
         vf.smdd_exact(frame, np.zeros(4), 12, budget=1000)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
+def test_exact_search_rejects_non_finite_signals(bad):
+    frame = roots_frame(4, 8)
+    x = [bad, 1, 0, 0]
+    searches = [
+        lambda: vf.smdd_exact(frame, x, 1),
+        lambda: vf.smdd_exact(frame, x, 0),
+        lambda: vf.smdd_residuals(frame, [x, [1, 0, 0, 0]], 1),
+        lambda: vf.smdd_greedy(frame, x, 1),
+        lambda: vf.bds_decode(frame, x, 0.5),
+    ]
+    for search in searches:
+        with pytest.raises(ValueError, match="finite"):
+            search()
+
+
+def test_exact_search_checks_shape_and_weight():
+    frame = roots_frame(4, 8)
+    for search in (vf.smdd_exact, vf.smdd_residuals, vf.smdd_greedy):
+        with pytest.raises(ValueError, match="shape"):
+            search(frame, np.ones((2, 3)), 1)
+        with pytest.raises(DomainError):
+            search(frame, np.ones((1, 4)), 9)
+
+
 def test_smdd_monotone_in_weight():
     frame = vf.make_gaussian_frame(10, 5, seed=29)
     x = vf.sample_uniform_sphere(5, vf.sample_rng(6, 0))
