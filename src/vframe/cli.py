@@ -326,15 +326,24 @@ def cmd_sweep(args):
             fh.write(f"# config: {json.dumps(cfg)}\n")
             csv.writer(fh).writerow(header)
         writer = csv.writer(fh)
-        frame = None
+        frame = batch = None
         for inp in cells:
             report, row = _bound_row(inp)
             if args.samples > 0:
                 if frame is None or (frame.n, frame.m) != (inp.n, inp.m):
                     frame = frames.make_vandermonde_frame(frames.default_nodes(inp.m), inp.n)
-                est = montecarlo.estimate_distortion(
-                    frame, inp.l, args.samples, seed, budget=args.budget
-                )
+                # Every (M, L) cell of one N scores the same (N, samples, seed)
+                # stream and cells are N-major, so the first cell of an N with
+                # L >= 1 draws the batch and the others reuse it.
+                if batch is not None and batch.shape[1] == inp.n:
+                    est = montecarlo.estimate_from_samples(
+                        frame, inp.l, batch, seed, budget=args.budget
+                    )
+                else:
+                    est = montecarlo.estimate_distortion(
+                        frame, inp.l, args.samples, seed, budget=args.budget
+                    )
+                    batch = est.samples
                 verdict = montecarlo.compare_to_bound(est, report)
                 row += [est.mean, est.stderr, verdict.margin, verdict.passed]
             writer.writerow(row)

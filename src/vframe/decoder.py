@@ -394,7 +394,9 @@ def decode(frame: Frame, r, tol: float = RESIDUAL_TOL) -> DecodeOutcome:
     one of weight <= floor(N/2) exists; otherwise
     "weight_exceeds_half_n" (no admissible locator was found) or
     "residual_too_large" (best candidate misses r by more than tol in
-    relative error).  Failures are reported as data, never raised.
+    relative error).  Failures are reported as data, never raised; a
+    signal of the wrong length (LengthMismatch) or with a non-finite
+    entry or norm (ValueError) is refused.
     """
     if frame.kind != VANDERMONDE:
         raise ValueError("decode requires a vandermonde frame")
@@ -404,6 +406,10 @@ def decode(frame: Frame, r, tol: float = RESIDUAL_TOL) -> DecodeOutcome:
     m, t = frame.m, frame.n // 2
     empty = SparseRep(m, (), np.zeros(0, dtype=complex))
     norm_r = float(np.linalg.norm(r))
+    # A nan or infinite entry makes the norm non-finite, and so does a
+    # finite signal whose norm overflows; neither can be decoded.
+    if not math.isfinite(norm_r):
+        raise ValueError("signal must be finite, with a finite norm")
     if norm_r == 0.0:
         return DecodeOutcome(empty, 0.0, 0, STATUS_OK)
 

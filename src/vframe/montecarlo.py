@@ -25,8 +25,14 @@ L = 0 every sample contributes exactly 1.0, matching the bound's L = 0
 branch without floating dust.
 
 Reproducibility: the stream for sample i is a Philox generator keyed
-by SeedSequence((seed, i)), so results are bit-identical however the
-sample loop is chunked or parallelized.
+by SeedSequence((seed..., i)), so results are bit-identical however the
+sample loop is chunked or parallelized.  sample_sphere_batch keeps that
+contract without building a SeedSequence, Philox and Generator per
+sample: one vectorized pass ports SeedSequence's entropy pool to compute
+every sample's Philox key, and one generator is re-keyed per sample.  A
+stream depends only on (N, n_samples, seed), so callers that score
+several cells of one N (vframe sweep) draw its batch once and reduce it
+per cell with estimate_from_samples.
 """
 
 from __future__ import annotations
@@ -77,11 +83,96 @@ def sample_uniform_sphere(n: int, rng: np.random.Generator) -> np.ndarray:
             return z / norm
 
 
+# SeedSequence's entropy-pool constants (numpy.random.bit_generator): its
+# pool of 4 uint32 words, the hash multipliers of mixing (A) and of
+# generate_state (B), and the two multipliers of mix().
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_WORD = 0xFFFFFFFF
+
+
+def _entropy_words(value) -> list[int]:
+    """The uint32 words SeedSequence makes of an int (least significant
+    first, one word for 0) or of a sequence of them, concatenated."""
+    if isinstance(value, (int, np.integer)):
+        value = int(value)
+        if value < 0:
+            raise ValueError("expected non-negative integer")
+        words = [value & _WORD]
+        while value > _WORD:
+            value >>= 32
+            words.append(value & _WORD)
+        return words
+    if not isinstance(value, (tuple, list, range, np.ndarray)):
+        raise TypeError("seed must be integer")
+    return [word for v in value for word in _entropy_words(v)]
+
+
+def _philox_keys(seed, n_samples: int) -> np.ndarray:
+    """(n_samples, 2) uint64 array whose row i is sample_rng(seed, i)'s
+    Philox key, SeedSequence(entropy + (i,)).generate_state(2, uint64).
+
+    A uint32 port of SeedSequence's entropy pool (hashmix, mix and
+    generate_state) run on every sample index at once; each pool word
+    is an (n_samples,) array.
+    """
+    if n_samples > 2**32:
+        raise DomainError("need n_samples <= 2**32 (one entropy word per sample index)")
+    entropy = tuple(seed) if isinstance(seed, (tuple, list)) else (seed,)
+    words = [np.full(n_samples, w, dtype=np.uint32) for w in _entropy_words(entropy)]
+    words.append(np.arange(n_samples, dtype=np.uint32))
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_A & _WORD
+        value = value * np.uint32(hash_const)
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        out = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+        return out ^ (out >> 16)
+
+    zero = np.zeros(n_samples, dtype=np.uint32)
+    pool = [hashmix(words[i] if i < len(words) else zero) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    hash_const = _INIT_B
+    state = []
+    for i in range(4):
+        value = pool[i % _POOL_SIZE] ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_B & _WORD
+        value = value * np.uint32(hash_const)
+        state.append((value ^ (value >> 16)).astype(np.uint64))
+    # Little-endian pairs of uint32 words make the two uint64 key words.
+    return np.stack([state[0] | state[1] << 32, state[2] | state[3] << 32], axis=1)
+
+
 def sample_sphere_batch(n: int, n_samples: int, seed) -> np.ndarray:
-    """(n_samples, n) array of unit-sphere draws, one derived stream each."""
+    """(n_samples, n) array whose row i is
+    sample_uniform_sphere(n, sample_rng(seed, i)), bit for bit.
+
+    The Philox keys of all rows come from one vectorized pass
+    (_philox_keys); one Philox generator is then re-keyed per row, with
+    its counter and buffer reset, instead of built anew.
+    """
+    keys = _philox_keys(seed, n_samples)
+    bitgen = np.random.Philox(0)
+    rng = np.random.Generator(bitgen)
+    fresh = bitgen.state      # zero counter, empty buffer
     out = np.empty((n_samples, n), dtype=complex)
-    for i in range(n_samples):
-        out[i] = sample_uniform_sphere(n, sample_rng(seed, i))
+    for i, key in enumerate(keys):
+        fresh["state"]["key"] = key
+        bitgen.state = fresh
+        out[i] = sample_uniform_sphere(n, rng)
     return out
 
 
@@ -99,9 +190,11 @@ def projection_residual(rows, x) -> float:
 
     The span is orthonormalized by _span_basis, so rank-deficient
     subsets project onto their actual span.  An empty subset returns
-    ||x||^2.
+    ||x||^2.  Raises ValueError on a non-finite x.
     """
     x = np.asarray(x, dtype=complex).ravel()
+    if not np.isfinite(x).all():
+        raise ValueError("signals must be finite")
     rows = np.asarray(rows, dtype=complex)
     norm_sq = float(np.vdot(x, x).real)
     if rows.size == 0:
@@ -342,7 +435,9 @@ class DistortionEstimate:
     """Sample mean/stderr of the per-sample relative SMDD residual.
 
     ratios holds the per-sample values in sample-index order (None on
-    an estimate built by hand)."""
+    an estimate built by hand); samples holds the (S, N) batch they came
+    from, for another estimate over the same stream (None at L = 0,
+    where no sample is drawn, or on an estimate built by hand)."""
 
     mean: float
     stderr: float
@@ -350,6 +445,7 @@ class DistortionEstimate:
     config: EstimateConfig
     approximate: bool = False
     ratios: np.ndarray | None = field(default=None, repr=False, compare=False)
+    samples: np.ndarray | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -359,6 +455,22 @@ class BoundComparison:
 
     passed: bool
     margin: float
+
+
+def _check_estimate(frame: Frame, l: int, n_samples: int, budget: int,
+                   fallback_greedy: bool) -> bool:
+    """Check an estimate's arguments before any sample is drawn; returns
+    whether it is approximate (C(M, l) over the budget, greedy search).
+    Raises DomainError on bad arguments and BudgetExceeded past the
+    budget without fallback_greedy."""
+    if n_samples < 1:
+        raise DomainError("need n_samples >= 1")
+    if not 0 <= l <= frame.m:
+        raise DomainError(f"need 0 <= L <= M, got L={l}")
+    approximate = l > 0 and math.comb(frame.m, l) > budget
+    if approximate and not fallback_greedy:
+        raise BudgetExceeded(f"C({frame.m},{l}) = {math.comb(frame.m, l)} exceeds budget {budget}")
+    return approximate
 
 
 def estimate_distortion(
@@ -375,22 +487,38 @@ def estimate_distortion(
     are derived from (seed, index) and reduced in index order.  When
     C(M, l) exceeds the budget, either raises BudgetExceeded before any
     sample is drawn or, with fallback_greedy, substitutes the greedy
-    search and labels the estimate approximate.
+    search and labels the estimate approximate.  The samples are
+    sample_sphere_batch(frame.n, n_samples, seed), drawn only for l >= 1
+    and reduced by estimate_from_samples.
     """
-    if n_samples < 1:
-        raise DomainError("need n_samples >= 1")
-    if not 0 <= l <= frame.m:
-        raise DomainError(f"need 0 <= L <= M, got L={l}")
+    _check_estimate(frame, l, n_samples, budget, fallback_greedy)
+    # L = 0 reads no sample, so none is drawn.
+    X = sample_sphere_batch(frame.n, n_samples, seed) if l else np.empty((n_samples, 0))
+    return estimate_from_samples(frame, l, X, seed, budget, fallback_greedy)
+
+
+def estimate_from_samples(
+    frame: Frame,
+    l: int,
+    X,
+    seed,
+    budget: int = DEFAULT_BUDGET,
+    fallback_greedy: bool = False,
+) -> DistortionEstimate:
+    """estimate_distortion over a batch already drawn.
+
+    X is sample_sphere_batch(frame.n, S, seed) for S = len(X), so a
+    caller that scores several cells of one N against one stream draws
+    it once.  At l = 0 the rows are not read: every sample contributes
+    ||x||^2 / ||x||^2 == 1.0 exactly.
+    """
+    n_samples = len(X)
+    approximate = _check_estimate(frame, l, n_samples, budget, fallback_greedy)
     seed = tuple(seed) if isinstance(seed, (tuple, list)) else int(seed)
     config = EstimateConfig(frame_id(frame), frame.n, frame.m, l, seed)
     if l == 0:
-        # Every sample contributes ||x||^2 / ||x||^2 == 1.0 exactly.
         return DistortionEstimate(1.0, 0.0, n_samples, config, ratios=np.ones(n_samples))
-    count = math.comb(frame.m, l)
-    approximate = count > budget
-    if approximate and not fallback_greedy:
-        raise BudgetExceeded(f"C({frame.m},{l}) = {count} exceeds budget {budget}")
-    X = sample_sphere_batch(frame.n, n_samples, seed)
+    X = np.asarray(X, dtype=complex)
     norms = np.einsum("sn,sn->s", X, X.conj()).real
     if approximate:
         mins = np.array([smdd_greedy(frame, x, l).residual_sq for x in X])
@@ -399,7 +527,7 @@ def estimate_distortion(
     ratios = mins / norms
     mean = float(ratios.mean())
     stderr = float(ratios.std(ddof=1) / math.sqrt(n_samples)) if n_samples > 1 else 0.0
-    return DistortionEstimate(mean, stderr, n_samples, config, approximate, ratios)
+    return DistortionEstimate(mean, stderr, n_samples, config, approximate, ratios, X)
 
 
 def compare_to_bound(est: DistortionEstimate, report: BoundReport) -> BoundComparison:

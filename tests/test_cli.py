@@ -109,6 +109,15 @@ def test_decode_frame_file(tmp_path, capsys):
     assert json.loads(out)["outcome"]["support"] == [3]
 
 
+def test_decode_non_finite_signal_is_an_input_error(capsys):
+    code, out, err = run(
+        capsys,
+        ["decode", "--n", "4", "--m", "8", "--signal-json", "[[Infinity, 0], [1, 0], [0, 0], [0, 0]]"],
+    )
+    assert code == 1 and out == ""
+    assert err == "error: signal must be finite, with a finite norm\n"
+
+
 def test_usage_error_exit_code_two():
     with pytest.raises(SystemExit) as exc:
         cli.main(["decode", "--n", "2", "--m", "4", "--bogus-flag", "1"])
@@ -267,6 +276,54 @@ def test_sweep_resume_idempotent(tmp_path, capsys):
     run(capsys, ["sweep", "--n-list", "3", "--m-factors", "2", "--seed", "1",
                  "--out", str(out_path), "--resume"])
     assert len(parse_csv(out_path.read_text())) == 4
+
+
+def count_draws(monkeypatch):
+    from vframe import montecarlo
+
+    draws = []
+    batch = montecarlo.sample_sphere_batch
+    monkeypatch.setattr(montecarlo, "sample_sphere_batch",
+                        lambda *a, **k: draws.append(a) or batch(*a, **k))
+    return draws
+
+
+SWEEP_34 = ["sweep", "--n-list", "3,4", "--m-factors", "2,4", "--l", "all",
+            "--samples", "40", "--seed", "8"]
+
+
+def test_sweep_draws_each_n_once_and_matches_per_cell_estimates(tmp_path, capsys, monkeypatch):
+    draws = count_draws(monkeypatch)
+    out_path = tmp_path / "sweep.csv"
+    code, _, err = run(capsys, SWEEP_34 + ["--out", str(out_path)])
+    assert code == 0, err
+    # 14 cells with L >= 1 share two (N, samples, seed) streams
+    assert draws == [(3, 40, 8), (4, 40, 8)]
+    rows = parse_csv(out_path.read_text())
+    assert len(rows) == 2 * 4 + 2 * 5
+    del draws[:]
+    for r in rows:
+        n, m, l = int(r["N"]), int(r["M"]), int(r["L"])
+        est = vf.estimate_distortion(vf.make_vandermonde_frame(vf.default_nodes(m), n), l, 40, 8)
+        report = vf.distortion_lower_bound(vf.BoundInput(n, m, l))
+        verdict = vf.compare_to_bound(est, report)
+        assert (float(r["est_mean"]), float(r["est_stderr"]), float(r["margin"]), r["passed"]) == (
+            est.mean, est.stderr, verdict.margin, str(verdict.passed))
+    assert len(draws) == 14
+
+
+@pytest.mark.parametrize("kept,expected_draws", [(2, [3, 4]), (8, [4]), (9, [4]), (18, [])])
+def test_sweep_resume_draws_only_for_cells_left(tmp_path, capsys, monkeypatch, kept, expected_draws):
+    out_path = tmp_path / "sweep.csv"
+    run(capsys, SWEEP_34 + ["--out", str(out_path)])
+    full = out_path.read_text()
+    # keep config + header + the first `kept` rows, then resume
+    out_path.write_text("\n".join(full.splitlines()[:2 + kept]) + "\n")
+    draws = count_draws(monkeypatch)
+    code, _, err = run(capsys, SWEEP_34 + ["--out", str(out_path), "--resume"])
+    assert code == 0, err
+    assert [a[0] for a in draws] == expected_draws
+    assert out_path.read_text() == full
 
 
 def test_sweep_with_samples(capsys):

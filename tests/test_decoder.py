@@ -318,3 +318,12 @@ def test_decode_requires_vandermonde():
     frame = vf.make_gaussian_frame(6, 3, seed=1)
     with pytest.raises(ValueError):
         vf.decode(frame, np.zeros(3))
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan, complex(0, -np.inf), 1e200])
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_decode_rejects_non_finite_signals(bad):
+    # 1e200 is finite, but its squared norm overflows (numpy warns first)
+    frame = roots_frame(4, 8)
+    with pytest.raises(ValueError, match="finite"):
+        vf.decode(frame, [bad, 1, 0, 0])

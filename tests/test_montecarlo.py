@@ -53,6 +53,56 @@ def test_sample_batch_derives_per_index_streams():
     assert np.array_equal(c[:5], a)
 
 
+SEEDS = [0, 7, 2**32 - 1, 2**32, 2**33 + 5, 2**64 + 3, (708, 6, 3), (2**33, 0, 9),
+         (1, 2, 3, 4, 5), [3, 4], ()]
+
+
+@pytest.mark.parametrize("seed", SEEDS, ids=repr)
+@pytest.mark.parametrize("n_samples", [0, 1, 37])
+def test_philox_keys_match_seed_sequence(seed, n_samples):
+    # Keys are derived by a port of SeedSequence's entropy pool; this fails
+    # if numpy ever changes SeedSequence, for int seeds of one, two and three
+    # words and tuple seeds shorter and longer than its 4-word pool.
+    entropy = tuple(seed) if isinstance(seed, (tuple, list)) else (seed,)
+    expected = np.array(
+        [np.random.SeedSequence(entropy + (i,)).generate_state(2, np.uint64)
+         for i in range(n_samples)], dtype=np.uint64).reshape(n_samples, 2)
+    keys = montecarlo._philox_keys(seed, n_samples)
+    assert keys.dtype == np.uint64 and keys.shape == (n_samples, 2)
+    assert np.array_equal(keys, expected)
+    for i in range(n_samples):
+        assert np.array_equal(keys[i], vf.sample_rng(seed, i).bit_generator.state["state"]["key"])
+
+
+@pytest.mark.parametrize("seed,error", [(-1, ValueError), ((5, -2), ValueError),
+                                        (1.5, TypeError), ((2, 0.5), TypeError)])
+def test_sample_seeds_refused_as_seed_sequence_refuses(seed, error):
+    entropy = tuple(seed) if isinstance(seed, tuple) else (seed,)
+    with pytest.raises(error):
+        np.random.SeedSequence(entropy + (0,))
+    with pytest.raises(error):
+        vf.sample_rng(seed, 0)
+    with pytest.raises(error):
+        vf.sample_sphere_batch(3, 2, seed)
+
+
+def test_philox_keys_refuse_sample_indices_past_one_word():
+    # SeedSequence would give index 2**32 two entropy words; no batch is that long.
+    with pytest.raises(DomainError):
+        montecarlo._philox_keys(0, 2**32 + 1)
+
+
+@pytest.mark.parametrize("seed", [0, 2**40 + 1, (708, 6, 3), (1, 2, 3, 4, 5)], ids=repr)
+def test_sample_batch_rows_equal_per_sample_streams(seed):
+    # The re-keyed generator of sample_sphere_batch reproduces a freshly
+    # built one, bit for bit, in every dimension.
+    for n in range(1, 65):
+        batch = vf.sample_sphere_batch(n, 6, seed)
+        for i, row in enumerate(batch):
+            expected = vf.sample_uniform_sphere(n, vf.sample_rng(seed, i))
+            assert row.tobytes() == expected.tobytes(), (n, i)
+
+
 # -- projections -----------------------------------------------------------------
 
 def test_projection_residual_in_span():
@@ -166,6 +216,14 @@ def test_exact_search_rejects_non_finite_signals(bad):
     for search in searches:
         with pytest.raises(ValueError, match="finite"):
             search()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
+def test_projection_residual_rejects_non_finite_signals(bad):
+    frame = roots_frame(4, 8)
+    for rows in (frame.matrix[:2], frame.matrix[:0]):
+        with pytest.raises(ValueError, match="signals must be finite"):
+            vf.projection_residual(rows, [bad, 1, 0, 0])
 
 
 def test_exact_search_checks_shape_and_weight():
@@ -347,6 +405,32 @@ def test_estimate_headline_cell():
     verdict = vf.compare_to_bound(est, report)
     assert verdict.passed
     assert verdict.margin == pytest.approx(est.mean - report.lower_bound)
+
+
+@pytest.mark.parametrize("l", [0, 1, 2, 4])
+def test_estimate_is_the_reduction_of_its_batch(l):
+    frame = roots_frame(4, 8)
+    est = vf.estimate_distortion(frame, l, 50, seed=(9, 1))
+    X = vf.sample_sphere_batch(4, 50, (9, 1))
+    again = vf.estimate_from_samples(frame, l, X, (9, 1))
+    assert again == est
+    assert np.array_equal(again.ratios, est.ratios)
+    if l == 0:
+        assert est.samples is None and again.samples is None
+    else:
+        assert est.samples.tobytes() == X.tobytes() and again.samples is X
+
+
+def test_estimate_checks_before_drawing(monkeypatch):
+    monkeypatch.setattr(montecarlo, "sample_sphere_batch", None)
+    frame = roots_frame(4, 24)
+    with pytest.raises(BudgetExceeded):
+        vf.estimate_distortion(frame, 12, 10, seed=1, budget=1000)
+    with pytest.raises(DomainError):
+        vf.estimate_distortion(frame, 25, 10, seed=1)
+    with pytest.raises(DomainError):
+        vf.estimate_distortion(frame, 1, 0, seed=1)
+    assert vf.estimate_distortion(frame, 0, 10, seed=1).mean == 1.0
 
 
 def test_estimate_agrees_with_per_sample_smdd():
