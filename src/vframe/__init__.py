@@ -35,8 +35,6 @@ from .decoder import (
     decode,
     find_error_locations,
     forney_values,
-    forney_values_via_derivative,
-    key_equation_residual,
     outcome_to_json,
     solve_key_equation,
     syndromes,
@@ -60,7 +58,6 @@ from .errors import (
 from .frames import (
     Frame,
     SparseRep,
-    baseline_representation,
     check_condition_I,
     default_nodes,
     frame_from_json,
@@ -93,13 +90,10 @@ from .montecarlo import (
     smdd_residuals,
 )
 from .poly import (
-    poly_add,
     poly_degree,
-    poly_derivative,
     poly_divmod,
     poly_eval,
     poly_mul,
-    poly_scale,
     poly_sub,
     poly_trim,
 )

@@ -57,26 +57,28 @@ def _config(subcommand, fmt, seed=None, **extra):
     return cfg
 
 
+def _build_frame(kind, n, m, seed):
+    """An N x M frame of `kind` ('vandermonde' or 'gaussian')."""
+    if kind == "vandermonde":
+        return frames.make_vandermonde_frame(frames.default_nodes(m), n)
+    return frames.make_gaussian_frame(m, n, (seed, 0x46524d45))
+
+
 def _resolve_frame(args, seed):
     """Frame from --frame (path, 'vandermonde' or 'gaussian') and --n/--m."""
-    source = getattr(args, "frame", "vandermonde")
+    source = args.frame
     if source not in ("vandermonde", "gaussian"):
         return frames.load_frame(source), source
     if args.n is None or args.m is None:
         raise VframeError("--n and --m are required unless --frame is a file path")
-    if source == "vandermonde":
-        return frames.make_vandermonde_frame(frames.default_nodes(args.m), args.n), source
-    return frames.make_gaussian_frame(args.m, args.n, (seed, 0x46524d45)), source
+    return _build_frame(source, args.n, args.m, seed), source
 
 
 # -- subcommands -------------------------------------------------------------
 
 def cmd_frame(args):
     seed = _resolve_seed(args.seed)
-    if args.kind == "vandermonde":
-        frame = frames.make_vandermonde_frame(frames.default_nodes(args.m), args.n)
-    else:
-        frame = frames.make_gaussian_frame(args.m, args.n, (seed, 0x46524d45))
+    frame = _build_frame(args.kind, args.n, args.m, seed)
     payload = {
         "config": _config("frame", JSON_KIND, seed, n=args.n, m=args.m, kind=args.kind),
         "frame": frames.frame_to_json(frame),
@@ -196,14 +198,8 @@ BOUND_HEADER = ["N", "M", "L", "T_log2", "kappa_c", "rho_0", "branch", "lower_bo
 ASYMPTOTIC_HEADER = ["r", "eps", "kappa0", "bound"]
 
 
-def _csv_out(out_path):
-    if out_path:
-        return open(out_path, "w", newline="", encoding="utf-8")
-    return None
-
-
 def _write_csv(rows, header, cfg, out_path):
-    fh = _csv_out(out_path) or io.StringIO()
+    fh = open(out_path, "w", newline="", encoding="utf-8") if out_path else io.StringIO()
     fh.write(f"# config: {json.dumps(cfg)}\n")
     writer = csv.writer(fh)
     writer.writerow(header)

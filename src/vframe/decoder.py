@@ -50,7 +50,7 @@ from .errors import (
     RootCountMismatch,
     VframeError,
 )
-from .frames import VANDERMONDE, ZERO_REL_TOL, Frame, SparseRep, complex_to_pairs, synthesize
+from .frames import VANDERMONDE, ZERO_REL_TOL, Frame, SparseRep, complex_to_pairs
 from .poly import (
     poly_degree,
     poly_divmod,
@@ -103,24 +103,14 @@ def syndromes(frame: Frame, r) -> np.ndarray:
     The i-th coordinate of a synthesized signal equals the i-th power
     sum sum_j c_j z_j**(i-1) of its coefficients, and annihilating
     vectors have power sums 1..N all zero, so every representation of
-    r shares these values.  No linear solve is needed here; the dense
-    first-rows solve lives in baseline_representation.
+    r shares these values, and no linear solve is needed.
     """
     if frame.kind != VANDERMONDE:
-        raise ValueError("syndromes require a vandermonde frame")
+        raise ValueError("syndrome decoding requires a vandermonde frame")
     r = np.asarray(r, dtype=complex).ravel()
     if r.size != frame.n:
         raise LengthMismatch(f"signal has length {r.size}, expected {frame.n}")
     return r.copy()
-
-
-def key_equation_residual(s, sigma, omega) -> float:
-    """Max |coefficient| of (S1[z]*sigma[z] - omega[z]) mod z^N."""
-    s = np.asarray(s, dtype=complex).ravel()
-    n = s.size
-    prod = poly_mul(s, sigma)[:n]
-    diff = poly_sub(prod, omega)
-    return float(np.abs(diff).max()) if diff.size else 0.0
 
 
 def solve_key_equation(s, t: int):
@@ -208,8 +198,7 @@ def forney_values(sigma, omega, locations, frame: Frame) -> np.ndarray:
 
     Uses the explicit product form
         Y_j = omega(1/X_j) / prod_{i != j} (1 - X_i / X_j)
-    with X_j the located nodes (the empty product is 1).  See
-    forney_values_via_derivative for the equivalent derivative form.
+    with X_j the located nodes (the empty product is 1).
     """
     x = frame.nodes[np.asarray(locations, dtype=int) - 1]
     w = x.size
@@ -226,29 +215,6 @@ def forney_values(sigma, omega, locations, frame: Frame) -> np.ndarray:
         j = int(np.nonzero(small)[0][0])
         raise DegenerateDenominator(f"denominator vanished at location {locations[j]}")
     return poly_eval(omega, xinv) / dens
-
-
-def forney_values_via_derivative(sigma, omega, locations, frame: Frame) -> np.ndarray:
-    """Value recovery through the locator derivative.
-
-    For sigma[z] = prod_i (1 - X_i z) the derivative satisfies
-    sigma'(1/X_j) = -X_j * prod_{i != j} (1 - X_i / X_j), hence
-        Y_j = -X_j * omega(1/X_j) / sigma'(1/X_j),
-    identical to the product form of forney_values (note the minus
-    sign: the sign-free variant would return the negated values).
-    """
-    from .poly import poly_derivative
-
-    x = frame.nodes[np.asarray(locations, dtype=int) - 1]
-    dsigma = poly_derivative(sigma)
-    out = np.zeros(x.size, dtype=complex)
-    for j in range(x.size):
-        xinv = 1.0 / x[j]
-        den = poly_eval(dsigma, xinv)
-        if abs(den) <= 1e-12:
-            raise DegenerateDenominator(f"sigma' vanished at location {locations[j]}")
-        out[j] = -x[j] * poly_eval(omega, xinv) / den
-    return out
 
 
 # -- decode internals ---------------------------------------------------------
@@ -398,11 +364,8 @@ def decode(frame: Frame, r, tol: float = RESIDUAL_TOL) -> DecodeOutcome:
     signal of the wrong length (LengthMismatch) or with a non-finite
     entry or norm (ValueError) is refused.
     """
-    if frame.kind != VANDERMONDE:
-        raise ValueError("decode requires a vandermonde frame")
-    r = np.asarray(r, dtype=complex).ravel()
-    if r.size != frame.n:
-        raise LengthMismatch(f"signal has length {r.size}, expected {frame.n}")
+    # The syndromes are r's coordinates, so they serve as the signal too.
+    r = s = syndromes(frame, r)
     m, t = frame.m, frame.n // 2
     empty = SparseRep(m, (), np.zeros(0, dtype=complex))
     norm_r = float(np.linalg.norm(r))
@@ -413,7 +376,6 @@ def decode(frame: Frame, r, tol: float = RESIDUAL_TOL) -> DecodeOutcome:
     if norm_r == 0.0:
         return DecodeOutcome(empty, 0.0, 0, STATUS_OK)
 
-    s = syndromes(frame, r)
     strict = min(tol, STRICT_RESIDUAL)
     best = None
 

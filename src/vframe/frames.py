@@ -284,25 +284,6 @@ def null_vector_on_support(frame: Frame, rows) -> SparseRep:
     return SparseRep(frame.m, tuple(idx), v)
 
 
-def baseline_representation(frame: Frame, r) -> np.ndarray:
-    """Dense representation of r supported on the first N frame rows.
-
-    Solves the N x N node-power system formed by rows 1..N (always
-    non-singular for a Vandermonde frame) and pads with zeros.  Kept as
-    a reference operation; the decoder reads its syndromes directly
-    from the coordinates of r instead.
-    """
-    if frame.kind != VANDERMONDE:
-        raise ValueError("baseline representation requires a vandermonde frame")
-    r = np.asarray(r, dtype=complex).ravel()
-    n, m = frame.n, frame.m
-    if r.size != n:
-        raise LengthMismatch(f"signal has length {r.size}, expected {n}")
-    out = np.zeros(m, dtype=complex)
-    out[:n] = np.linalg.solve(frame.matrix[:n].T, r)
-    return out
-
-
 # -- serialization ----------------------------------------------------------
 #
 # Complex scalars are always [re, im] pairs of IEEE doubles.  A

@@ -67,21 +67,12 @@ def poly_eval(p, z):
     return complex(out) if out.ndim == 0 else out
 
 
-def poly_add(p, q) -> np.ndarray:
-    p, q = as_poly(p), as_poly(q)
-    if p.size < q.size:
-        p, q = q, p
-    out = p.copy()
-    out[: q.size] += q
-    return out
-
-
 def poly_sub(p, q) -> np.ndarray:
-    return poly_add(p, poly_scale(q, -1.0))
-
-
-def poly_scale(p, a) -> np.ndarray:
-    return as_poly(p) * complex(a)
+    p, q = as_poly(p), as_poly(q)
+    out = np.zeros(max(p.size, q.size), dtype=complex)
+    out[: p.size] = p
+    out[: q.size] -= q
+    return out
 
 
 def poly_mul(p, q) -> np.ndarray:
@@ -112,10 +103,3 @@ def poly_divmod(p, q):
         rem[k : dq + k + 1] -= c * q
     # positions dq and above are eliminated exactly; drop their dust
     return quot, poly_trim(rem[:dq])
-
-
-def poly_derivative(p) -> np.ndarray:
-    p = as_poly(p)
-    if p.size <= 1:
-        return p[:0]
-    return p[1:] * np.arange(1, p.size)

@@ -6,14 +6,12 @@ from vframe.decoder import (
     STATUS_OK,
     find_error_locations,
     forney_values,
-    forney_values_via_derivative,
-    key_equation_residual,
     outcome_to_json,
     solve_key_equation,
     syndromes,
 )
 from vframe.errors import LengthMismatch, RootCountMismatch
-from vframe.poly import poly_eval, poly_mul
+from vframe.poly import poly_mul
 
 
 def roots_frame(n, m):
@@ -90,8 +88,10 @@ def test_key_equation_residual_small_on_decodable():
         rep = vf.random_sparse_rep(24, int(rng.integers(0, 5)), rng)
         s = syndromes(frame, vf.synthesize(frame, rep))
         sigma, omega = solve_key_equation(s, 4)
-        resid = key_equation_residual(s, sigma, omega)
-        assert resid <= 1e-7 * (1 + np.abs(s).max())
+        # S1 * sigma - omega (mod z^N), coefficient by coefficient
+        resid = np.convolve(s, sigma)[: s.size]
+        resid[: omega.size] -= omega
+        assert np.abs(resid).max() <= 1e-7 * (1 + np.abs(s).max())
 
 
 def test_key_equation_degree_contract():
@@ -152,29 +152,6 @@ def test_forney_two_errors_from_definitions():
     sigma, omega = locator_from_values(x, y)
     vals = forney_values(sigma, omega, [1, 2], frame)
     assert np.allclose(vals, y, atol=1e-12)
-
-
-def test_forney_derivative_form_matches_product_form():
-    rng = np.random.default_rng(4)
-    frame = roots_frame(6, 15)
-    for _ in range(20):
-        w = int(rng.integers(1, 4))
-        rep = vf.random_sparse_rep(15, w, rng)
-        s = syndromes(frame, vf.synthesize(frame, rep))
-        sigma, omega = solve_key_equation(s, 3)
-        locs = find_error_locations(sigma, frame)
-        a = forney_values(sigma, omega, locs, frame)
-        b = forney_values_via_derivative(sigma, omega, locs, frame)
-        assert np.allclose(a, b, atol=1e-9)
-        # the sign-free derivative expression X*omega(1/X)/sigma'(1/X)
-        # evaluates to the negated values
-        x = frame.nodes[np.asarray(locs) - 1]
-        from vframe.poly import poly_derivative
-
-        signfree = np.array(
-            [xi * poly_eval(omega, 1 / xi) / poly_eval(poly_derivative(sigma), 1 / xi) for xi in x]
-        )
-        assert np.allclose(signfree, -a, atol=1e-9)
 
 
 # -- decode ---------------------------------------------------------------------
@@ -318,6 +295,8 @@ def test_decode_requires_vandermonde():
     frame = vf.make_gaussian_frame(6, 3, seed=1)
     with pytest.raises(ValueError):
         vf.decode(frame, np.zeros(3))
+    with pytest.raises(LengthMismatch):
+        vf.decode(roots_frame(3, 6), np.zeros(4))
 
 
 @pytest.mark.parametrize("bad", [np.inf, np.nan, complex(0, -np.inf), 1e200])

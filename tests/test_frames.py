@@ -209,49 +209,6 @@ def test_minimum_annihilator_weight(n, m):
         assert vf.null_vector_on_support(frame, rows).weight == n + 1
 
 
-# -- baseline representation --------------------------------------------------
-
-def test_baseline_zero_signal():
-    frame = roots_frame(3, 7)
-    assert np.allclose(vf.baseline_representation(frame, np.zeros(3)), 0.0)
-
-
-def test_baseline_first_row_unit():
-    frame = roots_frame(3, 7)
-    c = vf.baseline_representation(frame, frame.matrix[0])
-    expect = np.zeros(7)
-    expect[0] = 1.0
-    assert np.allclose(c, expect, atol=1e-12)
-
-
-def test_baseline_worked_example():
-    frame = roots_frame(2, 4)
-    c = vf.baseline_representation(frame, [2.0, -2.0])
-    # solve c1 + c2 = 2, c1 + i c2 = -2 by hand: c2 = 2 + 2i, c1 = -2i
-    assert np.allclose(c[:2], [-2j, 2 + 2j])
-    assert np.allclose(c[2:], 0.0)
-    assert np.allclose(vf.synthesize(frame, c), [2.0, -2.0])
-
-
-@pytest.mark.parametrize("n", [2, 8, 16, 32, 64])
-def test_baseline_roundtrip(n):
-    frame = roots_frame(n, n)
-    rng = np.random.default_rng(n)
-    r = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    c = vf.baseline_representation(frame, r)
-    err = np.linalg.norm(vf.synthesize(frame, c) - r) / np.linalg.norm(r)
-    assert err <= 1e-8
-
-
-def test_baseline_roundtrip_redundant():
-    frame = roots_frame(4, 8)
-    rng = np.random.default_rng(17)
-    r = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    c = vf.baseline_representation(frame, r)
-    assert np.allclose(c[4:], 0.0)
-    assert np.linalg.norm(vf.synthesize(frame, c) - r) <= 1e-8 * np.linalg.norm(r)
-
-
 # -- serialization ------------------------------------------------------------
 
 def test_frame_json_roundtrip_vandermonde():
