@@ -9,14 +9,14 @@ mean distortion, which is then compared against the closed-form lower
 bound.
 
 Scoring kernel: a support S with rank-masked orthonormal basis V_S has
-projection energy ||P_S x||^2 = x^H G_S x, G_S = V_S^H V_S.  When
-N <= 4L each sample is lifted to N^2 real features and each support to
-N^2 real weights, and one real GEMM scores a batch against every
-support; that costs N^2 multiply-adds per (sample, support), no more
-than the 4*L*N of projecting onto the stacked bases, which remain the
-kernel for N > 4L.  Either table is built on every call, from one SVD
-per support, and freed when the call returns: N^2 * C(M, L) * 8 bytes
-for the Gram table, L * N * C(M, L) * 16 bytes for the stacked bases.
+projection energy ||P_S x||^2 = x^H G_S x, G_S = V_S^H V_S.  For N <= 4L
+samples and supports are lifted to N^2 real features and weights, so one
+real GEMM scores a chunk of samples against a block of supports at N^2
+multiply-adds per pair, no more than the 4*L*N of the stacked bases used
+for N > 4L.  Supports are scored in blocks of B = 2**18 // (L*N): weights
+from one SVD per support, at most 8 MiB (N^2 * B * 8, or L * N * B * 16
+stacked), dropped once scored, and at most 2**21 energies per chunk.  So
+memory does not grow with C(M, L); the budget on C(M, L) bounds the time.
 
 Distortion is accumulated per sample as the *relative* squared
 residual ||x - proj||^2 / ||x||^2.  On the unit sphere the two agree
@@ -205,12 +205,12 @@ def projection_residual(rows, x) -> float:
     return max(norm_sq - float(np.vdot(coeffs, coeffs).real), 0.0)
 
 
-def _supports(m: int, l: int) -> np.ndarray:
-    """(K, l) array of all 0-based size-l subsets of range(m), K = C(m, l),
-    in lexicographic order."""
-    count = math.comb(m, l)
-    flat = itertools.chain.from_iterable(itertools.combinations(range(m), l))
-    return np.fromiter(flat, dtype=np.intp, count=count * l).reshape(count, l)
+def _support_blocks(m: int, l: int, size: int):
+    """Size-l subsets of range(m) in lexicographic order, as (B, l) arrays of <= size rows."""
+    combos = itertools.combinations(range(m), l)
+    for _ in range(0, math.comb(m, l), size):
+        flat = itertools.chain.from_iterable(itertools.islice(combos, size))
+        yield np.fromiter(flat, dtype=np.intp).reshape(-1, l)
 
 
 def _gram_features(xs: np.ndarray) -> np.ndarray:
@@ -221,67 +221,62 @@ def _gram_features(xs: np.ndarray) -> np.ndarray:
     return np.concatenate([xs.real**2 + xs.imag**2, cross.real, cross.imag], axis=1)
 
 
-@dataclass(frozen=True)
-class _SupportTable:
-    """Every size-l support of one frame with the weights that score a
-    batch of samples against all of them in one GEMM.
+def _block_weights(matrix: np.ndarray, supports: np.ndarray, gram: bool) -> np.ndarray:
+    """Weights that score samples against the (B, l) block of supports in
+    one GEMM, from one SVD per support.
 
     V is a support's rank-masked orthonormal basis (the conjugated rows
-    of its SVD's vh above SINGULAR_REL_TOL).  With gram set, weights is the
-    (N*N, K) real table of the projectors G = V^H V, one column per
-    support: G_aa, then Re G_ab and -Im G_ab for a < b, so that
-    _gram_features(x) @ weights = x^H G x.  Otherwise weights is the
-    (N, l*K) complex matrix of the stacked bases: column j*K + k holds
-    basis vector j of support k, so each sample's energies add up over
-    l contiguous blocks.
+    of its SVD's vh above SINGULAR_REL_TOL).  With gram set they are the
+    (N*N, B) real projectors G = V^H V, one column per support: G_aa,
+    then Re G_ab and -Im G_ab for a < b, so _gram_features(x) @ weights
+    = x^H G x.  Otherwise they are the (N, l*B) stacked bases: column
+    j*B + k holds basis vector j of support k.
     """
-
-    supports: np.ndarray
-    weights: np.ndarray
-    gram: bool
-
-    def energies(self, xs: np.ndarray) -> np.ndarray:
-        """(s, K) projection energies ||P_S x||^2 of the (s, N) samples xs."""
-        if self.gram:
-            return _gram_features(xs) @ self.weights
-        proj = (xs @ self.weights).reshape(len(xs), self.supports.shape[1], -1)
-        energy = np.zeros((len(xs), proj.shape[2]))
-        for j in range(proj.shape[1]):
-            energy += proj[:, j].real ** 2 + proj[:, j].imag ** 2
-        return energy
+    n = matrix.shape[1]
+    _, s, vh = np.linalg.svd(matrix[supports], full_matrices=False)
+    v = (vh * (s > SINGULAR_REL_TOL * s[:, :1])[:, :, None]).conj()    # (B, l, n)
+    if not gram:
+        return v.transpose(1, 0, 2).reshape(-1, n).T
+    g = v.conj().transpose(0, 2, 1) @ v                                # (B, n, n)
+    a, b = np.triu_indices(n, 1)
+    upper = g[:, a, b].T
+    return np.concatenate([g.diagonal(axis1=1, axis2=2).real.T, upper.real, -upper.imag])
 
 
-def _support_table(frame: Frame, l: int, budget: int) -> _SupportTable:
-    """The frame's support table for weight l >= 1, built in blocks of
-    supports.  Raises BudgetExceeded when C(M, l) exceeds the budget."""
+def _energies(frame: Frame, X: np.ndarray, l: int, budget: int):
+    """Projection energies ||P_S x||^2 of the (S, N) batch X on every size-l
+    support S (l >= 1), one block of supports at a time: yields (rows, energy),
+    a slice of X and its (len(rows), B) energies on the next block of B supports
+    in lexicographic order.  Raises BudgetExceeded when C(M, l) exceeds the budget.
+    """
     count = math.comb(frame.m, l)
     if count > budget:
         raise BudgetExceeded(f"C({frame.m},{l}) = {count} exceeds budget {budget}")
-    matrix = frame.matrix
-    m, n = matrix.shape
-    supports = _supports(m, l)
-    k = len(supports)
+    m, n = frame.matrix.shape
     # x^H G x costs N*N real multiply-adds per (sample, support), the
-    # stacked bases 4*l*N; past N = 4l the Gram table would do more work
+    # stacked bases 4*l*N; past N = 4l the Gram weights would do more work
     # and take N/(2l) > 2 times the stacked bases' memory.
     gram = n <= 4 * l
-    weights = np.empty((n * n, k)) if gram else np.empty((l, k, n), dtype=complex)
-    a, b = np.triu_indices(n, 1)
-    block = max(1, 2**18 // (l * n))
-    for start in range(0, k, block):
-        stop = start + block
-        _, s, vh = np.linalg.svd(matrix[supports[start:stop]], full_matrices=False)
-        v = (vh * (s > SINGULAR_REL_TOL * s[:, :1])[:, :, None]).conj()    # (B, l, n)
-        if gram:
-            g = v.conj().transpose(0, 2, 1) @ v                          # (B, n, n)
-            upper = g[:, a, b]
-            weights[:, start:stop] = np.concatenate(
-                [g.diagonal(axis1=1, axis2=2).real, upper.real, -upper.imag], axis=1).T
-        else:
-            weights[:, start:stop] = v.transpose(1, 0, 2)
-    if not gram:
-        weights = weights.reshape(l * k, n).T
-    return _SupportTable(supports, weights, gram)
+    # At most 2**21 energies per GEMM, and as many rows per GEMM whatever
+    # the block, since BLAS rounding can depend on the row count.
+    chunk = max(1, 2**21 // (count if gram else l * count))
+    for supports in _support_blocks(m, l, max(1, 2**18 // (l * n))):
+        weights = _block_weights(frame.matrix, supports, gram)
+        for start in range(0, len(X), chunk):
+            rows = slice(start, start + chunk)
+            yield rows, _chunk_energies(X[rows], weights, l)
+
+
+def _chunk_energies(xs: np.ndarray, weights: np.ndarray, l: int) -> np.ndarray:
+    """(s, B) projection energies of the (s, N) samples xs on the B supports
+    of one _block_weights, real for the Gram form and complex otherwise."""
+    if weights.dtype != complex:
+        return _gram_features(xs) @ weights
+    proj = (xs @ weights).reshape(len(xs), l, -1)
+    energy = np.zeros((len(xs), proj.shape[2]))
+    for j in range(l):
+        energy += proj[:, j].real ** 2 + proj[:, j].imag ** 2
+    return energy
 
 
 def _signals(frame: Frame, X, l: int) -> np.ndarray:
@@ -320,34 +315,28 @@ def smdd_exact(frame: Frame, x, l: int, budget: int = DEFAULT_BUDGET) -> SmddRes
     if l == 0:
         return SmddResult((), float(np.vdot(x, x).real), False)
     norm = np.einsum("sn,sn->s", xs, xs.conj()).real[0]
-    table = _support_table(frame, l, budget)
-    res = np.maximum(norm - table.energies(xs)[0], 0.0)
+    # One residual per support: ties are judged against the global minimum.
+    res = np.concatenate([np.maximum(norm - energy[0], 0.0)
+                          for _, energy in _energies(frame, xs, l, budget)])
     cand = np.flatnonzero(res <= res.min() + TIE_TOL)
-    pick = cand[0]
-    return SmddResult(
-        tuple(int(i) + 1 for i in table.supports[pick]),
-        float(res[pick]),
-        bool(cand.size > 1),
-    )
+    pick = int(cand[0])
+    support = next(itertools.islice(itertools.combinations(range(frame.m), l), pick, None))
+    return SmddResult(tuple(i + 1 for i in support), float(res[pick]), bool(cand.size > 1))
 
 
 def smdd_residuals(frame: Frame, X, l: int, budget: int = DEFAULT_BUDGET) -> np.ndarray:
-    """smdd_exact's squared residual for each row of the (S, N) batch X.
-
-    Samples are scored in chunks, to bound memory, against one support
-    table; the smallest residual over supports is the norm less
-    the largest projection energy.  Raises BudgetExceeded when C(M, l)
-    exceeds the subset budget.
-    """
+    """smdd_exact's squared residual for each row of the (S, N) batch X: the
+    norm less the largest projection energy over supports, kept as a running
+    maximum while they are scored block by block.  Raises BudgetExceeded when
+    C(M, l) exceeds the subset budget."""
     X = _signals(frame, X, l)
     norms = np.einsum("sn,sn->s", X, X.conj()).real
     if l == 0:
         return norms
-    table = _support_table(frame, l, budget)
-    chunk = max(1, 2**21 // table.weights.shape[1])
-    top = np.empty(X.shape[0])
-    for start in range(0, X.shape[0], chunk):
-        top[start:start + chunk] = table.energies(X[start:start + chunk]).max(axis=1)
+    top = np.full(X.shape[0], -np.inf)
+    for rows, energy in _energies(frame, X, l, budget):
+        top[rows] = np.maximum(top[rows], energy.max(axis=1))
+        del energy      # before the next chunk is scored
     return np.maximum(norms - top, 0.0)
 
 
@@ -492,8 +481,10 @@ def estimate_distortion(
     and reduced by estimate_from_samples.
     """
     _check_estimate(frame, l, n_samples, budget, fallback_greedy)
-    # L = 0 reads no sample, so none is drawn.
-    X = sample_sphere_batch(frame.n, n_samples, seed) if l else np.empty((n_samples, 0))
+    if l == 0:
+        # L = 0 reads no sample, so none is drawn.
+        return _estimate(frame, l, seed, np.ones(n_samples))
+    X = sample_sphere_batch(frame.n, n_samples, seed)
     return estimate_from_samples(frame, l, X, seed, budget, fallback_greedy)
 
 
@@ -509,25 +500,31 @@ def estimate_from_samples(
 
     X is sample_sphere_batch(frame.n, S, seed) for S = len(X), so a
     caller that scores several cells of one N against one stream draws
-    it once.  At l = 0 the rows are not read: every sample contributes
-    ||x||^2 / ||x||^2 == 1.0 exactly.
+    it once.  The batch is checked at every l: ValueError on another
+    shape, a non-finite entry or a zero row.  At l = 0 every sample
+    contributes ||x||^2 / ||x||^2 == 1.0 exactly.
     """
-    n_samples = len(X)
-    approximate = _check_estimate(frame, l, n_samples, budget, fallback_greedy)
-    seed = tuple(seed) if isinstance(seed, (tuple, list)) else int(seed)
-    config = EstimateConfig(frame_id(frame), frame.n, frame.m, l, seed)
-    if l == 0:
-        return DistortionEstimate(1.0, 0.0, n_samples, config, ratios=np.ones(n_samples))
-    X = np.asarray(X, dtype=complex)
+    X = _signals(frame, X, l)
+    approximate = _check_estimate(frame, l, len(X), budget, fallback_greedy)
     norms = np.einsum("sn,sn->s", X, X.conj()).real
+    if not norms.all():
+        raise ValueError("signals must be non-zero")
     if approximate:
         mins = np.array([smdd_greedy(frame, x, l).residual_sq for x in X])
     else:
         mins = smdd_residuals(frame, X, l, budget)
-    ratios = mins / norms
+    return _estimate(frame, l, seed, mins / norms, approximate, X if l else None)
+
+
+def _estimate(frame: Frame, l: int, seed, ratios: np.ndarray, approximate: bool = False,
+              samples: np.ndarray | None = None) -> DistortionEstimate:
+    """The estimate whose per-sample relative residuals are ratios."""
+    n_samples = len(ratios)
+    seed = tuple(seed) if isinstance(seed, (tuple, list)) else int(seed)
+    config = EstimateConfig(frame_id(frame), frame.n, frame.m, l, seed)
     mean = float(ratios.mean())
     stderr = float(ratios.std(ddof=1) / math.sqrt(n_samples)) if n_samples > 1 else 0.0
-    return DistortionEstimate(mean, stderr, n_samples, config, approximate, ratios, X)
+    return DistortionEstimate(mean, stderr, n_samples, config, approximate, ratios, samples)
 
 
 def compare_to_bound(est: DistortionEstimate, report: BoundReport) -> BoundComparison:

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -167,8 +168,6 @@ def test_smdd_single_atom_signal():
 
 
 def test_smdd_matches_naive_enumeration():
-    import itertools
-
     frame = vf.make_gaussian_frame(7, 3, seed=13)
     x = vf.sample_uniform_sphere(3, vf.sample_rng(5, 0))
     for l in (1, 2, 3):
@@ -251,31 +250,44 @@ def dup_rows_frame(m, n, seed):
     return vf.make_general_frame(rows)
 
 
+def spy_gram_features(monkeypatch):
+    """Record the batch size of every call of the Gram kernel's feature lift."""
+    calls = []
+    features = montecarlo._gram_features
+    monkeypatch.setattr(montecarlo, "_gram_features", lambda xs: calls.append(len(xs)) or features(xs))
+    return calls
+
+
 @pytest.mark.parametrize("m,n", [(9, 3), (12, 10)])
 @pytest.mark.parametrize("kind", ["gaussian", "duplicated"])
-def test_support_energies_match_projection_residual(m, n, kind):
-    # N <= 4L scores with the Gram table, N > 4L with stacked bases:
+def test_support_energies_match_projection_residual(m, n, kind, monkeypatch):
+    # N <= 4L scores with Gram weights, N > 4L with stacked bases:
     # (9, 3) is Gram at every L, (12, 10) stacked at L = 1, 2, Gram at L = 3
     frame = vf.make_gaussian_frame(m, n, seed=(41, m)) if kind == "gaussian" else dup_rows_frame(m, n, 43)
     X = vf.sample_sphere_batch(n, 3, seed=(45, m)) * np.array([[1.0], [0.5], [3.0]])
+    gram_calls = spy_gram_features(monkeypatch)
     for l in (1, 2, 3):
-        table = montecarlo._support_table(frame, l, montecarlo.DEFAULT_BUDGET)
-        assert table.gram == (n <= 4 * l)
-        assert table.supports.shape == (math.comb(m, l), l)
-        energies = table.energies(X)
+        gram_calls.clear()
+        blocks = list(montecarlo._energies(frame, X, l, montecarlo.DEFAULT_BUDGET))
+        assert bool(gram_calls) == (n <= 4 * l)
+        assert all(len(X[rows]) == len(X) for rows, _ in blocks)
+        energies = np.concatenate([energy for _, energy in blocks], axis=1)
+        supports = [list(s) for s in itertools.combinations(range(m), l)]
+        assert energies.shape == (len(X), math.comb(m, l))
         for x, energy in zip(X, energies):
             norm = float(np.vdot(x, x).real)
-            direct = [vf.projection_residual(frame.matrix[s], x) for s in table.supports]
+            direct = [vf.projection_residual(frame.matrix[s], x) for s in supports]
             np.testing.assert_allclose(np.maximum(norm - energy, 0.0), direct, rtol=0, atol=1e-12)
 
 
-def test_kernel_matches_stacked_reference_on_mc_enum_cell():
+def test_kernel_matches_stacked_reference_on_mc_enum_cell(monkeypatch):
     # Values of the complex stacked-basis kernel (the only one before the
-    # Gram table) on the N=8, M=32, L=4 cell, stream (1, 1).
+    # Gram weights) on the N=8, M=32, L=4 cell, stream (1, 1).
     frame = roots_frame(8, 32)
     X = vf.sample_sphere_batch(8, 1000, seed=(1, 1))
+    gram_calls = spy_gram_features(monkeypatch)
     res = vf.smdd_residuals(frame, X, 4)
-    assert montecarlo._support_table(frame, 4, montecarlo.DEFAULT_BUDGET).gram
+    assert gram_calls
     reference = [float.fromhex(h) for h in (
         "0x1.01863b0854510p-5", "0x1.9e7c34d2bd310p-5", "0x1.453a233f23c60p-5",
         "0x1.fe9c2150d94e0p-6", "0x1.dbe99fc37f080p-5", "0x1.03d145fe7b240p-4")]
@@ -298,9 +310,55 @@ def test_kernel_matches_stacked_reference_on_mc_enum_cell():
         assert abs(got.residual_sq - residual_sq) <= 2e-15
 
 
+def test_ties_across_support_blocks(monkeypatch):
+    # Blocks of 4 supports instead of 2**18 // (L*N), so each pair of tied
+    # supports below falls in two blocks.  {1} (residual ~2.5e-13, block 0)
+    # is within TIE_TOL of {6} (exactly 0, block 1) and must win; {1,4}
+    # (index 2, block 0) and {2,3} (index 4, block 1) both fit exactly.
+    cases = [
+        (vf.make_general_frame([[1, 5e-7], [0, 1], [1, 1], [1, -1], [1, 1j], [1, 0]]),
+         np.array([1.0, 0.0]), 1, (1,)),
+        (vf.make_general_frame([[1, 0, 0], [1, 0, 1], [0, 1, -1], [0, 1, 0], [0, 0, 1]]),
+         np.array([1.0, 1.0, 0.0]) / math.sqrt(2), 2, (1, 4)),
+    ]
+    unpatched = [vf.smdd_residuals(frame, x[None, :], l) for frame, x, l, _ in cases]
+    blocks = montecarlo._support_blocks
+    monkeypatch.setattr(montecarlo, "_support_blocks", lambda m, l, size: blocks(m, l, 4))
+    for (frame, x, l, support), residuals in zip(cases, unpatched):
+        got = vf.smdd_exact(frame, x, l)
+        assert got.support == support and got.ties_broken
+        assert got.residual_sq <= 1e-12
+        assert vf.smdd_residuals(frame, x[None, :], l).tobytes() == residuals.tobytes()
+
+
+def test_support_blocks_enumerate_lexicographically():
+    for m, l, size in [(5, 2, 4), (7, 3, 1), (7, 3, 35), (7, 3, 100), (6, 6, 2)]:
+        got = np.concatenate(list(montecarlo._support_blocks(m, l, size)))
+        assert got.tolist() == [list(s) for s in itertools.combinations(range(m), l)]
+
+
+def test_exact_search_memory_does_not_grow_with_supports():
+    # N=8, L=3 scores blocks of 2**18 // 24 = 10922 supports; C(64, 3) =
+    # 41664 and C(80, 3) = 82160 span 4 and 8 of them.  A whole Gram table
+    # would take N^2 * C(M, 3) * 8 bytes: 21 MB and 42 MB.
+    X = vf.sample_sphere_batch(8, 20, seed=16)
+    peaks = []
+    for m in (64, 80):
+        frame = roots_frame(8, m)
+        tracemalloc.start()
+        try:
+            vf.smdd_residuals(frame, X, 3)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    growth = 64 * (math.comb(80, 3) - math.comb(64, 3)) * 8
+    assert peaks[1] - peaks[0] < growth // 10
+
+
 def test_exact_search_keeps_no_support_table():
-    # every call builds its own table (N^2 * C(M, L) * 8 = 583 kB here)
-    # and frees it; bds_decode bisects through L = 3, 1 and 2
+    # every call scores its supports block by block (a whole Gram table
+    # would take N^2 * C(M, L) * 8 = 583 kB here) and keeps none of them;
+    # bds_decode bisects through L = 3, 1 and 2
     x = vf.sample_uniform_sphere(6, vf.sample_rng(14, 0))
     assert vf.bds_decode(roots_frame(6, 24), x, 0.3)[0] == 2
     tracemalloc.start()
@@ -431,6 +489,25 @@ def test_estimate_checks_before_drawing(monkeypatch):
     with pytest.raises(DomainError):
         vf.estimate_distortion(frame, 1, 0, seed=1)
     assert vf.estimate_distortion(frame, 0, 10, seed=1).mean == 1.0
+
+
+@pytest.mark.parametrize("l", [0, 1])
+def test_estimate_from_samples_refuses_a_zero_row(l):
+    frame = roots_frame(4, 8)
+    with pytest.raises(ValueError, match="non-zero"):
+        vf.estimate_from_samples(frame, l, np.zeros((3, 4)), 0)
+
+
+def test_estimate_from_samples_checks_shape_at_weight_zero():
+    with pytest.raises(ValueError, match="shape"):
+        vf.estimate_from_samples(roots_frame(4, 8), 0, np.ones((3, 7)), 0)
+
+
+def test_estimate_from_samples_checks_finiteness_at_weight_zero():
+    X = vf.sample_sphere_batch(4, 3, seed=0)
+    X[1, 2] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        vf.estimate_from_samples(roots_frame(4, 8), 0, X, 0)
 
 
 def test_estimate_agrees_with_per_sample_smdd():
