@@ -93,8 +93,6 @@ from .poly import (
     poly_degree,
     poly_divmod,
     poly_eval,
-    poly_mul,
-    poly_sub,
     poly_trim,
 )
 

@@ -270,22 +270,44 @@ def cmd_simulate(args):
     return 0
 
 
-def _sweep_keys_done(path):
+def _sweep_progress(path):
+    """The config echoed at the top of a sweep file and the (N, M, L)
+    cells it holds rows for; (None, empty set) when the file is missing
+    or empty."""
     done = set()
     if not os.path.exists(path):
-        return done
+        return None, done
     with open(path, "r", encoding="utf-8") as fh:
+        first = fh.readline()
+        if not first:
+            return None, done
+        cfg = json.loads(first[len("# config: "):]) if first.startswith("# config: ") else {}
+        if cfg.get("subcommand") != "sweep":
+            raise VframeError(f"{path} does not start with a sweep '# config:' line")
         for line in fh:
             if line.startswith("#") or line.startswith("N,"):
                 continue
             parts = line.strip().split(",")
             if len(parts) >= 3:
                 done.add((int(parts[0]), int(parts[1]), int(parts[2])))
-    return done
+    return cfg, done
 
 
 def cmd_sweep(args):
-    seed = _resolve_seed(args.seed)
+    if args.resume and not args.out:
+        raise VframeError("--resume needs --out")
+    # Appended rows must share the file's config: take its seed when
+    # --seed is omitted, and refuse a different --seed or --samples.
+    prior, done = _sweep_progress(args.out) if args.resume else (None, set())
+    if prior is not None:
+        for flag, value in (("samples", args.samples), ("seed", args.seed)):
+            if value is not None and value != prior[flag]:
+                raise VframeError(
+                    f"--{flag} {value} differs from {flag} {prior[flag]} in {args.out}"
+                )
+        seed = prior["seed"]
+    else:
+        seed = _resolve_seed(args.seed)
     n_list = _parse_int_list(args.n_list)
     factors = _parse_int_list(args.m_factors)
     cfg = _config(
@@ -296,9 +318,6 @@ def cmd_sweep(args):
     header = list(BOUND_HEADER)
     if args.samples > 0:
         header += ["est_mean", "est_stderr", "margin", "passed"]
-    if args.resume and not args.out:
-        raise VframeError("--resume needs --out")
-    done = _sweep_keys_done(args.out) if (args.resume and args.out) else set()
     # Refuse the whole grid up front, an invalid cell or one over budget,
     # rather than after the cells before it have been written.
     cells = [
@@ -315,10 +334,9 @@ def cmd_sweep(args):
                     f"cell (N,M,L)=({inp.n},{inp.m},{inp.l}) needs C({inp.m},{inp.l}) = "
                     f"{math.comb(inp.m, inp.l)} supports, over --budget {args.budget}"
                 )
-    fresh = not (args.resume and args.out and os.path.exists(args.out))
-    fh = open(args.out, "a" if not fresh else "w", newline="", encoding="utf-8") if args.out else sys.stdout
+    fh = open(args.out, "w" if prior is None else "a", newline="", encoding="utf-8") if args.out else sys.stdout
     try:
-        if fresh:
+        if prior is None:
             fh.write(f"# config: {json.dumps(cfg)}\n")
             csv.writer(fh).writerow(header)
         writer = csv.writer(fh)

@@ -8,6 +8,8 @@ decoding pipeline run in complex floating point:
     1. syndromes      -- the coordinates of r, read off verbatim;
     2. key equation   -- extended Euclid division on (z^N, S1[z])
                          yields locator sigma and evaluator omega;
+                         each division returns a trimmed remainder,
+                         so the loop reads degrees off array lengths;
     3. root location  -- sigma is evaluated at every inverse node;
     4. value recovery -- Forney's formula, then one least-squares
                          refinement step on the located support;
@@ -51,14 +53,7 @@ from .errors import (
     VframeError,
 )
 from .frames import VANDERMONDE, ZERO_REL_TOL, Frame, SparseRep, complex_to_pairs
-from .poly import (
-    poly_degree,
-    poly_divmod,
-    poly_eval,
-    poly_mul,
-    poly_sub,
-    poly_trim,
-)
+from .poly import poly_degree, poly_divmod, poly_eval, poly_trim
 
 # Root acceptance factor: sigma(1/z_j) counts as zero below
 # ROOT_ACCEPT_TOL * (1 + max_k |sigma(1/z_k)|).
@@ -143,11 +138,13 @@ def solve_key_equation(s, t: int):
     r_cur = poly_trim(s)
     v_prev = s[:0]                                 # multipliers of S1
     v_cur = one.copy()
-    for _ in range(n + 2):
-        if poly_degree(r_cur) <= t - 1:
-            break
+    # poly_divmod returns trimmed remainders, each shorter than its
+    # divisor, so r_cur.size - 1 is the degree and the loop ends.
+    while r_cur.size > t:
         q, rem = poly_divmod(r_prev, r_cur)
-        v_next = poly_sub(v_prev, poly_mul(q, v_cur))
+        # q * v_cur is longer than v_prev: pad v_prev, then subtract.
+        qv = np.convolve(q, v_cur)
+        v_next = np.concatenate((v_prev, np.zeros(qv.size - v_prev.size, dtype=complex))) - qv
         r_prev, v_prev = r_cur, v_cur
         r_cur, v_cur = rem, v_next
         # Joint rescale keeps the recursion well-scaled; each (r, v)
@@ -157,10 +154,8 @@ def solve_key_equation(s, t: int):
         if top > 0.0:
             r_cur = r_cur / top
             v_cur = v_cur / top
-    else:
-        raise NumericBreakdown("euclid recursion failed to terminate")
 
-    if v_cur.size == 0 or abs(v_cur[0]) <= 1e-12 * np.abs(v_cur).max():
+    if abs(v_cur[0]) <= 1e-12 * np.abs(v_cur).max():
         raise NumericBreakdown("locator constant term vanished")
     sigma = poly_trim(v_cur / v_cur[0])
     omega = poly_trim(r_cur / v_cur[0])
@@ -185,7 +180,6 @@ def find_error_locations(sigma, frame: Frame) -> list[int]:
     vals = np.abs(poly_eval(sigma, 1.0 / frame.nodes))
     hits = np.nonzero(vals < ROOT_ACCEPT_TOL * (1.0 + vals.max()))[0]
     deg = poly_degree(sigma)
-    deg = 0 if deg < 0 else int(deg)
     if hits.size != deg:
         raise RootCountMismatch(
             f"locator degree {deg} but {hits.size} roots among inverse nodes"
@@ -193,7 +187,7 @@ def find_error_locations(sigma, frame: Frame) -> list[int]:
     return [int(j) + 1 for j in hits]
 
 
-def forney_values(sigma, omega, locations, frame: Frame) -> np.ndarray:
+def forney_values(omega, locations, frame: Frame) -> np.ndarray:
     """Coefficient values at the located indices.
 
     Uses the explicit product form
@@ -201,10 +195,7 @@ def forney_values(sigma, omega, locations, frame: Frame) -> np.ndarray:
     with X_j the located nodes (the empty product is 1).
     """
     x = frame.nodes[np.asarray(locations, dtype=int) - 1]
-    w = x.size
-    if w != max(poly_degree(sigma), 0):
-        raise ValueError("need exactly deg(sigma) locations")
-    if w == 0:
+    if x.size == 0:
         return np.zeros(0, dtype=complex)
     xinv = 1.0 / x
     factors = 1.0 - np.outer(x, xinv)          # [i, j] = 1 - X_i / X_j
@@ -224,14 +215,14 @@ def _lstsq(a, b):
     return x
 
 
-def _locator_from_support(s, nodes, locations):
-    """Exact-product locator and truncated evaluator for a known support."""
+def _evaluator_for_support(s, nodes, locations):
+    """Truncated evaluator S1 * sigma mod z^w for a known support of
+    weight w, with sigma its exact product locator."""
     x = nodes[np.asarray(locations, dtype=int) - 1]
     sigma = np.ones(1, dtype=complex)
     for xi in x:
         sigma = np.convolve(sigma, np.array([1.0, -xi]))
-    omega = poly_trim(np.convolve(s, sigma)[: x.size]) if x.size else s[:0]
-    return sigma, omega
+    return poly_trim(np.convolve(s, sigma)[: x.size]) if x.size else s[:0]
 
 
 def _candidate(frame, r, s, locations, norm_r, _collapsed=False):
@@ -244,9 +235,9 @@ def _candidate(frame, r, s, locations, norm_r, _collapsed=False):
     rebuilt once.
     """
     w = len(locations)
-    sigma, omega = _locator_from_support(s, frame.nodes, locations)
+    omega = _evaluator_for_support(s, frame.nodes, locations)
     try:
-        values = forney_values(sigma, omega, list(locations), frame)
+        values = forney_values(omega, list(locations), frame)
     except DegenerateDenominator:
         return None
     rows = frame.matrix[np.asarray(locations, dtype=int) - 1]
@@ -389,7 +380,7 @@ def decode(frame: Frame, r, tol: float = RESIDUAL_TOL) -> DecodeOutcome:
     euclid_degree = -1
     try:
         sigma, omega = solve_key_equation(s, t)
-        euclid_degree = int(max(poly_degree(sigma), 0))
+        euclid_degree = sigma.size - 1             # sigma comes back trimmed
         if euclid_degree <= t:
             locations = find_error_locations(sigma, frame)
             if settle(_candidate(frame, r, s, tuple(locations), norm_r)):

@@ -67,21 +67,6 @@ def poly_eval(p, z):
     return complex(out) if out.ndim == 0 else out
 
 
-def poly_sub(p, q) -> np.ndarray:
-    p, q = as_poly(p), as_poly(q)
-    out = np.zeros(max(p.size, q.size), dtype=complex)
-    out[: p.size] = p
-    out[: q.size] -= q
-    return out
-
-
-def poly_mul(p, q) -> np.ndarray:
-    p, q = as_poly(p), as_poly(q)
-    if p.size == 0 or q.size == 0:
-        return p[:0]
-    return np.convolve(p, q)
-
-
 def poly_divmod(p, q):
     """Quotient and remainder of p by q with deg(rem) < deg(q).
 

@@ -363,3 +363,48 @@ def test_sweep_checks_every_cell_before_writing(tmp_path, capsys):
 def test_sweep_resume_requires_out(capsys):
     code, _, err = run(capsys, ["sweep", "--n-list", "3", "--resume"])
     assert code == 1 and "error:" in err
+
+
+SWEEP_4 = ["sweep", "--n-list", "4", "--m-factors", "2", "--samples", "50"]
+
+
+def truncated_sweep(capsys, out_path, argv, kept=2):
+    """Run a sweep to `out_path`, then keep config, header and `kept` rows."""
+    code, _, err = run(capsys, argv + ["--out", str(out_path)])
+    assert code == 0, err
+    full = out_path.read_text()
+    out_path.write_text("\n".join(full.splitlines()[:2 + kept]) + "\n")
+    return full
+
+
+def test_sweep_resume_takes_the_seed_of_the_file(tmp_path, capsys):
+    out_path = tmp_path / "sweep.csv"
+    truncated_sweep(capsys, out_path, SWEEP_4)
+    seed = config_line(out_path.read_text())["seed"]
+    code, _, err = run(capsys, SWEEP_4 + ["--out", str(out_path), "--resume"])
+    assert code == 0, err
+    again = tmp_path / "again.csv"
+    run(capsys, SWEEP_4 + ["--seed", str(seed), "--out", str(again)])
+    assert out_path.read_text() == again.read_text()
+
+
+@pytest.mark.parametrize("first,resume,flag", [
+    ([], ["--seed", "9", "--samples", "200"], "--samples 200"),
+    (["--seed", "1"], ["--seed", "9"], "--seed 9"),
+    (["--samples", "0", "--seed", "1"], ["--seed", "1"], "--samples 50"),
+])
+def test_sweep_resume_refuses_another_config(tmp_path, capsys, first, resume, flag):
+    out_path = tmp_path / "sweep.csv"
+    truncated_sweep(capsys, out_path, SWEEP_4 + first)
+    before = out_path.read_text()
+    code, _, err = run(capsys, SWEEP_4 + resume + ["--out", str(out_path), "--resume"])
+    assert code == 1 and flag in err
+    assert out_path.read_text() == before
+
+
+def test_sweep_resume_refuses_a_file_without_sweep_config(tmp_path, capsys):
+    out_path = tmp_path / "sweep.csv"
+    out_path.write_text("N,M,L\n4,8,1\n")
+    code, _, err = run(capsys, SWEEP_4 + ["--seed", "1", "--out", str(out_path), "--resume"])
+    assert code == 1 and "config" in err
+    assert out_path.read_text() == "N,M,L\n4,8,1\n"

@@ -7,12 +7,6 @@ from vframe import poly
 from vframe.errors import DivideByZeroPoly
 
 
-def test_mul_basic():
-    # (1 + z)(1 - z) = 1 - z^2
-    out = poly.poly_mul([1, 1], [1, -1])
-    assert np.allclose(out, [1, 0, -1])
-
-
 def test_divmod_basic():
     # z^3 / z = z^2 remainder 0
     q, r = poly.poly_divmod([0, 0, 0, 1], [0, 1])
@@ -64,7 +58,7 @@ def test_divmod_reconstruction_property():
         a = rng.standard_normal(da + 1) + 1j * rng.standard_normal(da + 1)
         b = rng.standard_normal(db + 1) + 1j * rng.standard_normal(db + 1)
         q, r = poly.poly_divmod(a, b)
-        back = poly.poly_mul(q, b)
+        back = np.convolve(q, b) if q.size else q
         pad = np.zeros(max(back.size, r.size, a.size), dtype=complex)
         pad[: back.size] = back
         pad[: r.size] += r
@@ -72,16 +66,3 @@ def test_divmod_reconstruction_property():
         assert np.abs(pad).max() <= 1e-10 * (1 + np.abs(a).max())
         assert poly.poly_degree(r) < poly.poly_degree(b) or r.size == 0
 
-
-def test_sub_pads_the_shorter_operand():
-    a, b = [1, 2], [0, 1, 3]
-    assert np.allclose(poly.poly_sub(b, a), [-1, -1, 3])
-    assert np.allclose(poly.poly_sub(a, b), [1, 1, -3])
-    assert np.allclose(poly.poly_sub([1j, 2], [1, 2]), [-1 + 1j, 0])
-    assert np.allclose(poly.poly_sub([], a), [-1, -2])
-    assert np.allclose(poly.poly_sub(a, []), a)
-    assert poly.poly_sub([], []).size == 0
-    # the operands are left untouched
-    p = np.array([1, 2], dtype=complex)
-    poly.poly_sub(p, [5, 5, 5])
-    assert np.array_equal(p, [1, 2])
