@@ -14,9 +14,29 @@ samples and supports are lifted to N^2 real features and weights, so one
 real GEMM scores a chunk of samples against a block of supports at N^2
 multiply-adds per pair, no more than the 4*L*N of the stacked bases used
 for N > 4L.  Supports are scored in blocks of B = 2**18 // (L*N): weights
-from one SVD per support, at most 8 MiB (N^2 * B * 8, or L * N * B * 16
-stacked), dropped once scored, and at most 2**21 energies per chunk.  So
-memory does not grow with C(M, L); the budget on C(M, L) bounds the time.
+at most 8 MiB (N^2 * B * 8, or L * N * B * 16 stacked), dropped once
+scored, and chunks of 2**21 // B rows (2**21 // (L*B) stacked), so at
+most 2**21 energies per GEMM.  So memory does not grow with C(M, L); the
+budget on C(M, L) bounds the time.
+
+Where the weights come from: on most frames, one SVD per support, C(M, L)
+in all.  On the default frame, whose nodes z_j are the M-th roots of
+unity (default_nodes), shifting a support by s multiplies its rows by
+the phases D_s = diag(z_s^k), the frame's row s, so G_{S+s} = D_s G_S
+D_s^H.  Only the R orbit representatives (each orbit's lexicographically
+smallest shift, about C(M, L) / M of them) are SVD'd; a block holds a
+slice of them times all M shifts, its weights rotated by an elementwise
+phase multiply.  Rotated energies differ from a support's own by a few
+ulp, so what a search returns is re-scored with its own SVD:
+smdd_residuals re-scores each sample's winning support (one SVD per
+distinct winner), smdd_exact every support within 2 * TIE_TOL of the
+rotated minimum before it applies the TIE_TOL rule.  So smdd_residuals
+on S samples runs at most R + S SVDs against C(M, L), and smdd_exact R
+plus one per near-tie.  A search of S samples takes this path exactly
+when S + R < C(M, L) and L < N, with no option to set: 1,128 + 1,000
+against 35,960 at N=8, M=32, L=4, with 1,000 samples.  At L >= N every
+support spans C^N and ties, so smdd_exact would re-score them all and
+smdd_residuals would lose the per-support path's exact zeros.
 
 Distortion is accumulated per sample as the *relative* squared
 residual ||x - proj||^2 / ||x||^2.  On the unit sphere the two agree
@@ -45,7 +65,7 @@ import numpy as np
 
 from .bounds import BoundReport
 from .errors import BudgetExceeded, ConfigMismatch, DomainError
-from .frames import SINGULAR_REL_TOL, Frame, frame_id
+from .frames import SINGULAR_REL_TOL, Frame, default_nodes, frame_id
 
 # Residuals within this of the minimum count as ties (broken toward the
 # lexicographically smallest support).
@@ -208,9 +228,32 @@ def projection_residual(rows, x) -> float:
 def _support_blocks(m: int, l: int, size: int):
     """Size-l subsets of range(m) in lexicographic order, as (B, l) arrays of <= size rows."""
     combos = itertools.combinations(range(m), l)
-    for _ in range(0, math.comb(m, l), size):
-        flat = itertools.chain.from_iterable(itertools.islice(combos, size))
-        yield np.fromiter(flat, dtype=np.intp).reshape(-1, l)
+    count = math.comb(m, l)
+    for start in range(0, count, size):
+        rows = min(size, count - start)
+        flat = itertools.chain.from_iterable(itertools.islice(combos, rows))
+        yield np.fromiter(flat, dtype=np.intp, count=rows * l).reshape(rows, l)
+
+
+def _orbit_representatives(m: int, l: int) -> np.ndarray:
+    """(R, l) array, in lexicographic order, of the size-l subsets of range(m)
+    (l >= 1) that are the lexicographically smallest of their cyclic shifts
+    S + s (mod m): one per orbit.
+
+    A representative holds 0, so the candidates are the C(m-1, l-1) subsets
+    that do, taken 2**18 // l at a time; one is kept when none of the shifts
+    that move another of its elements to 0 is smaller.
+    """
+    kept = []
+    for tails in _support_blocks(m - 1, l - 1, max(1, 2**18 // l)):
+        cand = np.concatenate([np.zeros((len(tails), 1), dtype=np.intp), tails + 1], axis=1)
+        keep = np.ones(len(cand), dtype=bool)
+        for i in range(1, l):
+            diff = np.sort((cand - cand[:, i:i + 1]) % m, axis=1) - cand
+            first = np.argmax(diff != 0, axis=1)
+            keep &= diff[np.arange(len(cand)), first] >= 0
+        kept.append(cand[keep])
+    return np.concatenate(kept)
 
 
 def _gram_features(xs: np.ndarray) -> np.ndarray:
@@ -221,21 +264,24 @@ def _gram_features(xs: np.ndarray) -> np.ndarray:
     return np.concatenate([xs.real**2 + xs.imag**2, cross.real, cross.imag], axis=1)
 
 
-def _block_weights(matrix: np.ndarray, supports: np.ndarray, gram: bool) -> np.ndarray:
+def _block_weights(matrix: np.ndarray, supports: np.ndarray) -> np.ndarray:
     """Weights that score samples against the (B, l) block of supports in
     one GEMM, from one SVD per support.
 
     V is a support's rank-masked orthonormal basis (the conjugated rows
-    of its SVD's vh above SINGULAR_REL_TOL).  With gram set they are the
-    (N*N, B) real projectors G = V^H V, one column per support: G_aa,
-    then Re G_ab and -Im G_ab for a < b, so _gram_features(x) @ weights
-    = x^H G x.  Otherwise they are the (N, l*B) stacked bases: column
-    j*B + k holds basis vector j of support k.
+    of its SVD's vh above SINGULAR_REL_TOL).  x^H G x costs N*N real
+    multiply-adds per (sample, support) and the stacked bases 4*l*N, so
+    for N <= 4l they are the (N*N, B) real projectors G = V^H V, one
+    column per support: G_aa, then Re G_ab and -Im G_ab for a < b, so
+    _gram_features(x) @ weights = x^H G x.  Otherwise (past N = 4l the
+    Gram weights would also take N/(2l) > 2 times the memory) they are
+    the complex (N, l*B) stacked bases: column j*B + k holds basis
+    vector j of support k.
     """
-    n = matrix.shape[1]
+    n, l = matrix.shape[1], supports.shape[1]
     _, s, vh = np.linalg.svd(matrix[supports], full_matrices=False)
     v = (vh * (s > SINGULAR_REL_TOL * s[:, :1])[:, :, None]).conj()    # (B, l, n)
-    if not gram:
+    if n > 4 * l:
         return v.transpose(1, 0, 2).reshape(-1, n).T
     g = v.conj().transpose(0, 2, 1) @ v                                # (B, n, n)
     a, b = np.triu_indices(n, 1)
@@ -243,28 +289,79 @@ def _block_weights(matrix: np.ndarray, supports: np.ndarray, gram: bool) -> np.n
     return np.concatenate([g.diagonal(axis1=1, axis2=2).real.T, upper.real, -upper.imag])
 
 
+def _orbit_blocks(matrix: np.ndarray, reps: np.ndarray, width: int):
+    """(supports, weights) blocks of _block_weights' form covering every size-l
+    support of a roots-of-unity frame: a slice of the orbit representatives
+    reps times all M shifts, at most max(width, M) supports per block.
+
+    Shifting a support by s multiplies its rows by D_s = diag(z_s^k), the
+    frame's row s, so its basis is V D_s^H: basis entry k is multiplied by
+    conj(z_s^k), and G_ab by z_s^(a-b).  Only the representatives are
+    SVD'd.  Column s*r + k (of r representatives) scores the support
+    reps[k] + s, which is the same row of supports, sorted.
+    """
+    m, n = matrix.shape
+    l = reps.shape[1]
+    phase = matrix.conj()                     # phase[s, k] multiplies basis entry k
+    a, b = np.triu_indices(n, 1)
+    pair = phase[:, a].conj() * phase[:, b]   # (M, pairs): multiplies G_ab
+    step = max(1, width // m)
+    for start in range(0, len(reps), step):
+        block = reps[start:start + step]
+        r = len(block)
+        supports = np.sort((block + np.arange(m)[:, None, None]) % m, axis=2).reshape(-1, l)
+        base = _block_weights(matrix, block)
+        if base.dtype == complex:
+            weights = (base.reshape(n, l, 1, r) * phase.T[:, None, :, None]).reshape(n, -1)
+        else:
+            upper = pair[:, :, None] * (base[n:n + a.size] - 1j * base[n + a.size:])
+            weights = np.concatenate([np.broadcast_to(base[:n], (m, n, r)), upper.real,
+                                      -upper.imag], axis=1).transpose(1, 0, 2).reshape(-1, m * r)
+        yield supports, weights
+
+
 def _energies(frame: Frame, X: np.ndarray, l: int, budget: int):
     """Projection energies ||P_S x||^2 of the (S, N) batch X on every size-l
-    support S (l >= 1), one block of supports at a time: yields (rows, energy),
-    a slice of X and its (len(rows), B) energies on the next block of B supports
-    in lexicographic order.  Raises BudgetExceeded when C(M, l) exceeds the budget.
+    support S (l >= 1), one block of supports at a time.
+
+    Returns (rotated, blocks).  blocks yields (rows, supports, energy): a
+    slice of X, a (B, l) block of supports, each sorted, and the
+    (len(rows), B) energies of those rows on them.  Without rotation the
+    blocks hold B = 2**18 // (l*N) supports each, in lexicographic order,
+    every support once, its weights from its own SVD.  rotated is set
+    when l < N, the frame's nodes are default_nodes(M) and S + R < C(M, l)
+    for its R orbit representatives: the blocks then come from _orbit_blocks
+    (a support of a nontrivial stabilizer appears more than once), and
+    the energies differ from each support's own by a few ulp, so callers
+    re-score what they return with _own_energies.  Every GEMM makes at
+    most 2**21 energies (or projections, for the stacked bases).  Raises
+    BudgetExceeded when C(M, l) exceeds the budget.
     """
     count = math.comb(frame.m, l)
     if count > budget:
         raise BudgetExceeded(f"C({frame.m},{l}) = {count} exceeds budget {budget}")
     m, n = frame.matrix.shape
-    # x^H G x costs N*N real multiply-adds per (sample, support), the
-    # stacked bases 4*l*N; past N = 4l the Gram weights would do more work
-    # and take N/(2l) > 2 times the stacked bases' memory.
-    gram = n <= 4 * l
-    # At most 2**21 energies per GEMM, and as many rows per GEMM whatever
-    # the block, since BLAS rounding can depend on the row count.
-    chunk = max(1, 2**21 // (count if gram else l * count))
-    for supports in _support_blocks(m, l, max(1, 2**18 // (l * n))):
-        weights = _block_weights(frame.matrix, supports, gram)
+    width = max(1, 2**18 // (l * n))
+    reps = None
+    if l < n and len(X) < count and np.array_equal(frame.nodes, default_nodes(m)):
+        reps = _orbit_representatives(m, l)
+        if len(X) + len(reps) >= count:
+            reps = None
+    if reps is None:
+        blocks = ((s, _block_weights(frame.matrix, s)) for s in _support_blocks(m, l, width))
+    else:
+        blocks = _orbit_blocks(frame.matrix, reps, width)
+    return reps is not None, _scored(X, blocks)
+
+
+def _scored(X: np.ndarray, blocks):
+    """Score X against each (supports, weights) block in chunks of rows that
+    keep every GEMM's output at most 2**21 values; yields (rows, supports, energy)."""
+    for supports, weights in blocks:
+        chunk = max(1, 2**21 // weights.shape[1])
         for start in range(0, len(X), chunk):
             rows = slice(start, start + chunk)
-            yield rows, _chunk_energies(X[rows], weights, l)
+            yield rows, supports, _chunk_energies(X[rows], weights, supports.shape[1])
 
 
 def _chunk_energies(xs: np.ndarray, weights: np.ndarray, l: int) -> np.ndarray:
@@ -277,6 +374,28 @@ def _chunk_energies(xs: np.ndarray, weights: np.ndarray, l: int) -> np.ndarray:
     for j in range(l):
         energy += proj[:, j].real ** 2 + proj[:, j].imag ** 2
     return energy
+
+
+def _own_energies(matrix: np.ndarray, X: np.ndarray, supports: np.ndarray) -> np.ndarray:
+    """Energy of each row of the (S, N) batch X on the sorted support in the
+    same row of the (S, l) supports, from that support's own SVD: one per
+    distinct support.
+
+    Each 64 rows are scored in one GEMM against the distinct supports among
+    them: on OpenBLAS (x86-64) products that size reproduced the blocks'
+    residuals bit for bit at N=8, M=32, L=4, where products of 16 rows or
+    fewer rounded differently.
+    """
+    distinct, inverse = np.unique(supports, axis=0, return_inverse=True)
+    weights = _block_weights(matrix, distinct)
+    per_support = weights.reshape(len(weights), -1, len(distinct))
+    out = np.empty(len(X))
+    for start in range(0, len(X), 64):
+        rows = slice(start, start + 64)
+        cols, local = np.unique(inverse[rows], return_inverse=True)
+        block = per_support[:, :, cols].reshape(len(weights), -1)
+        out[rows] = _chunk_energies(X[rows], block, supports.shape[1])[np.arange(len(local)), local]
+    return out
 
 
 def _signals(frame: Frame, X, l: int) -> np.ndarray:
@@ -305,38 +424,62 @@ class SmddResult:
 def smdd_exact(frame: Frame, x, l: int, budget: int = DEFAULT_BUDGET) -> SmddResult:
     """Exact sparsity-constrained minimum distortion by full enumeration.
 
-    Minimizes ||x - proj||^2 over all size-l supports, visited in
-    lexicographic order; ties within TIE_TOL are broken toward the
-    first, i.e. lexicographically smallest, support.  Raises
-    BudgetExceeded when C(M, l) exceeds the subset budget.
+    Minimizes ||x - proj||^2 over all size-l supports; ties within TIE_TOL
+    of the minimum are broken toward the lexicographically smallest
+    support.  Raises BudgetExceeded when C(M, l) exceeds the subset budget.
     """
     xs = _signals(frame, np.ravel(x)[None, :], l)
     x = xs[0]
     if l == 0:
         return SmddResult((), float(np.vdot(x, x).real), False)
     norm = np.einsum("sn,sn->s", xs, xs.conj()).real[0]
-    # One residual per support: ties are judged against the global minimum.
-    res = np.concatenate([np.maximum(norm - energy[0], 0.0)
-                          for _, energy in _energies(frame, xs, l, budget)])
+    rotated, blocks = _energies(frame, xs, l, budget)
+    # Ties are judged against the global minimum, so every support within
+    # slack of the running minimum is kept.  Rotated residuals, a few ulp
+    # off their own, are re-scored before the tie rule: 2 * TIE_TOL keeps
+    # every support that can tie once re-scored.
+    slack = 2 * TIE_TOL if rotated else TIE_TOL
+    res, supports = np.empty(0), np.empty((0, l), dtype=np.intp)
+    for _, block, energy in blocks:
+        res = np.concatenate([res, np.maximum(norm - energy[0], 0.0)])
+        supports = np.concatenate([supports, block])
+        near = res <= res.min() + slack
+        res, supports = res[near], supports[near]
+    if rotated:
+        supports = np.unique(supports, axis=0)
+        res = np.maximum(norm - _own_energies(frame.matrix, xs[[0] * len(supports)], supports), 0.0)
+    # Unrotated blocks come in lexicographic order, and np.unique sorts.
     cand = np.flatnonzero(res <= res.min() + TIE_TOL)
     pick = int(cand[0])
-    support = next(itertools.islice(itertools.combinations(range(frame.m), l), pick, None))
-    return SmddResult(tuple(i + 1 for i in support), float(res[pick]), bool(cand.size > 1))
+    return SmddResult(tuple(int(i) + 1 for i in supports[pick]), float(res[pick]),
+                      bool(cand.size > 1))
 
 
 def smdd_residuals(frame: Frame, X, l: int, budget: int = DEFAULT_BUDGET) -> np.ndarray:
     """smdd_exact's squared residual for each row of the (S, N) batch X: the
     norm less the largest projection energy over supports, kept as a running
-    maximum while they are scored block by block.  Raises BudgetExceeded when
-    C(M, l) exceeds the subset budget."""
+    maximum while they are scored block by block.  On rotated blocks the
+    support that gave it is kept too and re-scored with its own SVD.
+    Raises BudgetExceeded when C(M, l) exceeds the subset budget."""
     X = _signals(frame, X, l)
     norms = np.einsum("sn,sn->s", X, X.conj()).real
     if l == 0:
         return norms
     top = np.full(X.shape[0], -np.inf)
-    for rows, energy in _energies(frame, X, l, budget):
-        top[rows] = np.maximum(top[rows], energy.max(axis=1))
-        del energy      # before the next chunk is scored
+    rotated, blocks = _energies(frame, X, l, budget)
+    winners = np.zeros((X.shape[0], l), dtype=np.intp) if rotated else None
+    for rows, supports, energy in blocks:
+        # Each branch drops the chunk's energies before the next is scored.
+        if rotated:
+            best = energy.argmax(axis=1)
+            energy = energy[np.arange(len(best)), best]
+            better = energy > top[rows]
+            winners[rows][better] = supports[best[better]]
+        else:
+            energy = energy.max(axis=1)
+        top[rows] = np.maximum(top[rows], energy)
+    if rotated:
+        top = _own_energies(frame.matrix, X, winners)
     return np.maximum(norms - top, 0.0)
 
 

@@ -258,6 +258,16 @@ def spy_gram_features(monkeypatch):
     return calls
 
 
+def spy_block_weights(monkeypatch):
+    """Record the number of supports SVD'd by every call of _block_weights."""
+    calls = []
+    weights = montecarlo._block_weights
+    monkeypatch.setattr(montecarlo, "_block_weights",
+                        lambda matrix, supports, *rest: calls.append(len(supports))
+                        or weights(matrix, supports, *rest))
+    return calls
+
+
 @pytest.mark.parametrize("m,n", [(9, 3), (12, 10)])
 @pytest.mark.parametrize("kind", ["gaussian", "duplicated"])
 def test_support_energies_match_projection_residual(m, n, kind, monkeypatch):
@@ -268,11 +278,14 @@ def test_support_energies_match_projection_residual(m, n, kind, monkeypatch):
     gram_calls = spy_gram_features(monkeypatch)
     for l in (1, 2, 3):
         gram_calls.clear()
-        blocks = list(montecarlo._energies(frame, X, l, montecarlo.DEFAULT_BUDGET))
+        rotated, blocks = montecarlo._energies(frame, X, l, montecarlo.DEFAULT_BUDGET)
+        blocks = list(blocks)
+        assert not rotated
         assert bool(gram_calls) == (n <= 4 * l)
-        assert all(len(X[rows]) == len(X) for rows, _ in blocks)
-        energies = np.concatenate([energy for _, energy in blocks], axis=1)
+        assert all(len(X[rows]) == len(X) for rows, _, _ in blocks)
+        energies = np.concatenate([energy for _, _, energy in blocks], axis=1)
         supports = [list(s) for s in itertools.combinations(range(m), l)]
+        assert np.concatenate([block for _, block, _ in blocks]).tolist() == supports
         assert energies.shape == (len(X), math.comb(m, l))
         for x, energy in zip(X, energies):
             norm = float(np.vdot(x, x).real)
@@ -310,6 +323,96 @@ def test_kernel_matches_stacked_reference_on_mc_enum_cell(monkeypatch):
         assert abs(got.residual_sq - residual_sq) <= 2e-15
 
 
+@pytest.mark.parametrize("m,l,orbits", [(8, 4, 10), (12, 1, 1), (12, 6, 80), (32, 4, 1128)])
+def test_orbit_representatives_cover_every_support_once(m, l, orbits):
+    reps = montecarlo._orbit_representatives(m, l)
+    assert reps.shape == (orbits, l)
+    assert reps.tolist() == sorted(reps.tolist())
+    covered = set()
+    for rep in reps.tolist():
+        orbit = {tuple(sorted((j + s) % m for j in rep)) for s in range(m)}
+        assert min(orbit) == tuple(rep)          # its own smallest rotation
+        assert not orbit & covered               # in no other representative's orbit
+        covered |= orbit
+    assert covered == set(itertools.combinations(range(m), l))
+    if (m, l) == (8, 4):
+        assert [0, 2, 4, 6] in reps.tolist()     # a support of stabilizer {0, 2, 4, 6}
+
+
+@pytest.mark.parametrize("n,m,weights", [(6, 12, (1, 2, 3, 4)), (8, 16, (1, 2, 3, 4)),
+                                         (12, 24, (1, 2))])
+def test_orbit_energies_match_projection_residual(n, m, weights, monkeypatch):
+    # Stacked bases at (6, 12, 1), (8, 16, 1) and (12, 24, 1..2), Gram weights otherwise.
+    frame = roots_frame(n, m)
+    X = vf.sample_sphere_batch(n, 3, seed=(47, m)) * np.array([[1.0], [0.5], [3.0]])
+    gram_calls = spy_gram_features(monkeypatch)
+    for l in weights:
+        gram_calls.clear()
+        rotated, blocks = montecarlo._energies(frame, X, l, montecarlo.DEFAULT_BUDGET)
+        blocks = list(blocks)
+        assert rotated
+        assert bool(gram_calls) == (n <= 4 * l)
+        assert all(len(X[rows]) == len(X) for rows, _, _ in blocks)
+        supports = np.concatenate([block for _, block, _ in blocks])
+        energies = np.concatenate([energy for _, _, energy in blocks], axis=1)
+        assert {tuple(s) for s in supports.tolist()} == set(itertools.combinations(range(m), l))
+        norms = np.einsum("sn,sn->s", X, X.conj()).real
+        direct = {}
+        for support, energy in zip(supports.tolist(), energies.T):
+            key = tuple(support)
+            if key not in direct:
+                direct[key] = [vf.projection_residual(frame.matrix[support], x) for x in X]
+            np.testing.assert_allclose(np.maximum(norms - energy, 0.0), direct[key], rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n,m,l,support,residual_sq", [
+    (4, 8, 2, (1, 2), 0.3458046856729622),
+    (6, 12, 3, (1, 2, 3), 0.2326101735826791),
+    (8, 32, 4, (1, 2, 3, 4), 0.116347560409652),
+])
+def test_rotation_ties_break_as_the_full_search_does(n, m, l, support, residual_sq, monkeypatch):
+    # x = e_0 is fixed by every shift's phases, so each shift of a support
+    # ties with it; the values are those of the search over every support.
+    x = np.eye(n, dtype=complex)[0]
+    calls = spy_block_weights(monkeypatch)
+    got = vf.smdd_exact(roots_frame(n, m), x, l)
+    assert sum(calls) < math.comb(m, l)
+    assert got.support == support and got.ties_broken
+    assert abs(got.residual_sq - residual_sq) <= 1e-15
+
+
+def test_orbit_search_svds_representatives_and_winners(monkeypatch):
+    # The mc-enum cell: R = 1128 representatives against C(32, 4) = 35960
+    # supports, and one SVD per distinct winner re-scored.
+    frame = roots_frame(8, 32)
+    X = vf.sample_sphere_batch(8, 1000, seed=(1, 2))
+    calls = spy_block_weights(monkeypatch)
+    vf.smdd_residuals(frame, X, 4)
+    assert sum(calls) <= 1128 + len(X)
+    calls.clear()
+    vf.smdd_exact(frame, X[0], 4)
+    assert sum(calls) <= 1128 + 1
+
+
+@pytest.mark.parametrize("frame,l,samples,rotated", [
+    (vf.make_gaussian_frame(16, 6, seed=3), 3, 5, False),
+    (vf.make_vandermonde_frame(vf.default_nodes(12) * 1j, 6), 2, 5, False),
+    (roots_frame(6, 12), 2, 66, False),     # S >= C(12, 2)
+    (roots_frame(6, 12), 2, 60, False),     # S + R = C(12, 2) with R = 6 orbits
+    (roots_frame(6, 12), 2, 59, True),
+    (roots_frame(4, 8), 4, 2, False),       # L = N: every support spans and ties
+], ids=["gaussian", "other-nodes", "S>=C", "S+R=C", "S+R<C", "L=N"])
+def test_orbit_path_runs_only_where_it_svds_fewer_supports(frame, l, samples, rotated, monkeypatch):
+    X = vf.sample_sphere_batch(frame.n, samples, seed=(19, samples))
+    assert montecarlo._energies(frame, X, l, montecarlo.DEFAULT_BUDGET)[0] == rotated
+    calls = spy_block_weights(monkeypatch)
+    vf.smdd_residuals(frame, X, l)
+    if rotated:
+        assert sum(calls) <= 6 + samples
+    else:
+        assert sum(calls) == math.comb(frame.m, l)
+
+
 def test_ties_across_support_blocks(monkeypatch):
     # Blocks of 4 supports instead of 2**18 // (L*N), so each pair of tied
     # supports below falls in two blocks.  {1} (residual ~2.5e-13, block 0)
@@ -340,11 +443,22 @@ def test_support_blocks_enumerate_lexicographically():
 def test_exact_search_memory_does_not_grow_with_supports():
     # N=8, L=3 scores blocks of 2**18 // 24 = 10922 supports; C(64, 3) =
     # 41664 and C(80, 3) = 82160 span 4 and 8 of them.  A whole Gram table
-    # would take N^2 * C(M, 3) * 8 bytes: 21 MB and 42 MB.
+    # would take N^2 * C(M, 3) * 8 bytes: 21 MB and 42 MB.  Roots frames
+    # take the orbit path, with blocks of 10922 // M representatives times
+    # M shifts.
+    assert_flat_peak(roots_frame)
+
+
+def test_full_search_memory_does_not_grow_with_supports():
+    # As above on Gaussian frames, which score every support's own SVD.
+    assert_flat_peak(lambda n, m: vf.make_gaussian_frame(m, n, seed=(17, m)))
+
+
+def assert_flat_peak(make_frame):
     X = vf.sample_sphere_batch(8, 20, seed=16)
     peaks = []
     for m in (64, 80):
-        frame = roots_frame(8, m)
+        frame = make_frame(8, m)
         tracemalloc.start()
         try:
             vf.smdd_residuals(frame, X, 3)
