@@ -97,8 +97,11 @@ def cmd_encode(args):
     frame, source = _resolve_frame(args, seed)
     if args.rep_json:
         obj = json.loads(args.rep_json)
+        support = frames.json_field(obj, "support")
+        if not all(isinstance(i, int) and not isinstance(i, bool) for i in support):
+            raise VframeError("'support' must hold 1-based integer indices")
         rep = frames.SparseRep(
-            frame.m, tuple(int(i) for i in obj["support"]), frames.pairs_to_complex(obj["values"])
+            frame.m, tuple(support), frames.pairs_to_complex(frames.json_field(obj, "values"))
         )
     elif args.weight is not None:
         rng = montecarlo.sample_rng(seed, 0)
@@ -124,7 +127,7 @@ def _read_signal(args):
     elif args.signal_file:
         with open(args.signal_file, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
-        pairs = obj["signal"] if isinstance(obj, dict) else obj
+        pairs = frames.json_field(obj, "signal") if isinstance(obj, dict) else obj
     else:
         raise VframeError("provide --signal-json or --signal-file")
     return frames.pairs_to_complex(pairs)
@@ -147,8 +150,10 @@ def cmd_decode(args):
 
 
 def cmd_roundtrip(args):
+    if args.trials < 0:
+        raise VframeError(f"--trials must be >= 0, got {args.trials}")
     seed = _resolve_seed(args.seed)
-    frame = frames.make_vandermonde_frame(frames.default_nodes(args.m), args.n)
+    frame = _build_frame("vandermonde", args.n, args.m, seed)
     successes = 0
     statuses: dict[str, int] = {}
     max_rel_error = 0.0
@@ -294,6 +299,8 @@ def _sweep_progress(path):
 
 
 def cmd_sweep(args):
+    if args.samples < 0:
+        raise VframeError(f"--samples must be >= 0, got {args.samples}")
     if args.resume and not args.out:
         raise VframeError("--resume needs --out")
     # Appended rows must share the file's config: take its seed when
@@ -345,7 +352,7 @@ def cmd_sweep(args):
             report, row = _bound_row(inp)
             if args.samples > 0:
                 if frame is None or (frame.n, frame.m) != (inp.n, inp.m):
-                    frame = frames.make_vandermonde_frame(frames.default_nodes(inp.m), inp.n)
+                    frame = _build_frame("vandermonde", inp.n, inp.m, seed)
                 # Every (M, L) cell of one N scores the same (N, samples, seed)
                 # stream and cells are N-major, so the first cell of an N with
                 # L >= 1 draws the batch and the others reuse it.

@@ -231,6 +231,16 @@ def synthesize(frame: Frame, rep) -> np.ndarray:
     return c @ frame.matrix
 
 
+def support_blocks(m: int, l: int, size: int):
+    """Size-l subsets of range(m) in lexicographic order, as (B, l) arrays of <= size rows."""
+    combos = itertools.combinations(range(m), l)
+    count = math.comb(m, l)
+    for start in range(0, count, size):
+        rows = min(size, count - start)
+        flat = itertools.chain.from_iterable(itertools.islice(combos, rows))
+        yield np.fromiter(flat, dtype=np.intp, count=rows * l).reshape(rows, l)
+
+
 def check_condition_I(frame: Frame, budget: int = CONDITION_BUDGET):
     """Check that every N-row submatrix of the frame is non-singular.
 
@@ -242,18 +252,12 @@ def check_condition_I(frame: Frame, budget: int = CONDITION_BUDGET):
     total = math.comb(m, n)
     if total > budget:
         raise BudgetExceeded(f"C({m},{n}) = {total} exceeds budget {budget}")
-    combos = itertools.combinations(range(m), n)
-    chunk = 4096
-    while True:
-        batch = list(itertools.islice(combos, chunk))
-        if not batch:
-            return True, None
-        subs = frame.matrix[np.asarray(batch)]          # (B, n, n)
-        s = np.linalg.svd(subs, compute_uv=False)       # (B, n)
+    for batch in support_blocks(m, n, 4096):
+        s = np.linalg.svd(frame.matrix[batch], compute_uv=False)    # (B, n)
         bad = np.nonzero(s[:, -1] <= SINGULAR_REL_TOL * s[:, 0])[0]
         if bad.size:
-            witness = tuple(i + 1 for i in batch[int(bad[0])])
-            return False, witness
+            return False, tuple(int(i) + 1 for i in batch[bad[0]])
+    return True, None
 
 
 def null_vector_on_support(frame: Frame, rows) -> SparseRep:
@@ -296,8 +300,27 @@ def complex_to_pairs(a) -> list:
 
 
 def pairs_to_complex(pairs) -> np.ndarray:
-    """1-D complex array from [[re, im], ...]."""
-    return np.array([complex(p[0], p[1]) for p in pairs], dtype=complex)
+    """1-D complex array from [[re, im], ...].  Raises ValueError on
+    anything but a list of two-number lists."""
+    if not isinstance(pairs, list) or not all(
+        isinstance(p, list) and len(p) == 2
+        and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in p)
+        for p in pairs
+    ):
+        raise ValueError("expected a list of [re, im] number pairs")
+    return np.array([complex(re, im) for re, im in pairs], dtype=complex)
+
+
+def json_field(obj, key: str, kind: type = list):
+    """obj[key] of a parsed JSON object, checked to be of type kind (bool
+    is not an int).  Raises ValueError when obj is not an object, lacks
+    key, or holds another type there."""
+    if not isinstance(obj, dict) or key not in obj:
+        raise ValueError(f"expected a JSON object with key {key!r}")
+    value = obj[key]
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise ValueError(f"{key!r} must be a JSON {'array' if kind is list else kind.__name__}")
+    return value
 
 
 def frame_to_json(frame: Frame) -> dict:
@@ -315,11 +338,14 @@ def frame_to_json(frame: Frame) -> dict:
 
 
 def frame_from_json(obj: dict) -> Frame:
-    kind = obj.get("kind")
+    """Frame from frame_to_json's schema; ValueError on a malformed one."""
+    kind = json_field(obj, "kind", str)
     if kind == VANDERMONDE:
-        return make_vandermonde_frame(pairs_to_complex(obj["nodes"]), int(obj["n"]))
+        return make_vandermonde_frame(pairs_to_complex(json_field(obj, "nodes")),
+                                      json_field(obj, "n", int))
     if kind == GENERAL:
-        return make_general_frame(np.array([pairs_to_complex(row) for row in obj["rows"]]))
+        rows = [pairs_to_complex(row) for row in json_field(obj, "rows")]
+        return make_general_frame(np.array(rows))
     raise ValueError(f"unknown frame kind {kind!r}")
 
 

@@ -23,20 +23,14 @@ Where the weights come from: on most frames, one SVD per support, C(M, L)
 in all.  On the default frame, whose nodes z_j are the M-th roots of
 unity (default_nodes), shifting a support by s multiplies its rows by
 the phases D_s = diag(z_s^k), the frame's row s, so G_{S+s} = D_s G_S
-D_s^H.  Only the R orbit representatives (each orbit's lexicographically
-smallest shift, about C(M, L) / M of them) are SVD'd; a block holds a
-slice of them times all M shifts, its weights rotated by an elementwise
-phase multiply.  Rotated energies differ from a support's own by a few
-ulp, so what a search returns is re-scored with its own SVD:
-smdd_residuals re-scores each sample's winning support (one SVD per
-distinct winner), smdd_exact every support within 2 * TIE_TOL of the
-rotated minimum before it applies the TIE_TOL rule.  So smdd_residuals
-on S samples runs at most R + S SVDs against C(M, L), and smdd_exact R
-plus one per near-tie.  A search of S samples takes this path exactly
-when S + R < C(M, L) and L < N, with no option to set: 1,128 + 1,000
-against 35,960 at N=8, M=32, L=4, with 1,000 samples.  At L >= N every
-support spans C^N and ties, so smdd_exact would re-score them all and
-smdd_residuals would lose the per-support path's exact zeros.
+D_s^H.  There, for L < N, only the R orbit representatives (each orbit's
+lexicographically smallest shift, about C(M, L) / M of them) are SVD'd;
+a block holds a slice of them times all M shifts, its weights rotated
+by an elementwise phase multiply.  The frame and L alone choose the
+path, and both searches read the rotated energies as they come: a
+rotated residual differs from the per-support one by a few ulp (at most
+3.1e-15 measured, on the N=8, M=32, L=4 cell).  At L >= N every support
+spans C^N and ties, so the per-support path keeps its exact zeros.
 
 Distortion is accumulated per sample as the *relative* squared
 residual ||x - proj||^2 / ||x||^2.  On the unit sphere the two agree
@@ -57,7 +51,6 @@ per cell with estimate_from_samples.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -65,7 +58,7 @@ import numpy as np
 
 from .bounds import BoundReport
 from .errors import BudgetExceeded, ConfigMismatch, DomainError
-from .frames import SINGULAR_REL_TOL, Frame, default_nodes, frame_id
+from .frames import SINGULAR_REL_TOL, Frame, default_nodes, frame_id, support_blocks
 
 # Residuals within this of the minimum count as ties (broken toward the
 # lexicographically smallest support).
@@ -225,16 +218,6 @@ def projection_residual(rows, x) -> float:
     return max(norm_sq - float(np.vdot(coeffs, coeffs).real), 0.0)
 
 
-def _support_blocks(m: int, l: int, size: int):
-    """Size-l subsets of range(m) in lexicographic order, as (B, l) arrays of <= size rows."""
-    combos = itertools.combinations(range(m), l)
-    count = math.comb(m, l)
-    for start in range(0, count, size):
-        rows = min(size, count - start)
-        flat = itertools.chain.from_iterable(itertools.islice(combos, rows))
-        yield np.fromiter(flat, dtype=np.intp, count=rows * l).reshape(rows, l)
-
-
 def _orbit_representatives(m: int, l: int) -> np.ndarray:
     """(R, l) array, in lexicographic order, of the size-l subsets of range(m)
     (l >= 1) that are the lexicographically smallest of their cyclic shifts
@@ -245,7 +228,7 @@ def _orbit_representatives(m: int, l: int) -> np.ndarray:
     that move another of its elements to 0 is smaller.
     """
     kept = []
-    for tails in _support_blocks(m - 1, l - 1, max(1, 2**18 // l)):
+    for tails in support_blocks(m - 1, l - 1, max(1, 2**18 // l)):
         cand = np.concatenate([np.zeros((len(tails), 1), dtype=np.intp), tails + 1], axis=1)
         keep = np.ones(len(cand), dtype=bool)
         for i in range(1, l):
@@ -324,17 +307,16 @@ def _energies(frame: Frame, X: np.ndarray, l: int, budget: int):
     """Projection energies ||P_S x||^2 of the (S, N) batch X on every size-l
     support S (l >= 1), one block of supports at a time.
 
-    Returns (rotated, blocks).  blocks yields (rows, supports, energy): a
-    slice of X, a (B, l) block of supports, each sorted, and the
-    (len(rows), B) energies of those rows on them.  Without rotation the
-    blocks hold B = 2**18 // (l*N) supports each, in lexicographic order,
-    every support once, its weights from its own SVD.  rotated is set
-    when l < N, the frame's nodes are default_nodes(M) and S + R < C(M, l)
-    for its R orbit representatives: the blocks then come from _orbit_blocks
-    (a support of a nontrivial stabilizer appears more than once), and
-    the energies differ from each support's own by a few ulp, so callers
-    re-score what they return with _own_energies.  Every GEMM makes at
-    most 2**21 energies (or projections, for the stacked bases).  Raises
+    Yields (rows, supports, energy): a slice of X, a (B, l) block of
+    supports, each sorted, and the (len(rows), B) energies of those rows
+    on them.  When l < N and the frame's nodes are default_nodes(M), the
+    blocks come from _orbit_blocks: the weights of each shift are a phase
+    rotation of its representative's, so the energies may differ from a
+    support's own SVD by a few ulp, and a support whose shifts fix it
+    appears once per such shift.  Otherwise the blocks hold B =
+    2**18 // (l*N) supports each, in lexicographic order, every support
+    once, its weights from its own SVD.  Every GEMM makes at most 2**21
+    energies (or projections, for the stacked bases).  Raises
     BudgetExceeded when C(M, l) exceeds the budget.
     """
     count = math.comb(frame.m, l)
@@ -342,16 +324,11 @@ def _energies(frame: Frame, X: np.ndarray, l: int, budget: int):
         raise BudgetExceeded(f"C({frame.m},{l}) = {count} exceeds budget {budget}")
     m, n = frame.matrix.shape
     width = max(1, 2**18 // (l * n))
-    reps = None
-    if l < n and len(X) < count and np.array_equal(frame.nodes, default_nodes(m)):
-        reps = _orbit_representatives(m, l)
-        if len(X) + len(reps) >= count:
-            reps = None
-    if reps is None:
-        blocks = ((s, _block_weights(frame.matrix, s)) for s in _support_blocks(m, l, width))
+    if l < n and np.array_equal(frame.nodes, default_nodes(m)):
+        blocks = _orbit_blocks(frame.matrix, _orbit_representatives(m, l), width)
     else:
-        blocks = _orbit_blocks(frame.matrix, reps, width)
-    return reps is not None, _scored(X, blocks)
+        blocks = ((s, _block_weights(frame.matrix, s)) for s in support_blocks(m, l, width))
+    return _scored(X, blocks)
 
 
 def _scored(X: np.ndarray, blocks):
@@ -374,28 +351,6 @@ def _chunk_energies(xs: np.ndarray, weights: np.ndarray, l: int) -> np.ndarray:
     for j in range(l):
         energy += proj[:, j].real ** 2 + proj[:, j].imag ** 2
     return energy
-
-
-def _own_energies(matrix: np.ndarray, X: np.ndarray, supports: np.ndarray) -> np.ndarray:
-    """Energy of each row of the (S, N) batch X on the sorted support in the
-    same row of the (S, l) supports, from that support's own SVD: one per
-    distinct support.
-
-    Each 64 rows are scored in one GEMM against the distinct supports among
-    them: on OpenBLAS (x86-64) products that size reproduced the blocks'
-    residuals bit for bit at N=8, M=32, L=4, where products of 16 rows or
-    fewer rounded differently.
-    """
-    distinct, inverse = np.unique(supports, axis=0, return_inverse=True)
-    weights = _block_weights(matrix, distinct)
-    per_support = weights.reshape(len(weights), -1, len(distinct))
-    out = np.empty(len(X))
-    for start in range(0, len(X), 64):
-        rows = slice(start, start + 64)
-        cols, local = np.unique(inverse[rows], return_inverse=True)
-        block = per_support[:, :, cols].reshape(len(weights), -1)
-        out[rows] = _chunk_energies(X[rows], block, supports.shape[1])[np.arange(len(local)), local]
-    return out
 
 
 def _signals(frame: Frame, X, l: int) -> np.ndarray:
@@ -433,22 +388,19 @@ def smdd_exact(frame: Frame, x, l: int, budget: int = DEFAULT_BUDGET) -> SmddRes
     if l == 0:
         return SmddResult((), float(np.vdot(x, x).real), False)
     norm = np.einsum("sn,sn->s", xs, xs.conj()).real[0]
-    rotated, blocks = _energies(frame, xs, l, budget)
     # Ties are judged against the global minimum, so every support within
-    # slack of the running minimum is kept.  Rotated residuals, a few ulp
-    # off their own, are re-scored before the tie rule: 2 * TIE_TOL keeps
-    # every support that can tie once re-scored.
-    slack = 2 * TIE_TOL if rotated else TIE_TOL
+    # TIE_TOL of the running minimum is kept.
     res, supports = np.empty(0), np.empty((0, l), dtype=np.intp)
-    for _, block, energy in blocks:
+    for _, block, energy in _energies(frame, xs, l, budget):
         res = np.concatenate([res, np.maximum(norm - energy[0], 0.0)])
         supports = np.concatenate([supports, block])
-        near = res <= res.min() + slack
+        near = res <= res.min() + TIE_TOL
         res, supports = res[near], supports[near]
-    if rotated:
-        supports = np.unique(supports, axis=0)
-        res = np.maximum(norm - _own_energies(frame.matrix, xs[[0] * len(supports)], supports), 0.0)
-    # Unrotated blocks come in lexicographic order, and np.unique sorts.
+    # Orbit blocks repeat the supports their shifts fix and come in shift
+    # order: np.unique keeps each support's first residual and sorts them
+    # lexicographically (a no-op on the lexicographic per-support blocks).
+    supports, first = np.unique(supports, axis=0, return_index=True)
+    res = res[first]
     cand = np.flatnonzero(res <= res.min() + TIE_TOL)
     pick = int(cand[0])
     return SmddResult(tuple(int(i) + 1 for i in supports[pick]), float(res[pick]),
@@ -458,28 +410,17 @@ def smdd_exact(frame: Frame, x, l: int, budget: int = DEFAULT_BUDGET) -> SmddRes
 def smdd_residuals(frame: Frame, X, l: int, budget: int = DEFAULT_BUDGET) -> np.ndarray:
     """smdd_exact's squared residual for each row of the (S, N) batch X: the
     norm less the largest projection energy over supports, kept as a running
-    maximum while they are scored block by block.  On rotated blocks the
-    support that gave it is kept too and re-scored with its own SVD.
-    Raises BudgetExceeded when C(M, l) exceeds the subset budget."""
+    maximum while they are scored block by block.  Raises BudgetExceeded
+    when C(M, l) exceeds the subset budget."""
     X = _signals(frame, X, l)
     norms = np.einsum("sn,sn->s", X, X.conj()).real
     if l == 0:
         return norms
     top = np.full(X.shape[0], -np.inf)
-    rotated, blocks = _energies(frame, X, l, budget)
-    winners = np.zeros((X.shape[0], l), dtype=np.intp) if rotated else None
-    for rows, supports, energy in blocks:
-        # Each branch drops the chunk's energies before the next is scored.
-        if rotated:
-            best = energy.argmax(axis=1)
-            energy = energy[np.arange(len(best)), best]
-            better = energy > top[rows]
-            winners[rows][better] = supports[best[better]]
-        else:
-            energy = energy.max(axis=1)
+    for rows, _, energy in _energies(frame, X, l, budget):
+        # Rebinding drops the chunk's energies before the next is scored.
+        energy = energy.max(axis=1)
         top[rows] = np.maximum(top[rows], energy)
-    if rotated:
-        top = _own_energies(frame.matrix, X, winners)
     return np.maximum(norms - top, 0.0)
 
 

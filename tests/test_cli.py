@@ -118,6 +118,37 @@ def test_decode_non_finite_signal_is_an_input_error(capsys):
     assert err == "error: signal must be finite, with a finite norm\n"
 
 
+
+@pytest.mark.parametrize("argv", [
+    ["encode", "--n", "2", "--m", "4", "--rep-json", '{"values": []}'],
+    ["encode", "--n", "2", "--m", "4", "--rep-json", '{"support": [null], "values": [[1, 0]]}'],
+    ["encode", "--n", "2", "--m", "4", "--rep-json", '{"support": [1], "values": [1]}'],
+    ["decode", "--n", "2", "--m", "4", "--signal-json", "[1, 2, 3, 4]"],
+    ["decode", "--n", "2", "--m", "4", "--signal-json", '{"a": 1}'],
+    ["decode", "--n", "2", "--m", "4", "--signal-json", '[[1, "a"], [0, 0]]'],
+], ids=["rep-without-support", "support-not-ints", "values-not-pairs",
+        "signal-not-pairs", "signal-object-without-signal", "signal-pair-not-numbers"])
+def test_malformed_json_input_is_an_input_error(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("text", [
+    '{"kind": "vandermonde", "n": 2}',
+    '{"kind": "vandermonde", "n": null, "nodes": [[1, 0], [-1, 0]]}',
+    '{"kind": "general", "rows": 5}',
+    '{"n": 2, "nodes": [[1, 0], [-1, 0]]}',
+    "[1, 2]",
+], ids=["no-nodes", "n-not-int", "rows-not-list", "no-kind", "not-an-object"])
+def test_malformed_frame_file_is_an_input_error(tmp_path, capsys, text):
+    path = tmp_path / "frame.json"
+    path.write_text(text)
+    code, out, err = run(capsys, ["decode", "--frame", str(path), "--signal-json", "[[1, 0], [0, 0]]"])
+    assert code == 1 and out == ""
+    assert err.startswith("error:")
+
+
 def test_usage_error_exit_code_two():
     with pytest.raises(SystemExit) as exc:
         cli.main(["decode", "--n", "2", "--m", "4", "--bogus-flag", "1"])
@@ -145,6 +176,14 @@ def test_roundtrip_summary(capsys):
     assert obj["statuses"] == {"ok": 100}
     assert obj["max_value_rel_error"] <= 1e-6
     assert obj["config"]["seed"] == 7
+
+
+
+def test_roundtrip_refuses_a_negative_trial_count(capsys):
+    code, out, err = run(capsys, ["roundtrip", "--n", "4", "--m", "8", "--weight", "1",
+                                  "--trials", "-1", "--seed", "1"])
+    assert code == 1 and out == ""
+    assert "--trials" in err
 
 
 # -- bound -----------------------------------------------------------------------
@@ -363,6 +402,16 @@ def test_sweep_checks_every_cell_before_writing(tmp_path, capsys):
 def test_sweep_resume_requires_out(capsys):
     code, _, err = run(capsys, ["sweep", "--n-list", "3", "--resume"])
     assert code == 1 and "error:" in err
+
+
+
+def test_sweep_refuses_a_negative_sample_count(tmp_path, capsys):
+    code, out, err = run(capsys, ["sweep", "--n-list", "3", "--samples", "-5", "--seed", "1"])
+    assert code == 1 and out == ""
+    assert "--samples" in err
+    out_path = tmp_path / "sweep.csv"
+    code, _, _ = run(capsys, ["sweep", "--n-list", "3", "--samples", "-5", "--out", str(out_path)])
+    assert code == 1 and not out_path.exists()
 
 
 SWEEP_4 = ["sweep", "--n-list", "4", "--m-factors", "2", "--samples", "50"]

@@ -7,7 +7,7 @@ import pytest
 from scipy import stats
 
 import vframe as vf
-from vframe import montecarlo
+from vframe import frames, montecarlo
 from vframe.errors import BudgetExceeded, ConfigMismatch, DomainError
 
 
@@ -278,9 +278,7 @@ def test_support_energies_match_projection_residual(m, n, kind, monkeypatch):
     gram_calls = spy_gram_features(monkeypatch)
     for l in (1, 2, 3):
         gram_calls.clear()
-        rotated, blocks = montecarlo._energies(frame, X, l, montecarlo.DEFAULT_BUDGET)
-        blocks = list(blocks)
-        assert not rotated
+        blocks = list(montecarlo._energies(frame, X, l, montecarlo.DEFAULT_BUDGET))
         assert bool(gram_calls) == (n <= 4 * l)
         assert all(len(X[rows]) == len(X) for rows, _, _ in blocks)
         energies = np.concatenate([energy for _, _, energy in blocks], axis=1)
@@ -346,11 +344,12 @@ def test_orbit_energies_match_projection_residual(n, m, weights, monkeypatch):
     frame = roots_frame(n, m)
     X = vf.sample_sphere_batch(n, 3, seed=(47, m)) * np.array([[1.0], [0.5], [3.0]])
     gram_calls = spy_gram_features(monkeypatch)
+    svd_calls = spy_block_weights(monkeypatch)
     for l in weights:
         gram_calls.clear()
-        rotated, blocks = montecarlo._energies(frame, X, l, montecarlo.DEFAULT_BUDGET)
-        blocks = list(blocks)
-        assert rotated
+        svd_calls.clear()
+        blocks = list(montecarlo._energies(frame, X, l, montecarlo.DEFAULT_BUDGET))
+        assert sum(svd_calls) == len(montecarlo._orbit_representatives(m, l))
         assert bool(gram_calls) == (n <= 4 * l)
         assert all(len(X[rows]) == len(X) for rows, _, _ in blocks)
         supports = np.concatenate([block for _, block, _ in blocks])
@@ -381,36 +380,50 @@ def test_rotation_ties_break_as_the_full_search_does(n, m, l, support, residual_
     assert abs(got.residual_sq - residual_sq) <= 1e-15
 
 
-def test_orbit_search_svds_representatives_and_winners(monkeypatch):
+def test_orbit_ties_break_toward_the_lexicographically_smallest_support():
+    # x lies in the spans of rows {1, 6} and of rows {2, 3} (1-based) of
+    # roots(3, 8), so both fit it exactly.  The orbit blocks score {2, 3}
+    # (shift 1 of {1, 2}) before {1, 6} (shift 5 of {1, 4}); the tie still
+    # goes to {1, 6}, as in the lexicographic search.
+    frame = roots_frame(3, 8)
+    null = vf.null_vector_on_support(frame, [1, 2, 3, 6])
+    x = null.values[[0, 3]] @ frame.matrix[[0, 5]]
+    got = vf.smdd_exact(frame, x, 2)
+    assert got.support == (1, 6) and got.ties_broken
+    assert got.residual_sq <= 1e-12
+
+
+def test_orbit_search_svds_only_the_representatives(monkeypatch):
     # The mc-enum cell: R = 1128 representatives against C(32, 4) = 35960
-    # supports, and one SVD per distinct winner re-scored.
+    # supports, and no winner re-scored.
     frame = roots_frame(8, 32)
     X = vf.sample_sphere_batch(8, 1000, seed=(1, 2))
     calls = spy_block_weights(monkeypatch)
     vf.smdd_residuals(frame, X, 4)
-    assert sum(calls) <= 1128 + len(X)
+    assert sum(calls) == 1128
     calls.clear()
     vf.smdd_exact(frame, X[0], 4)
-    assert sum(calls) <= 1128 + 1
+    assert sum(calls) == 1128
 
 
 @pytest.mark.parametrize("frame,l,samples,rotated", [
     (vf.make_gaussian_frame(16, 6, seed=3), 3, 5, False),
     (vf.make_vandermonde_frame(vf.default_nodes(12) * 1j, 6), 2, 5, False),
-    (roots_frame(6, 12), 2, 66, False),     # S >= C(12, 2)
-    (roots_frame(6, 12), 2, 60, False),     # S + R = C(12, 2) with R = 6 orbits
+    (roots_frame(6, 12), 2, 66, True),      # S >= C(12, 2)
+    (roots_frame(6, 12), 2, 60, True),      # S + R = C(12, 2) with R = 6 orbits
     (roots_frame(6, 12), 2, 59, True),
     (roots_frame(4, 8), 4, 2, False),       # L = N: every support spans and ties
 ], ids=["gaussian", "other-nodes", "S>=C", "S+R=C", "S+R<C", "L=N"])
 def test_orbit_path_runs_only_where_it_svds_fewer_supports(frame, l, samples, rotated, monkeypatch):
+    # The frame's nodes and L choose the path, whatever the batch size.
     X = vf.sample_sphere_batch(frame.n, samples, seed=(19, samples))
-    assert montecarlo._energies(frame, X, l, montecarlo.DEFAULT_BUDGET)[0] == rotated
     calls = spy_block_weights(monkeypatch)
+    expected = len(montecarlo._orbit_representatives(frame.m, l)) if rotated else math.comb(frame.m, l)
     vf.smdd_residuals(frame, X, l)
-    if rotated:
-        assert sum(calls) <= 6 + samples
-    else:
-        assert sum(calls) == math.comb(frame.m, l)
+    assert sum(calls) == expected
+    calls.clear()
+    vf.smdd_exact(frame, X[0], l)
+    assert sum(calls) == expected
 
 
 def test_ties_across_support_blocks(monkeypatch):
@@ -425,8 +438,8 @@ def test_ties_across_support_blocks(monkeypatch):
          np.array([1.0, 1.0, 0.0]) / math.sqrt(2), 2, (1, 4)),
     ]
     unpatched = [vf.smdd_residuals(frame, x[None, :], l) for frame, x, l, _ in cases]
-    blocks = montecarlo._support_blocks
-    monkeypatch.setattr(montecarlo, "_support_blocks", lambda m, l, size: blocks(m, l, 4))
+    blocks = montecarlo.support_blocks
+    monkeypatch.setattr(montecarlo, "support_blocks", lambda m, l, size: blocks(m, l, 4))
     for (frame, x, l, support), residuals in zip(cases, unpatched):
         got = vf.smdd_exact(frame, x, l)
         assert got.support == support and got.ties_broken
@@ -436,7 +449,7 @@ def test_ties_across_support_blocks(monkeypatch):
 
 def test_support_blocks_enumerate_lexicographically():
     for m, l, size in [(5, 2, 4), (7, 3, 1), (7, 3, 35), (7, 3, 100), (6, 6, 2)]:
-        got = np.concatenate(list(montecarlo._support_blocks(m, l, size)))
+        got = np.concatenate(list(frames.support_blocks(m, l, size)))
         assert got.tolist() == [list(s) for s in itertools.combinations(range(m), l)]
 
 
@@ -467,6 +480,20 @@ def assert_flat_peak(make_frame):
             tracemalloc.stop()
     growth = 64 * (math.comb(80, 3) - math.comb(64, 3)) * 8
     assert peaks[1] - peaks[0] < growth // 10
+
+
+def test_exact_search_keeps_one_chunk_of_energies_at_a_time():
+    # A GEMM makes at most 2**21 energies (16 MB here); each chunk is reduced
+    # and dropped before the next is scored, so the peak stays under two.
+    frame = roots_frame(8, 32)
+    X = vf.sample_sphere_batch(8, 1000, seed=(1, 3))
+    tracemalloc.start()
+    try:
+        vf.smdd_residuals(frame, X, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**21 * 8
 
 
 def test_exact_search_keeps_no_support_table():
