@@ -341,8 +341,10 @@ def frame_from_json(obj: dict) -> Frame:
     """Frame from frame_to_json's schema; ValueError on a malformed one."""
     kind = json_field(obj, "kind", str)
     if kind == VANDERMONDE:
-        return make_vandermonde_frame(pairs_to_complex(json_field(obj, "nodes")),
-                                      json_field(obj, "n", int))
+        nodes = pairs_to_complex(json_field(obj, "nodes"))
+        if json_field(obj, "m", int) != nodes.size:
+            raise ValueError(f"'m' is {obj['m']} but the file lists {nodes.size} nodes")
+        return make_vandermonde_frame(nodes, json_field(obj, "n", int))
     if kind == GENERAL:
         rows = [pairs_to_complex(row) for row in json_field(obj, "rows")]
         return make_general_frame(np.array(rows))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import vframe as vf
-from vframe import cli
+from vframe import cli, montecarlo
 
 
 def run(capsys, argv):
@@ -136,11 +136,14 @@ def test_malformed_json_input_is_an_input_error(capsys, argv):
 
 @pytest.mark.parametrize("text", [
     '{"kind": "vandermonde", "n": 2}',
-    '{"kind": "vandermonde", "n": null, "nodes": [[1, 0], [-1, 0]]}',
+    '{"kind": "vandermonde", "n": null, "m": 2, "nodes": [[1, 0], [-1, 0]]}',
+    '{"kind": "vandermonde", "n": 2, "m": 99, "nodes": [[1, 0], [-1, 0]]}',
+    '{"kind": "vandermonde", "n": 2, "nodes": [[1, 0], [-1, 0]]}',
     '{"kind": "general", "rows": 5}',
     '{"n": 2, "nodes": [[1, 0], [-1, 0]]}',
     "[1, 2]",
-], ids=["no-nodes", "n-not-int", "rows-not-list", "no-kind", "not-an-object"])
+], ids=["no-nodes", "n-not-int", "m-not-node-count", "no-m", "rows-not-list", "no-kind",
+        "not-an-object"])
 def test_malformed_frame_file_is_an_input_error(tmp_path, capsys, text):
     path = tmp_path / "frame.json"
     path.write_text(text)
@@ -318,8 +321,6 @@ def test_sweep_resume_idempotent(tmp_path, capsys):
 
 
 def count_draws(monkeypatch):
-    from vframe import montecarlo
-
     draws = []
     batch = montecarlo.sample_sphere_batch
     monkeypatch.setattr(montecarlo, "sample_sphere_batch",
@@ -349,6 +350,26 @@ def test_sweep_draws_each_n_once_and_matches_per_cell_estimates(tmp_path, capsys
         assert (float(r["est_mean"]), float(r["est_stderr"]), float(r["margin"]), r["passed"]) == (
             est.mean, est.stderr, verdict.margin, str(verdict.passed))
     assert len(draws) == 14
+
+
+def test_sweep_csv_equals_one_drawn_per_sample(tmp_path, capsys, monkeypatch):
+    # The batch sampler's CSV is byte for byte the one of a sampler that
+    # draws every sample from its own freshly built generator.
+    argv = ["sweep", "--n-list", "3,4,6", "--m-factors", "2", "--l", "all",
+            "--samples", "400", "--seed", "4242"]
+    batch_path, reference_path = tmp_path / "batch.csv", tmp_path / "reference.csv"
+    assert run(capsys, argv + ["--out", str(batch_path)])[0] == 0
+
+    def per_sample(n, n_samples, seed):
+        drawn.append(n)
+        return np.array([vf.sample_uniform_sphere(n, vf.sample_rng(seed, i))
+                         for i in range(n_samples)]).reshape(n_samples, n)
+
+    drawn = []
+    monkeypatch.setattr(montecarlo, "sample_sphere_batch", per_sample)
+    assert run(capsys, argv + ["--out", str(reference_path)])[0] == 0
+    assert drawn == [3, 4, 6]
+    assert batch_path.read_bytes() == reference_path.read_bytes()
 
 
 @pytest.mark.parametrize("kept,expected_draws", [(2, [3, 4]), (8, [4]), (9, [4]), (18, [])])

@@ -1,6 +1,8 @@
 import itertools
 import math
+import struct
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -93,15 +95,114 @@ def test_philox_keys_refuse_sample_indices_past_one_word():
         montecarlo._philox_keys(0, 2**32 + 1)
 
 
-@pytest.mark.parametrize("seed", [0, 2**40 + 1, (708, 6, 3), (1, 2, 3, 4, 5)], ids=repr)
+@pytest.mark.parametrize("seed", [0, 2**40 + 1, 2**64 + 3, (708, 6, 3), (1, 2, 3, 4, 5)],
+                         ids=repr)
 def test_sample_batch_rows_equal_per_sample_streams(seed):
-    # The re-keyed generator of sample_sphere_batch reproduces a freshly
-    # built one, bit for bit, in every dimension.
+    # The vectorized draw reproduces a freshly built generator, bit for
+    # bit, in every dimension.
     for n in range(1, 65):
         batch = vf.sample_sphere_batch(n, 6, seed)
         for i, row in enumerate(batch):
             expected = vf.sample_uniform_sphere(n, vf.sample_rng(seed, i))
             assert row.tobytes() == expected.tobytes(), (n, i)
+
+
+@pytest.mark.parametrize("n,seed", [(6, (4, 5)), (montecarlo._FAST_PATH_MAX_N, 2**70)],
+                         ids=repr)
+def test_sample_batch_chunks_and_both_paths_equal_per_sample_streams(n, seed, monkeypatch):
+    # Past one chunk of rows, with rows off the ziggurat fast path (redrawn
+    # by sample_uniform_sphere) and fast rows whose norm is the stacked
+    # matmul.  Rows draw on all 256 ziggurat layers; fast rows on every
+    # layer but layer 1, whose k is 0 so that numpy never accepts it there.
+    rows_per_chunk = montecarlo._CHUNK_WORDS // (4 * -(-n // 2))
+    n_samples = 2 * rows_per_chunk + 7
+    redrawn = set()
+    redraw = montecarlo.sample_uniform_sphere
+
+    def spy(n, rng):
+        redrawn.add(tuple(rng.bit_generator.state["state"]["key"]))
+        return redraw(n, rng)
+
+    monkeypatch.setattr(montecarlo, "sample_uniform_sphere", spy)
+    batch = vf.sample_sphere_batch(n, n_samples, seed)
+    monkeypatch.undo()
+    keys = montecarlo._philox_keys(seed, n_samples)
+    slow = [tuple(key) in redrawn for key in keys]
+    assert 0 < sum(slow) < n_samples
+    layers, fast_layers = set(), set()
+    for i, key in enumerate(keys):
+        expected = vf.sample_uniform_sphere(n, vf.sample_rng(seed, i))
+        assert batch[i].tobytes() == expected.tobytes(), i
+        drawn = set(np.random.Philox(key=key).random_raw(2 * n) & 0xFF)
+        layers |= drawn
+        if not slow[i]:
+            fast_layers |= drawn
+    assert layers == set(range(256))
+    assert fast_layers == set(np.flatnonzero(montecarlo._ZIGGURAT_K)) == layers - {1}
+
+
+@pytest.mark.parametrize("n,n_samples", [(0, 0), (0, 3), (-2, 1), (3, -1)])
+def test_sample_batch_refuses_bad_sizes(n, n_samples):
+    with pytest.raises(DomainError):
+        vf.sample_sphere_batch(n, n_samples, 0)
+    assert vf.sample_sphere_batch(3, 0, 0).shape == (0, 3)
+
+
+def test_philox_words_match_numpy_philox():
+    keys = montecarlo._philox_keys((9, 9), 40)
+    words = montecarlo._philox_words(keys, 5)
+    for key, row in zip(keys, words):
+        assert np.array_equal(row, np.random.Philox(key=key).random_raw(20))
+
+
+def ar_member(path, member):
+    """Bytes of member `member` of the ar archive at `path`."""
+    data = path.read_bytes()
+    pos, long_names = 8, b""
+    while pos < len(data):
+        ident, size = data[pos:pos + 16].decode().strip(), int(data[pos + 48:pos + 58])
+        body = data[pos + 60:pos + 60 + size]
+        if ident == "//":
+            long_names = body
+        elif ident[1:].isdigit():
+            start = int(ident[1:])
+            ident = long_names[start:long_names.index(b"\n", start)].decode()
+        if ident.rstrip("/") == member:
+            return body
+        pos += 60 + size + size % 2
+    raise KeyError(member)
+
+
+def elf_symbols(obj, names):
+    """Bytes of the named symbols of the ELF64 little-endian object obj."""
+    shoff, = struct.unpack_from("<Q", obj, 0x28)
+    shentsize, shnum = struct.unpack_from("<HH", obj, 0x3A)
+    sections = [struct.unpack_from("<IIQQQQIIQQ", obj, shoff + i * shentsize)
+                for i in range(shnum)]
+    found = {}
+    for _, kind, _, _, offset, size, link, _, _, _ in sections:
+        if kind != 2:                       # SHT_SYMTAB
+            continue
+        strings = sections[link][4]
+        for sym in range(offset, offset + size, 24):
+            name_at, _, _, index, value, length = struct.unpack_from("<IBBHQQ", obj, sym)
+            name = obj[strings + name_at:obj.index(b"\0", strings + name_at)].decode()
+            if name in names:
+                at = sections[index][4] + value
+                found[name] = obj[at:at + length]
+    return found
+
+
+def test_ziggurat_tables_match_numpy_archive():
+    archive = Path(np.__file__).parent / "random" / "lib" / "libnpyrandom.a"
+    if not archive.is_file():
+        pytest.skip("numpy ships no libnpyrandom.a here")
+    obj = ar_member(archive, "src_distributions_distributions.c.o")
+    if obj[:6] != b"\x7fELF\x02\x01":
+        pytest.skip("numpy's distributions object is not ELF64 little-endian here")
+    tables = elf_symbols(obj, {"ki_double", "wi_double"})
+    assert tables["ki_double"] == montecarlo._ZIGGURAT_K.tobytes()
+    assert tables["wi_double"] == montecarlo._ZIGGURAT_W.tobytes()
 
 
 # -- projections -----------------------------------------------------------------
