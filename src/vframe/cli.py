@@ -152,6 +152,8 @@ def cmd_decode(args):
 def cmd_roundtrip(args):
     if args.trials < 0:
         raise VframeError(f"--trials must be >= 0, got {args.trials}")
+    # decode would refuse it too, but --trials 0 never decodes.
+    decoder._check_tol(args.tol)
     seed = _resolve_seed(args.seed)
     frame = _build_frame("vandermonde", args.n, args.m, seed)
     successes = 0

@@ -43,10 +43,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DegenerateDenominator,
+    DomainError,
     LengthMismatch,
     NumericBreakdown,
     RootCountMismatch,
@@ -210,9 +210,35 @@ def forney_values(omega, locations, frame: Frame) -> np.ndarray:
 
 # -- decode internals ---------------------------------------------------------
 
+# scipy.linalg.lstsq's default rank cutoff for complex128 gelsy.
+_GELSY_COND = float(np.finfo(np.complex128).eps)
+
+
+@functools.cache
+def _gelsy():
+    """LAPACK zgelsy and its workspace query.  scipy is imported here, on
+    the first least-squares solve, so importing vframe does not load it."""
+    from scipy.linalg.lapack import get_lapack_funcs
+
+    return get_lapack_funcs(("gelsy", "gelsy_lwork"), dtype=np.complex128)
+
+
 def _lstsq(a, b):
-    x, *_ = scipy.linalg.lstsq(a, b, lapack_driver="gelsy", check_finite=False)
-    return x
+    """Least-squares solution of the complex system a x = b, b a vector,
+    as scipy.linalg.lstsq(a, b, lapack_driver="gelsy") returns it: the
+    same LAPACK call, cutoff and workspace, without its checks.  The
+    decoder's systems have at least as many rows as columns."""
+    m, n = a.shape
+    if m == 0 or n == 0:
+        # LAPACK rejects empty systems; a weight-0 candidate has n == 0.
+        return np.zeros(n, dtype=complex)
+    gelsy, gelsy_lwork = _gelsy()
+    work, _ = gelsy_lwork(m, n, 1, _GELSY_COND)
+    _, x, _, _, info = gelsy(a, b, np.zeros((n, 1), dtype=np.int32), _GELSY_COND,
+                             int(work.real), False, False)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of gelsy")
+    return x[:n]
 
 
 def _evaluator_for_support(s, nodes, locations):
@@ -353,19 +379,20 @@ def decode(frame: Frame, r, tol: float = RESIDUAL_TOL) -> DecodeOutcome:
     "residual_too_large" (best candidate misses r by more than tol in
     relative error).  Failures are reported as data, never raised; a
     signal of the wrong length (LengthMismatch) or with a non-finite
-    entry or norm (ValueError) is refused.
+    entry or norm (ValueError) is refused, and so is a tol that is not
+    finite with 0 < tol < 1 (DomainError).
     """
+    _check_tol(tol)
     # The syndromes are r's coordinates, so they serve as the signal too.
     r = s = syndromes(frame, r)
     m, t = frame.m, frame.n // 2
-    empty = SparseRep(m, (), np.zeros(0, dtype=complex))
     norm_r = float(np.linalg.norm(r))
     # A nan or infinite entry makes the norm non-finite, and so does a
     # finite signal whose norm overflows; neither can be decoded.
     if not math.isfinite(norm_r):
         raise ValueError("signal must be finite, with a finite norm")
     if norm_r == 0.0:
-        return DecodeOutcome(empty, 0.0, 0, STATUS_OK)
+        return DecodeOutcome(SparseRep(m, (), np.zeros(0, dtype=complex)), 0.0, 0, STATUS_OK)
 
     strict = min(tol, STRICT_RESIDUAL)
     best = None
@@ -405,7 +432,15 @@ def decode(frame: Frame, r, tol: float = RESIDUAL_TOL) -> DecodeOutcome:
         rep, residual = best
         status = STATUS_OK if residual <= tol else STATUS_RESIDUAL
         return DecodeOutcome(rep, residual, rep.weight, status)
-    return DecodeOutcome(empty, 1.0, euclid_degree, STATUS_WEIGHT)
+    return DecodeOutcome(SparseRep(m, (), np.zeros(0, dtype=complex)), 1.0, euclid_degree,
+                         STATUS_WEIGHT)
+
+
+def _check_tol(tol: float) -> None:
+    """Raise DomainError unless tol is a relative residual decode can
+    meet and that still rejects something: finite, 0 < tol < 1."""
+    if not 0.0 < tol < 1.0:
+        raise DomainError(f"tol must be finite with 0 < tol < 1, got {tol}")
 
 
 def outcome_to_json(outcome: DecodeOutcome) -> dict:

@@ -13,11 +13,13 @@ projection energy ||P_S x||^2 = x^H G_S x, G_S = V_S^H V_S.  For N <= 4L
 samples and supports are lifted to N^2 real features and weights, so one
 real GEMM scores a chunk of samples against a block of supports at N^2
 multiply-adds per pair, no more than the 4*L*N of the stacked bases used
-for N > 4L.  Supports are scored in blocks of B = 2**18 // (L*N): weights
-at most 8 MiB (N^2 * B * 8, or L * N * B * 16 stacked), dropped once
-scored, and chunks of 2**21 // B rows (2**21 // (L*B) stacked), so at
-most 2**21 energies per GEMM.  So memory does not grow with C(M, L); the
-budget on C(M, L) bounds the time.
+for N > 4L.  One constant, _GEMM_ENERGIES = 2**20 energies (8 MiB), owns
+the search's working set.  Supports are scored in blocks of
+B = _GEMM_ENERGIES // (16*L*N) = 2**16 // (L*N): weights at most 2 MiB
+(N^2 * B * 8, or L * N * B * 16 stacked), dropped once scored, and chunks
+of _GEMM_ENERGIES // B rows (_GEMM_ENERGIES // (L*B) stacked), so at most
+_GEMM_ENERGIES energies per GEMM.  So memory does not grow with C(M, L);
+the budget on C(M, L) bounds the time.
 
 Where the weights come from: on most frames, one SVD per support, C(M, L)
 in all.  On the default frame, whose nodes z_j are the M-th roots of
@@ -74,6 +76,13 @@ from .frames import SINGULAR_REL_TOL, Frame, default_nodes, frame_id, support_bl
 TIE_TOL = 1e-12
 
 DEFAULT_BUDGET = 10**6
+
+# Energies one exact-search GEMM writes at most: 8 MiB of float64 (16 MiB
+# of complex projections for the stacked bases), the larger part of the
+# search's working set.  Blocks of supports are sized from it too
+# (_energies); blocks half as wide ran about 17% slower on the N=8, M=32,
+# L=4 cell.
+_GEMM_ENERGIES = 2**20
 
 
 # -- sampling ---------------------------------------------------------------
@@ -495,16 +504,18 @@ def _energies(frame: Frame, X: np.ndarray, l: int, budget: int):
     rotation of its representative's, so the energies may differ from a
     support's own SVD by a few ulp, and a support whose shifts fix it
     appears once per such shift.  Otherwise the blocks hold B =
-    2**18 // (l*N) supports each, in lexicographic order, every support
-    once, its weights from its own SVD.  Every GEMM makes at most 2**21
-    energies (or projections, for the stacked bases).  Raises
-    BudgetExceeded when C(M, l) exceeds the budget.
+    _GEMM_ENERGIES // (16*l*N) supports each, in lexicographic order, every
+    support once, its weights from its own SVD.  Every GEMM makes at most
+    _GEMM_ENERGIES energies (or projections, for the stacked bases).
+    Raises BudgetExceeded when C(M, l) exceeds the budget.
     """
     count = math.comb(frame.m, l)
     if count > budget:
         raise BudgetExceeded(f"C({frame.m},{l}) = {count} exceeds budget {budget}")
     m, n = frame.matrix.shape
-    width = max(1, 2**18 // (l * n))
+    # A block's weights (N*N <= 4*l*N floats, or l*N complex, per support)
+    # then take at most a quarter of a GEMM's energies.
+    width = max(1, _GEMM_ENERGIES // (16 * l * n))
     if l < n and np.array_equal(frame.nodes, default_nodes(m)):
         blocks = _orbit_blocks(frame.matrix, _orbit_representatives(m, l), width)
     else:
@@ -514,9 +525,10 @@ def _energies(frame: Frame, X: np.ndarray, l: int, budget: int):
 
 def _scored(X: np.ndarray, blocks):
     """Score X against each (supports, weights) block in chunks of rows that
-    keep every GEMM's output at most 2**21 values; yields (rows, supports, energy)."""
+    keep every GEMM's output at most _GEMM_ENERGIES values; yields (rows,
+    supports, energy)."""
     for supports, weights in blocks:
-        chunk = max(1, 2**21 // weights.shape[1])
+        chunk = max(1, _GEMM_ENERGIES // weights.shape[1])
         for start in range(0, len(X), chunk):
             rows = slice(start, start + chunk)
             yield rows, supports, _chunk_energies(X[rows], weights, supports.shape[1])

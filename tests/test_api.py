@@ -1,5 +1,10 @@
 import inspect
+import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 from vframe import bounds, cli, decoder, frames, montecarlo, poly
 
@@ -39,3 +44,34 @@ def test_decode_is_the_only_callable_with_a_tolerance_parameter():
         if names:
             found[qualname] = names
     assert found == {"vframe.decoder.decode": ["tol"]}
+
+
+# Runs in a fresh interpreter: the bounds, an estimate and an in-process
+# sweep, then one decode, reporting the scipy modules loaded before it.
+SCIPY_PROBE = """
+import json, sys
+import vframe as vf
+from vframe import cli
+vf.distortion_lower_bound(vf.BoundInput(6, 12, 2))
+frame = vf.make_vandermonde_frame(vf.default_nodes(8), 4)
+vf.estimate_distortion(frame, 2, 20, seed=1)
+assert cli.main(["sweep", "--n-list", "3", "--m-factors", "2", "--samples", "10",
+                 "--seed", "1", "--out", sys.argv[1]]) == 0
+loaded = sorted(name for name in sys.modules if name.startswith("scipy"))
+outcome = vf.decode(frame, 2.0 * frame.matrix[2])
+print(json.dumps({"before_decode": loaded, "support": outcome.rep.support,
+                  "status": outcome.status, "linalg": "scipy.linalg" in sys.modules}))
+"""
+
+
+def test_only_decode_loads_scipy(tmp_path):
+    # scipy costs about 28 MB and 0.3 s of start-up; only decode's least
+    # squares needs it, so importing vframe and the Monte-Carlo side must not.
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-c", SCIPY_PROBE, str(tmp_path / "sweep.csv")],
+                          env=env, capture_output=True, text=True, check=True, timeout=120)
+    report = json.loads(done.stdout.splitlines()[-1])
+    assert report["before_decode"] == []
+    assert report["status"] == "ok" and report["support"] == [3]
+    assert report["linalg"]

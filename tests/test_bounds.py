@@ -5,7 +5,7 @@ import pytest
 from scipy import integrate, special, stats
 
 import vframe as vf
-from vframe.bounds import BoundInput
+from vframe.bounds import BoundInput, _log_gamma
 from vframe.errors import BranchError, DomainError
 
 
@@ -64,6 +64,22 @@ def test_log_binomial_entropy_sandwich():
 def test_log_binomial_domain():
     with pytest.raises(DomainError):
         vf.log_binomial(3, 5)
+
+
+def test_log_gamma_is_bit_equal_to_scipy_gammaln():
+    ks = list(range(1, 100_001)) + [10**6, 10**8, 10**8 + 1, 10**9]
+    ours = np.array([_log_gamma(k) for k in ks])
+    assert np.array_equal(ours, special.gammaln(np.array(ks, dtype=float)))
+
+
+def test_log_binomial_is_bit_equal_to_the_gammaln_formula():
+    # every (M, L) of the sweep grid N <= 64, M = f*N, f in {1, 2, 3, 4, 8}
+    pairs = np.array([(f * n, l) for n in range(1, 65) for f in (1, 2, 3, 4, 8)
+                      for l in range(n + 1)], dtype=float)
+    m, l = pairs.T
+    expected = special.gammaln(m + 1) - special.gammaln(l + 1) - special.gammaln(m - l + 1)
+    ours = np.array([vf.log_binomial(int(a), int(b)) for a, b in pairs])
+    assert np.array_equal(ours, expected)
 
 
 # -- cap area -------------------------------------------------------------------

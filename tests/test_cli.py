@@ -152,6 +152,20 @@ def test_malformed_frame_file_is_an_input_error(tmp_path, capsys, text):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("tol", ["nan", "-1", "0", "1", "inf"])
+@pytest.mark.parametrize("argv", [
+    ["decode", "--n", "2", "--m", "4", "--signal-json", "[[2, 0], [-2, 0]]"],
+    ["roundtrip", "--n", "4", "--m", "8", "--weight", "1", "--seed", "1"],
+    ["roundtrip", "--n", "4", "--m", "8", "--weight", "1", "--seed", "1", "--trials", "0"],
+], ids=["decode", "roundtrip", "roundtrip-no-trials"])
+def test_a_tolerance_outside_the_open_unit_interval_is_an_input_error(tmp_path, capsys, argv, tol):
+    out_path = tmp_path / "out.json"
+    code, out, err = run(capsys, argv + ["--tol", tol, "--out", str(out_path)])
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "tol" in err
+    assert not out_path.exists()
+
+
 def test_usage_error_exit_code_two():
     with pytest.raises(SystemExit) as exc:
         cli.main(["decode", "--n", "2", "--m", "4", "--bogus-flag", "1"])

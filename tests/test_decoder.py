@@ -1,18 +1,20 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 import vframe as vf
 from vframe.decoder import (
     STATUS_OK,
     STATUS_RESIDUAL,
     STATUS_WEIGHT,
+    _lstsq,
     find_error_locations,
     forney_values,
     outcome_to_json,
     solve_key_equation,
     syndromes,
 )
-from vframe.errors import LengthMismatch, RootCountMismatch
+from vframe.errors import DomainError, LengthMismatch, RootCountMismatch
 
 
 def roots_frame(n, m):
@@ -319,3 +321,25 @@ def test_decode_rejects_non_finite_signals(bad):
     frame = roots_frame(4, 8)
     with pytest.raises(ValueError, match="finite"):
         vf.decode(frame, [bad, 1, 0, 0])
+
+
+@pytest.mark.parametrize("tol", [np.nan, -1.0, 0.0, 1.0, np.inf])
+def test_decode_refuses_a_tolerance_outside_the_open_unit_interval(tol):
+    # nan and tol <= 0 could never give "ok"; tol >= 1 would accept any candidate
+    frame = roots_frame(4, 8)
+    with pytest.raises(DomainError, match="tol"):
+        vf.decode(frame, 2.0 * frame.matrix[2], tol=tol)
+    assert vf.decode(frame, 2.0 * frame.matrix[2], tol=0.5).rep.support == (3,)
+
+
+def test_least_squares_is_scipy_gelsy_bit_for_bit():
+    rng = np.random.default_rng(12)
+    for rows, cols in [(64, 5), (9, 9), (30, 1), (12, 6)]:
+        a = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+        a[:, -1] = a[:, 0]                  # rank-deficient: the gelsy cutoff acts
+        b = rng.standard_normal(rows) + 1j * rng.standard_normal(rows)
+        for a_in in (a, np.asfortranarray(a)):
+            expected, *_ = scipy.linalg.lstsq(a_in, b, lapack_driver="gelsy")
+            assert np.array_equal(_lstsq(a_in, b), expected)
+    # a weight-0 candidate solves an (N, 0) system, which LAPACK refuses
+    assert _lstsq(np.zeros((4, 0), dtype=complex), np.ones(4, dtype=complex)).shape == (0,)

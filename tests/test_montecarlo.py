@@ -584,8 +584,10 @@ def assert_flat_peak(make_frame):
 
 
 def test_exact_search_keeps_one_chunk_of_energies_at_a_time():
-    # A GEMM makes at most 2**21 energies (16 MB here); each chunk is reduced
-    # and dropped before the next is scored, so the peak stays under two.
+    # A GEMM makes at most montecarlo._GEMM_ENERGIES = 2**20 energies (8 MiB
+    # here); each chunk is reduced and dropped before the next is scored, so
+    # the peak stays under two.  The bound is a number, not the constant, so
+    # that raising the constant fails here.
     frame = roots_frame(8, 32)
     X = vf.sample_sphere_batch(8, 1000, seed=(1, 3))
     tracemalloc.start()
@@ -594,7 +596,7 @@ def test_exact_search_keeps_one_chunk_of_energies_at_a_time():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2 * 2**21 * 8
+    assert peak < 2 * 2**20 * 8
 
 
 def test_exact_search_keeps_no_support_table():
