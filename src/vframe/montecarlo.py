@@ -31,8 +31,10 @@ a block holds a slice of them times all M shifts, its weights rotated
 by an elementwise phase multiply.  The frame and L alone choose the
 path, and both searches read the rotated energies as they come: a
 rotated residual differs from the per-support one by a few ulp (at most
-3.1e-15 measured, on the N=8, M=32, L=4 cell).  At L >= N every support
-spans C^N and ties, so the per-support path keeps its exact zeros.
+3.1e-15 measured, on the N=8, M=32, L=4 cell).  At L >= N some support
+spans C^N, so smdd_residuals returns exact zeros without a search, as
+the bound's L = N branch does; smdd_exact, which names the support,
+enumerates them on the per-support path.
 
 Distortion is accumulated per sample as the *relative* squared
 residual ||x - proj||^2 / ||x||^2.  On the unit sphere the two agree
@@ -46,14 +48,17 @@ sample loop is chunked or parallelized.  sample_sphere_batch computes
 that stream for a chunk of samples per numpy pass instead of one
 generator call per sample: a port of SeedSequence's entropy pool gives
 every Philox key, a vectorized Philox4x64-10 the words, and numpy's
-ziggurat fast path (its ki/wi tables copied here) the normals.  Each
+ziggurat (Marsaglia & Tsang, J. Stat. Softw. 5(8), 2000; its ki/wi tables
+copied here) the normals.  Rows with a draw off the fast path are read
+by a cursor per row that takes each wedge test as numpy does.  Each
 row's norm is a stacked vector @ vector matmul over the strided real and
 imaginary views, which numpy sends to the same BLAS ddot per row as
 np.linalg.norm; so the contract rests on the host BLAS ddot, as the
-per-sample loop always did.  A sample with a draw off the fast path is
+per-sample loop always did.  The few samples left (a tail draw, a wedge
+test within an ulp-sized band of exp, or a long run of rejections) are
 redrawn by the per-sample loop itself, which keeps every row bit for bit
-what sample_uniform_sphere(n, sample_rng(seed, i)) returns; past N = 24,
-where most samples leave the fast path, every sample is.  A stream
+what sample_uniform_sphere(n, sample_rng(seed, i)) returns; past N = 40,
+where the Philox words cost more than the loop, every sample is.  A stream
 depends only on (N, n_samples, seed), so callers that score several
 cells of one N (vframe sweep) draw its batch once and reduce it per
 cell with estimate_from_samples.
@@ -206,13 +211,14 @@ def _mulhilo(mult: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return high, x * np.uint64(mult)
 
 
-def _philox_words(keys: np.ndarray, blocks: int) -> np.ndarray:
-    """(len(keys), 4 * blocks) uint64 array whose row i is
-    Philox(key=keys[i]).random_raw(4 * blocks): a fresh generator's block
-    j is the cipher of counter (j + 1, 0, 0, 0), its four words in order.
+def _philox_words(keys: np.ndarray, blocks: int, first: int = 1) -> np.ndarray:
+    """(len(keys), 4 * blocks) uint64 array whose row i is blocks first ..
+    first + blocks - 1 of Philox(key=keys[i]).random_raw: a fresh
+    generator's block j is the cipher of counter (j, 0, 0, 0), its four
+    words in order, starting at j = 1.
     """
     k0, k1 = keys[:, :1].copy(), keys[:, 1:].copy()
-    c0 = np.broadcast_to(np.arange(1, blocks + 1, dtype=np.uint64), (len(keys), blocks))
+    c0 = np.broadcast_to(np.arange(first, first + blocks, dtype=np.uint64), (len(keys), blocks))
     c1 = c2 = c3 = np.zeros_like(c0)
     for r in range(_PHILOX_ROUNDS):
         if r:
@@ -309,46 +315,117 @@ _ZIGGURAT_W = np.frombuffer(base64.b64decode(
     "yDwUfKq/D6vIPJZEb5TgLsk8q1dAAe7LyTxad5R43I/KPLH9eDgfmMs8M60JgrQ7zTw="
 ), dtype="<f8")
 
+# numpy's fi_double, the density exp(-x^2/2) at each layer's edge x = wi *
+# 2**52 (1 at layer 0), for the wedge test.  Derived rather than copied, it
+# may differ from numpy's table by an ulp (in 1 entry with glibc's exp).
+_ZIGGURAT_F = np.array([1.0] + [math.exp(-0.5 * (w * 2.0**52) ** 2)
+                                for w in _ZIGGURAT_W[1:].tolist()])
+
+# Relative band around exp(-x^2/2) in which a wedge test is left to the
+# per-sample loop.  numpy tests against libm's exp, as math.exp does (np.exp
+# differs from it by an ulp on about 5% of inputs), and its own fi_double,
+# which _ZIGGURAT_F may miss by an ulp; a compiler may also fuse its
+# multiply-add.
+_WEDGE_BAND = 1e-12
+
+# Philox blocks drawn past a row's first 2n words when it has draws off the
+# fast path: a wedge draw reads one more word, a rejected one a new draw.
+_SPARE_BLOCKS = 2
+
 # Philox words drawn per chunk of rows, so a batch's temporaries stay a
 # few MB whatever n_samples (and n) is.
 _CHUNK_WORDS = 2**15
 
-# Largest n drawn through _fast_path.  Each draw stays on the fast path
-# with probability 0.985 (the mean of ki / 2**52), a row of 2n draws with
-# 0.985**(2n): 0.84 at n = 6, 0.49 at n = 24, 0.15 at n = 64.  Where most
-# rows leave it, the Philox words computed for them cost more than the
-# fast rows save: on a 2-vCPU host 2,000 rows at n = 24 took 29-32 ms
-# against 36-38 ms row by row, at n = 32 38-41 ms against 34-41 ms and
-# at n = 64 61-65 ms against 37-41 ms.
-_FAST_PATH_MAX_N = 24
+# Largest n drawn through _vector_rows.  Their cost grows with the 2n
+# Philox words per row, the per-sample loop's mostly with the rows: on a
+# 2-vCPU host 2,000 rows took 25-27 ms against 36 ms row by row at n = 32,
+# 30-34 against 38 ms at n = 44, 37-40 against 38-43 ms at n = 48 and
+# 49-53 against 39-43 ms at n = 64.
+_VECTOR_MAX_N = 40
 
 
-def _fast_path(out: np.ndarray, keys: np.ndarray) -> list[int]:
-    """Fill the rows of out (n_samples, n) whose every standard_normal
-    draw takes the ziggurat fast path, drawn from the Philox keys in
-    whole-array passes per chunk of rows; returns the other rows' indices."""
+def _ziggurat(words: np.ndarray):
+    """numpy's standard_normal ziggurat on each uint64 word read as the
+    start of a draw: the candidate x, its layer, and whether the fast path
+    accepts it."""
+    # Layer r & 0xff, sign bit 8 and a 52-bit magnitude, accepted when it
+    # lies below the layer's k.
+    layer = (words & np.uint64(0xFF)).astype(np.intp)
+    magnitude = words >> np.uint64(9) & np.uint64(2**52 - 1)
+    x = magnitude * _ZIGGURAT_W[layer]
+    return np.where(words & np.uint64(0x100), -x, x), layer, magnitude < _ZIGGURAT_K[layer]
+
+
+def _wedge_rows(words: np.ndarray, count: int):
+    """The first count normals of each row of words, read as numpy's
+    standard_normal reads them, for rows with draws off the fast path.
+
+    A cursor per row moves from one draw off the fast path to the next, all
+    rows at once.  A draw on layer l >= 1 reads one more word u = (w >> 11)
+    * 2**-53 and is accepted when (f[l-1] - f[l]) * u + f[l] < exp(-x^2/2);
+    either way the next draw starts after u.  Returns the mask of rows
+    resolved and their (resolved, count) normals.  A row with a tail draw
+    (layer 0), a test within _WEDGE_BAND or too few words is not resolved.
+    """
+    x, layer, keep = _ziggurat(words)
+    r, k = words.shape
+    stop = np.concatenate([~keep, np.ones((r, 1), dtype=bool)], axis=1)  # column k: no words left
+    cols = np.arange(k + 1)
+    pos = np.zeros(r, dtype=np.intp)        # next word to read
+    got = np.zeros(r, dtype=np.intp)        # normals before it
+    ok = np.ones(r, dtype=bool)
+    live = np.arange(r)
+    while live.size:
+        q = np.argmax(stop[live] & (cols >= pos[live, None]), axis=1)
+        got_q = got[live] + q - pos[live]
+        short = got_q < count
+        live, q, got_q = live[short], q[short], got_q[short]
+        at = np.minimum(q, k - 2)
+        lay, xq = layer[live, at], x[live, at]
+        u = (words[live, at + 1] >> np.uint64(11)) * 2.0**-53
+        below = (_ZIGGURAT_F[lay - 1] - _ZIGGURAT_F[lay]) * u + _ZIGGURAT_F[lay]
+        density = np.array([math.exp(-0.5 * v * v) for v in xq.tolist()])
+        accept = below < density
+        keep[live, at], keep[live, at + 1] = accept, False
+        got[live], pos[live] = got_q + accept, q + 2
+        lost = (q >= k - 1) | (lay == 0) | (np.abs(below - density) <= _WEDGE_BAND * density)
+        ok[live[lost]] = False
+        live = live[~lost]
+    keep = keep[ok]
+    return ok, x[ok][keep & (np.cumsum(keep, axis=1) <= count)].reshape(-1, count)
+
+
+def _vector_rows(out: np.ndarray, keys: np.ndarray) -> list[int]:
+    """Fill the rows of out (n_samples, n) that whole-array passes draw from
+    the Philox keys, a chunk of rows at a time; returns the other rows'
+    indices.  A row whose 2n draws all take the ziggurat fast path is read
+    off its first 2n words; any other row by _wedge_rows, on those words
+    and _SPARE_BLOCKS more blocks."""
     n_samples, n = out.shape
     blocks = -(-n // 2)                 # ceil(2n / 4) Philox blocks per row
     rows = max(1, _CHUNK_WORDS // (4 * blocks))
-    slow = []
+    left = []
     for start in range(0, n_samples, rows):
-        words = _philox_words(keys[start:start + rows], blocks)[:, :2 * n]
-        # Layer r & 0xff, sign bit 8 and a 52-bit magnitude, accepted
-        # when it lies below the layer's k.
-        layer = (words & np.uint64(0xFF)).astype(np.intp)
-        magnitude = words >> np.uint64(9) & np.uint64(2**52 - 1)
-        x = magnitude * _ZIGGURAT_W[layer]
-        x = np.where(words & np.uint64(0x100), -x, x)
+        chunk = keys[start:start + rows]
+        words = _philox_words(chunk, blocks)
+        x, fast = _ziggurat(words[:, :2 * n])[::2]
+        drawn = fast.all(axis=1)
+        wedge = np.flatnonzero(~drawn)
+        if wedge.size:
+            spare = _philox_words(chunk[wedge], _SPARE_BLOCKS, first=blocks + 1)
+            ok, normals = _wedge_rows(np.concatenate([words[wedge], spare], axis=1), 2 * n)
+            x[wedge[ok]] = normals
+            drawn[wedge[ok]] = True
         z = x[:, :n] + 1j * x[:, n:]
         # Stacked vector @ vector on the strided real and imaginary views
         # runs the same BLAS ddot per row as np.linalg.norm; a contiguous
         # copy or another reduction order would change the last bit.
         re, im = z.real, z.imag
         norm = np.sqrt((re[:, None, :] @ re[:, :, None] + im[:, None, :] @ im[:, :, None])[:, 0, 0])
-        fast = (magnitude < _ZIGGURAT_K[layer]).all(axis=1) & (norm > 1e-300)
-        out[start:start + rows][fast] = z[fast] / norm[fast, None]
-        slow.extend(start + np.flatnonzero(~fast))
-    return slow
+        drawn &= norm > 1e-300
+        out[start:start + rows][drawn] = z[drawn] / norm[drawn, None]
+        left.extend(start + np.flatnonzero(~drawn))
+    return left
 
 
 def sample_sphere_batch(n: int, n_samples: int, seed) -> np.ndarray:
@@ -356,10 +433,11 @@ def sample_sphere_batch(n: int, n_samples: int, seed) -> np.ndarray:
     sample_uniform_sphere(n, sample_rng(seed, i)), bit for bit.
 
     The Philox keys of all rows come from one vectorized pass
-    (_philox_keys).  For n <= _FAST_PATH_MAX_N, the rows whose normals
-    all come off standard_normal's ziggurat fast path are computed in
-    whole-array passes (_fast_path).  Every other row is drawn by the
-    scalar loop, on one Philox generator re-keyed per row.
+    (_philox_keys).  For n <= _VECTOR_MAX_N the rows are drawn in
+    whole-array passes (_vector_rows), and only the rows they leave (a tail
+    draw, a wedge test too close to call, a long run of rejections) by the
+    scalar loop, on one Philox generator re-keyed per row; past it, every
+    row is.
     """
     if n < 1:
         raise DomainError("need n >= 1")
@@ -367,12 +445,12 @@ def sample_sphere_batch(n: int, n_samples: int, seed) -> np.ndarray:
         raise DomainError("need n_samples >= 0")
     keys = _philox_keys(seed, n_samples)
     out = np.empty((n_samples, n), dtype=complex)
-    slow = _fast_path(out, keys) if n <= _FAST_PATH_MAX_N else range(n_samples)
-    if slow:
+    left = _vector_rows(out, keys) if n <= _VECTOR_MAX_N else range(n_samples)
+    if left:
         bitgen = np.random.Philox(0)
         rng = np.random.Generator(bitgen)
         fresh = bitgen.state      # zero counter, empty buffer
-        for i in slow:
+        for i in left:
             fresh["state"]["key"] = keys[i]
             bitgen.state = fresh
             out[i] = sample_uniform_sphere(n, rng)
@@ -493,6 +571,13 @@ def _orbit_blocks(matrix: np.ndarray, reps: np.ndarray, width: int):
         yield supports, weights
 
 
+def _check_budget(frame: Frame, l: int, budget: int) -> None:
+    """Raise BudgetExceeded when C(M, l) exceeds the subset budget."""
+    count = math.comb(frame.m, l)
+    if count > budget:
+        raise BudgetExceeded(f"C({frame.m},{l}) = {count} exceeds budget {budget}")
+
+
 def _energies(frame: Frame, X: np.ndarray, l: int, budget: int):
     """Projection energies ||P_S x||^2 of the (S, N) batch X on every size-l
     support S (l >= 1), one block of supports at a time.
@@ -509,9 +594,7 @@ def _energies(frame: Frame, X: np.ndarray, l: int, budget: int):
     _GEMM_ENERGIES energies (or projections, for the stacked bases).
     Raises BudgetExceeded when C(M, l) exceeds the budget.
     """
-    count = math.comb(frame.m, l)
-    if count > budget:
-        raise BudgetExceeded(f"C({frame.m},{l}) = {count} exceeds budget {budget}")
+    _check_budget(frame, l, budget)
     m, n = frame.matrix.shape
     # A block's weights (N*N <= 4*l*N floats, or l*N complex, per support)
     # then take at most a quarter of a GEMM's energies.
@@ -603,12 +686,17 @@ def smdd_exact(frame: Frame, x, l: int, budget: int = DEFAULT_BUDGET) -> SmddRes
 def smdd_residuals(frame: Frame, X, l: int, budget: int = DEFAULT_BUDGET) -> np.ndarray:
     """smdd_exact's squared residual for each row of the (S, N) batch X: the
     norm less the largest projection energy over supports, kept as a running
-    maximum while they are scored block by block.  Raises BudgetExceeded
-    when C(M, l) exceeds the subset budget."""
+    maximum while they are scored block by block.  At l >= N it is 0 without
+    a search: every frame spans C^N, so some size-l support does (the
+    bound's L = N branch).  Raises BudgetExceeded when C(M, l) exceeds the
+    subset budget, at every l >= 1."""
     X = _signals(frame, X, l)
     norms = np.einsum("sn,sn->s", X, X.conj()).real
     if l == 0:
         return norms
+    if l >= frame.n:
+        _check_budget(frame, l, budget)
+        return np.zeros(len(X))
     top = np.full(X.shape[0], -np.inf)
     for rows, _, energy in _energies(frame, X, l, budget):
         # Rebinding drops the chunk's energies before the next is scored.
@@ -702,8 +790,9 @@ class DistortionEstimate:
 
     ratios holds the per-sample values in sample-index order (None on
     an estimate built by hand); samples holds the (S, N) batch they came
-    from, for another estimate over the same stream (None at L = 0,
-    where no sample is drawn, or on an estimate built by hand)."""
+    from, for another estimate over the same stream (None where no sample
+    is read: at L = 0, at L >= N from estimate_distortion unless the
+    estimate is greedy, and on an estimate built by hand)."""
 
     mean: float
     stderr: float
@@ -733,10 +822,9 @@ def _check_estimate(frame: Frame, l: int, n_samples: int, budget: int,
         raise DomainError("need n_samples >= 1")
     if not 0 <= l <= frame.m:
         raise DomainError(f"need 0 <= L <= M, got L={l}")
-    approximate = l > 0 and math.comb(frame.m, l) > budget
-    if approximate and not fallback_greedy:
-        raise BudgetExceeded(f"C({frame.m},{l}) = {math.comb(frame.m, l)} exceeds budget {budget}")
-    return approximate
+    if l > 0 and not fallback_greedy:
+        _check_budget(frame, l, budget)
+    return l > 0 and math.comb(frame.m, l) > budget
 
 
 def estimate_distortion(
@@ -754,13 +842,13 @@ def estimate_distortion(
     C(M, l) exceeds the budget, either raises BudgetExceeded before any
     sample is drawn or, with fallback_greedy, substitutes the greedy
     search and labels the estimate approximate.  The samples are
-    sample_sphere_batch(frame.n, n_samples, seed), drawn only for l >= 1
-    and reduced by estimate_from_samples.
+    sample_sphere_batch(frame.n, n_samples, seed), reduced by
+    estimate_from_samples; none is drawn where the exact search reads
+    none, at l = 0 (every ratio 1) and l >= N (every ratio 0).
     """
-    _check_estimate(frame, l, n_samples, budget, fallback_greedy)
-    if l == 0:
-        # L = 0 reads no sample, so none is drawn.
-        return _estimate(frame, l, seed, np.ones(n_samples))
+    approximate = _check_estimate(frame, l, n_samples, budget, fallback_greedy)
+    if l == 0 or l >= frame.n and not approximate:
+        return _estimate(frame, l, seed, np.ones(n_samples) if l == 0 else np.zeros(n_samples))
     X = sample_sphere_batch(frame.n, n_samples, seed)
     return estimate_from_samples(frame, l, X, seed, budget, fallback_greedy)
 

@@ -363,7 +363,9 @@ def test_sweep_draws_each_n_once_and_matches_per_cell_estimates(tmp_path, capsys
         verdict = vf.compare_to_bound(est, report)
         assert (float(r["est_mean"]), float(r["est_stderr"]), float(r["margin"]), r["passed"]) == (
             est.mean, est.stderr, verdict.margin, str(verdict.passed))
-    assert len(draws) == 14
+    # Per cell, only the 10 with 1 <= L < N draw: at L = 0 and L = N no
+    # sample is read.
+    assert len(draws) == 10
 
 
 def test_sweep_csv_equals_one_drawn_per_sample(tmp_path, capsys, monkeypatch):
@@ -421,6 +423,19 @@ def test_sweep_checks_every_budget_before_writing(tmp_path, capsys):
     )
     assert code == 1
     assert "(N,M,L)=(4,8,2)" in err and "--budget 20" in err
+    assert not out_path.exists()
+
+
+def test_sweep_refuses_a_spanning_weight_over_budget(tmp_path, capsys):
+    # At L = N no support is scored, but C(8, 4) = 70 is over --budget 69.
+    out_path = tmp_path / "sweep.csv"
+    code, _, err = run(
+        capsys,
+        ["sweep", "--n-list", "4", "--m-factors", "2", "--l", "4", "--samples", "50",
+         "--budget", "69", "--seed", "1", "--out", str(out_path)],
+    )
+    assert code == 1
+    assert "(N,M,L)=(4,8,4)" in err and "--budget 69" in err
     assert not out_path.exists()
 
 

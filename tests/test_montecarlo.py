@@ -107,38 +107,79 @@ def test_sample_batch_rows_equal_per_sample_streams(seed):
             assert row.tobytes() == expected.tobytes(), (n, i)
 
 
-@pytest.mark.parametrize("n,seed", [(6, (4, 5)), (montecarlo._FAST_PATH_MAX_N, 2**70)],
-                         ids=repr)
-def test_sample_batch_chunks_and_both_paths_equal_per_sample_streams(n, seed, monkeypatch):
-    # Past one chunk of rows, with rows off the ziggurat fast path (redrawn
-    # by sample_uniform_sphere) and fast rows whose norm is the stacked
-    # matmul.  Rows draw on all 256 ziggurat layers; fast rows on every
-    # layer but layer 1, whose k is 0 so that numpy never accepts it there.
-    rows_per_chunk = montecarlo._CHUNK_WORDS // (4 * -(-n // 2))
-    n_samples = 2 * rows_per_chunk + 7
-    redrawn = set()
-    redraw = montecarlo.sample_uniform_sphere
+def spy_loop(monkeypatch):
+    """Record the Philox key of every row the per-sample loop draws."""
+    looped = set()
+    draw = montecarlo.sample_uniform_sphere
 
     def spy(n, rng):
-        redrawn.add(tuple(rng.bit_generator.state["state"]["key"]))
-        return redraw(n, rng)
+        looped.add(tuple(rng.bit_generator.state["state"]["key"]))
+        return draw(n, rng)
 
     monkeypatch.setattr(montecarlo, "sample_uniform_sphere", spy)
+    return looped
+
+
+def words_read(n, key):
+    """The number of Philox words sample_uniform_sphere(n, .) reads from a
+    fresh generator keyed by key (2n exactly when every draw takes the
+    ziggurat fast path), and the generator's first 2n words."""
+    rng = np.random.Generator(np.random.Philox(key=key))
+    vf.sample_uniform_sphere(n, rng)
+    state = rng.bit_generator.state
+    return 4 * (int(state["state"]["counter"][0]) - 1) + state["buffer_pos"], \
+        np.random.Philox(key=key).random_raw(2 * n)
+
+
+@pytest.mark.parametrize("n,seed", [(6, (4, 5)), (24, 2**70), (montecarlo._VECTOR_MAX_N, 11)],
+                         ids=repr)
+def test_sample_batch_chunks_and_both_paths_equal_per_sample_streams(n, seed, monkeypatch):
+    # Past one chunk of rows, three kinds of row, each bit for bit its own
+    # stream: fast rows, whose 2n draws all take the ziggurat fast path (the
+    # norm is the stacked matmul); rows with wedge draws resolved in numpy
+    # passes; and rows left to the per-sample loop.  Rows draw on all 256
+    # ziggurat layers; fast rows on every layer but layer 1, whose k is 0
+    # so that numpy never accepts it there.
+    rows_per_chunk = montecarlo._CHUNK_WORDS // (4 * -(-n // 2))
+    n_samples = 2 * rows_per_chunk + 7
+    looped = spy_loop(monkeypatch)
     batch = vf.sample_sphere_batch(n, n_samples, seed)
     monkeypatch.undo()
     keys = montecarlo._philox_keys(seed, n_samples)
-    slow = [tuple(key) in redrawn for key in keys]
-    assert 0 < sum(slow) < n_samples
+    kinds = {"fast": 0, "numpy": 0, "loop": 0}
     layers, fast_layers = set(), set()
     for i, key in enumerate(keys):
         expected = vf.sample_uniform_sphere(n, vf.sample_rng(seed, i))
         assert batch[i].tobytes() == expected.tobytes(), i
-        drawn = set(np.random.Philox(key=key).random_raw(2 * n) & 0xFF)
+        read, words = words_read(n, key)
+        drawn = set(words & 0xFF)
         layers |= drawn
-        if not slow[i]:
+        if read == 2 * n:
+            assert tuple(key) not in looped, i
+            kinds["fast"] += 1
             fast_layers |= drawn
+        else:
+            kinds["loop" if tuple(key) in looped else "numpy"] += 1
+    assert 0 < kinds["loop"] < kinds["numpy"] and kinds["fast"] > 0, kinds
     assert layers == set(range(256))
     assert fast_layers == set(np.flatnonzero(montecarlo._ZIGGURAT_K)) == layers - {1}
+
+
+def test_sample_batch_leaves_every_wedge_test_to_the_loop_in_a_wide_band(monkeypatch):
+    # With the band around exp(-x^2/2) made infinite, every row with a draw
+    # off the fast path goes to the per-sample loop, and rows are unchanged.
+    n, seed = 6, (3, 1)
+    monkeypatch.setattr(montecarlo, "_WEDGE_BAND", np.inf)
+    looped = spy_loop(monkeypatch)
+    batch = vf.sample_sphere_batch(n, 3000, seed)
+    monkeypatch.undo()
+    slow = set()
+    for i, key in enumerate(montecarlo._philox_keys(seed, 3000)):
+        expected = vf.sample_uniform_sphere(n, vf.sample_rng(seed, i))
+        assert batch[i].tobytes() == expected.tobytes(), i
+        if words_read(n, key)[0] > 2 * n:
+            slow.add(tuple(key))
+    assert looped == slow and len(slow) > 100
 
 
 @pytest.mark.parametrize("n,n_samples", [(0, 0), (0, 3), (-2, 1), (3, -1)])
@@ -200,9 +241,14 @@ def test_ziggurat_tables_match_numpy_archive():
     obj = ar_member(archive, "src_distributions_distributions.c.o")
     if obj[:6] != b"\x7fELF\x02\x01":
         pytest.skip("numpy's distributions object is not ELF64 little-endian here")
-    tables = elf_symbols(obj, {"ki_double", "wi_double"})
+    tables = elf_symbols(obj, {"ki_double", "wi_double", "fi_double"})
     assert tables["ki_double"] == montecarlo._ZIGGURAT_K.tobytes()
     assert tables["wi_double"] == montecarlo._ZIGGURAT_W.tobytes()
+    # fi_double is derived from wi_double, so it may differ by an ulp: within
+    # the band that sends a wedge test to the per-sample loop.
+    fi = np.frombuffer(tables["fi_double"], dtype="<f8")
+    assert fi.shape == montecarlo._ZIGGURAT_F.shape
+    assert (np.abs(montecarlo._ZIGGURAT_F - fi) <= montecarlo._WEDGE_BAND * fi).all()
 
 
 # -- projections -----------------------------------------------------------------
@@ -516,12 +562,16 @@ def test_orbit_search_svds_only_the_representatives(monkeypatch):
     (roots_frame(4, 8), 4, 2, False),       # L = N: every support spans and ties
 ], ids=["gaussian", "other-nodes", "S>=C", "S+R=C", "S+R<C", "L=N"])
 def test_orbit_path_runs_only_where_it_svds_fewer_supports(frame, l, samples, rotated, monkeypatch):
-    # The frame's nodes and L choose the path, whatever the batch size.
+    # The frame's nodes and L choose the path, whatever the batch size.  At
+    # L = N smdd_residuals needs no search: its residuals are exact zeros.
     X = vf.sample_sphere_batch(frame.n, samples, seed=(19, samples))
     calls = spy_block_weights(monkeypatch)
     expected = len(montecarlo._orbit_representatives(frame.m, l)) if rotated else math.comb(frame.m, l)
-    vf.smdd_residuals(frame, X, l)
-    assert sum(calls) == expected
+    residuals = vf.smdd_residuals(frame, X, l)
+    if l == frame.n:
+        assert sum(calls) == 0 and residuals.tobytes() == np.zeros(samples).tobytes()
+    else:
+        assert sum(calls) == expected
     calls.clear()
     vf.smdd_exact(frame, X[0], l)
     assert sum(calls) == expected
@@ -686,10 +736,16 @@ def test_estimate_l0_exact_one():
     assert est.stderr == 0.0
 
 
-def test_estimate_ln_zero():
-    frame = roots_frame(4, 8)
-    est = vf.estimate_distortion(frame, 4, 300, seed=11)
-    assert est.mean <= 1e-10
+def test_estimate_ln_zero(monkeypatch):
+    # At L = N, and past it, no sample is drawn or support scored: every
+    # ratio is exactly 0.
+    monkeypatch.setattr(montecarlo, "sample_sphere_batch", None)
+    calls = spy_block_weights(monkeypatch)
+    for n, m, l in [(4, 8, 4), (3, 12, 5)]:
+        est = vf.estimate_distortion(roots_frame(n, m), l, 300, seed=11)
+        assert (est.mean, est.stderr, est.n_samples, est.samples) == (0.0, 0.0, 300, None)
+        assert est.ratios.tobytes() == np.zeros(300).tobytes()
+    assert calls == []
 
 
 def test_estimate_deterministic():
@@ -719,6 +775,9 @@ def test_estimate_is_the_reduction_of_its_batch(l):
     assert np.array_equal(again.ratios, est.ratios)
     if l == 0:
         assert est.samples is None and again.samples is None
+    elif l == 4:
+        # L = N: estimate_distortion draws no sample; the batch given is kept.
+        assert est.samples is None and again.samples is X
     else:
         assert est.samples.tobytes() == X.tobytes() and again.samples is X
 
@@ -733,6 +792,22 @@ def test_estimate_checks_before_drawing(monkeypatch):
     with pytest.raises(DomainError):
         vf.estimate_distortion(frame, 1, 0, seed=1)
     assert vf.estimate_distortion(frame, 0, 10, seed=1).mean == 1.0
+
+
+def test_search_at_or_past_n_keeps_its_budget():
+    # No support is scored at L >= N, but C(M, L) over the budget is refused
+    # as at every other L >= 1; the greedy fallback still draws and labels.
+    frame = roots_frame(3, 9)
+    X = vf.sample_sphere_batch(3, 5, seed=2)
+    for l in (3, 4):
+        budget = math.comb(9, l) - 1
+        with pytest.raises(BudgetExceeded):
+            vf.smdd_residuals(frame, X, l, budget=budget)
+        with pytest.raises(BudgetExceeded):
+            vf.estimate_distortion(frame, l, 5, seed=2, budget=budget)
+        assert not vf.smdd_residuals(frame, X, l, budget=budget + 1).any()
+        est = vf.estimate_distortion(frame, l, 5, seed=2, budget=budget, fallback_greedy=True)
+        assert est.approximate and est.samples.tobytes() == X.tobytes()
 
 
 @pytest.mark.parametrize("l", [0, 1])
