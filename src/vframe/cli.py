@@ -289,8 +289,10 @@ def _sweep_progress(path):
         if not first:
             return None, done
         cfg = json.loads(first[len("# config: "):]) if first.startswith("# config: ") else {}
-        if cfg.get("subcommand") != "sweep":
-            raise VframeError(f"{path} does not start with a sweep '# config:' line")
+        if not isinstance(cfg, dict) or cfg.get("subcommand") != "sweep" \
+                or not {"seed", "samples"} <= cfg.keys():
+            raise VframeError(f"{path} does not start with a sweep '# config:' line "
+                              "holding its seed and samples")
         for line in fh:
             if line.startswith("#") or line.startswith("N,"):
                 continue

@@ -43,6 +43,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     DegenerateDenominator,
@@ -278,30 +279,16 @@ def _candidate(frame, r, s, locations, norm_r, _collapsed=False):
     return rep, residual
 
 
-@functools.lru_cache(maxsize=None)
-def _recurrence_index(n, w, count):
-    """Gather indices into `count` concatenated length-n sequences:
-    row i of sequence c reads its entries i+w-1 down to i, and its
-    right-hand side entry i+w."""
-    i = np.arange(n - w)[:, None]
-    rows = i + (w - 1) - np.arange(w)[None, :]
-    rows = np.vstack([rows + c * n for c in range(count)])
-    rhs = np.concatenate([np.arange(w, n) + c * n for c in range(count)])
-    return rows, rhs
-
-
 def _recurrence_fit(s, seqs, w):
     """Least-squares locator tail for weight w plus its relative misfit.
 
     Fits s_i = -sum_k sigma_k s_{i-k} over every stacked sequence (the
     conjugate-reversed syndromes obey the same recurrence when the
-    nodes are unit-modulus, doubling the equations).
+    nodes are unit-modulus, doubling the equations).  Row i of a sequence
+    reads its entries i+w-1 down to i, and its right-hand side entry i+w.
     """
-    n = s.size
-    rows, rhs = _recurrence_index(n, w, len(seqs))
-    flat = np.concatenate(seqs)
-    a = flat[rows]
-    b = -flat[rhs]
+    a = np.concatenate([sliding_window_view(seq[:-1], w)[:, ::-1] for seq in seqs])
+    b = -np.concatenate([seq[w:] for seq in seqs])
     x = _lstsq(a, b)
     misfit = float(np.linalg.norm(a @ x - b))
     scale = np.abs(s).max() * math.sqrt(a.shape[0])
@@ -351,7 +338,8 @@ def _recurrence_candidates(s, t, unit_circle):
 
 def _smallest_at_nodes(sigma, nodes):
     """Support of the w inverse nodes where |sigma| is smallest, with
-    w = deg sigma; None when sigma does not evaluate to finite values.
+    w = deg sigma >= 1 (_recurrence_candidates offers no weight 0); None
+    when sigma does not evaluate to finite values.
 
     A soft Chien search: the locator of a weight-w representation
     vanishes at its w inverse nodes.  Unlike find_error_locations it
@@ -361,8 +349,6 @@ def _smallest_at_nodes(sigma, nodes):
     O(M w), against O(w^3) for the roots of sigma.
     """
     w = sigma.size - 1
-    if w == 0:
-        return ()
     vals = np.abs(poly_eval(sigma, 1.0 / nodes))
     if not np.all(np.isfinite(vals)):
         return None

@@ -241,6 +241,15 @@ def support_blocks(m: int, l: int, size: int):
         yield np.fromiter(flat, dtype=np.intp, count=rows * l).reshape(rows, l)
 
 
+def _over_budget(m: int, l: int, budget: int, refuse: bool = True) -> bool:
+    """Whether the C(m, l) size-l subsets of range(m) exceed budget; when
+    they do and refuse is set, raises BudgetExceeded instead."""
+    count = math.comb(m, l)
+    if count > budget and refuse:
+        raise BudgetExceeded(f"C({m},{l}) = {count} exceeds budget {budget}")
+    return count > budget
+
+
 def check_condition_I(frame: Frame, budget: int = CONDITION_BUDGET):
     """Check that every N-row submatrix of the frame is non-singular.
 
@@ -249,9 +258,7 @@ def check_condition_I(frame: Frame, budget: int = CONDITION_BUDGET):
     w the lexicographically first violating 1-based row subset.
     """
     m, n = frame.m, frame.n
-    total = math.comb(m, n)
-    if total > budget:
-        raise BudgetExceeded(f"C({m},{n}) = {total} exceeds budget {budget}")
+    _over_budget(m, n, budget)
     for batch in support_blocks(m, n, 4096):
         s = np.linalg.svd(frame.matrix[batch], compute_uv=False)    # (B, n)
         bad = np.nonzero(s[:, -1] <= SINGULAR_REL_TOL * s[:, 0])[0]

@@ -43,11 +43,12 @@ L = 0 every sample contributes exactly 1.0, matching the bound's L = 0
 branch without floating dust.
 
 Reproducibility: the stream for sample i is a Philox generator keyed
-by SeedSequence((seed..., i)), so results are bit-identical however the
-sample loop is chunked or parallelized.  sample_sphere_batch computes
-that stream for a chunk of samples per numpy pass instead of one
-generator call per sample: a port of SeedSequence's entropy pool gives
-every Philox key, a vectorized Philox4x64-10 the words, and numpy's
+by SeedSequence((seed..., i)), the seed read by _seed (an int, or a
+sequence of them flattened to a tuple), so results are bit-identical
+however the sample loop is chunked or parallelized.  sample_sphere_batch
+computes that stream for a chunk of samples per numpy pass instead of
+one generator call per sample: a port of SeedSequence's entropy pool
+gives every Philox key, a vectorized Philox4x64-10 the words, and numpy's
 ziggurat (Marsaglia & Tsang, J. Stat. Softw. 5(8), 2000; its ki/wi tables
 copied here) the normals.  Rows with a draw off the fast path are read
 by a cursor per row that takes each wedge test as numpy does.  Each
@@ -73,8 +74,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bounds import BoundReport
-from .errors import BudgetExceeded, ConfigMismatch, DomainError
-from .frames import SINGULAR_REL_TOL, Frame, default_nodes, frame_id, support_blocks
+from .errors import ConfigMismatch, DomainError
+from .frames import (SINGULAR_REL_TOL, Frame, _over_budget, default_nodes, frame_id,
+                     support_blocks)
 
 # Residuals within this of the minimum count as ties (broken toward the
 # lexicographically smallest support).
@@ -92,16 +94,27 @@ _GEMM_ENERGIES = 2**20
 
 # -- sampling ---------------------------------------------------------------
 
+def _seed(seed):
+    """The one reading of a stream seed: a non-negative int as an int, a
+    sequence of them (tuple, list, range or ndarray, nested or not) as the
+    flat tuple of its ints, which SeedSequence reads as the same words.
+    Raises TypeError and ValueError where SeedSequence does."""
+    if isinstance(seed, (int, np.integer)):
+        if seed < 0:
+            raise ValueError("expected non-negative integer")
+        return int(seed)
+    if not isinstance(seed, (tuple, list, range, np.ndarray)):
+        raise TypeError("seed must be integer")
+    return tuple(w for v in map(_seed, seed) for w in (v if isinstance(v, tuple) else (v,)))
+
+
 def sample_rng(seed, index: int) -> np.random.Generator:
     """Counter-based generator for sample `index` of stream `seed`.
 
-    `seed` may be an int or a flat tuple of ints; the stream key is the
-    seed entropy extended by the sample index.
+    `seed` may be an int or a sequence of ints (see _seed); the stream key
+    is the seed entropy extended by the sample index.
     """
-    entropy = tuple(seed) if isinstance(seed, (tuple, list)) else (seed,)
-    return np.random.Generator(
-        np.random.Philox(np.random.SeedSequence(entropy + (index,)))
-    )
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence((_seed(seed), index))))
 
 
 def sample_uniform_sphere(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -129,23 +142,6 @@ _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _WORD = 0xFFFFFFFF
 
 
-def _entropy_words(value) -> list[int]:
-    """The uint32 words SeedSequence makes of an int (least significant
-    first, one word for 0) or of a sequence of them, concatenated."""
-    if isinstance(value, (int, np.integer)):
-        value = int(value)
-        if value < 0:
-            raise ValueError("expected non-negative integer")
-        words = [value & _WORD]
-        while value > _WORD:
-            value >>= 32
-            words.append(value & _WORD)
-        return words
-    if not isinstance(value, (tuple, list, range, np.ndarray)):
-        raise TypeError("seed must be integer")
-    return [word for v in value for word in _entropy_words(v)]
-
-
 def _philox_keys(seed, n_samples: int) -> np.ndarray:
     """(n_samples, 2) uint64 array whose row i is sample_rng(seed, i)'s
     Philox key, SeedSequence(entropy + (i,)).generate_state(2, uint64).
@@ -156,8 +152,14 @@ def _philox_keys(seed, n_samples: int) -> np.ndarray:
     """
     if n_samples > 2**32:
         raise DomainError("need n_samples <= 2**32 (one entropy word per sample index)")
-    entropy = tuple(seed) if isinstance(seed, (tuple, list)) else (seed,)
-    words = [np.full(n_samples, w, dtype=np.uint32) for w in _entropy_words(entropy)]
+    seed = _seed(seed)
+    entropy = []        # each int's uint32 words, least significant first (one for 0)
+    for value in seed if isinstance(seed, tuple) else (seed,):
+        entropy.append(value & _WORD)
+        while value > _WORD:
+            value >>= 32
+            entropy.append(value & _WORD)
+    words = [np.full(n_samples, w, dtype=np.uint32) for w in entropy]
     words.append(np.arange(n_samples, dtype=np.uint32))
     hash_const = _INIT_A
 
@@ -571,13 +573,6 @@ def _orbit_blocks(matrix: np.ndarray, reps: np.ndarray, width: int):
         yield supports, weights
 
 
-def _check_budget(frame: Frame, l: int, budget: int) -> None:
-    """Raise BudgetExceeded when C(M, l) exceeds the subset budget."""
-    count = math.comb(frame.m, l)
-    if count > budget:
-        raise BudgetExceeded(f"C({frame.m},{l}) = {count} exceeds budget {budget}")
-
-
 def _energies(frame: Frame, X: np.ndarray, l: int, budget: int):
     """Projection energies ||P_S x||^2 of the (S, N) batch X on every size-l
     support S (l >= 1), one block of supports at a time.
@@ -594,7 +589,7 @@ def _energies(frame: Frame, X: np.ndarray, l: int, budget: int):
     _GEMM_ENERGIES energies (or projections, for the stacked bases).
     Raises BudgetExceeded when C(M, l) exceeds the budget.
     """
-    _check_budget(frame, l, budget)
+    _over_budget(frame.m, l, budget)
     m, n = frame.matrix.shape
     # A block's weights (N*N <= 4*l*N floats, or l*N complex, per support)
     # then take at most a quarter of a GEMM's energies.
@@ -629,9 +624,11 @@ def _chunk_energies(xs: np.ndarray, weights: np.ndarray, l: int) -> np.ndarray:
     return energy
 
 
-def _signals(frame: Frame, X, l: int) -> np.ndarray:
-    """X as an (S, N) complex batch for a search of weight l.  Raises ValueError
-    on another shape or a non-finite entry, DomainError unless 0 <= l <= M."""
+def _signals(frame: Frame, X, l: int) -> tuple[np.ndarray, np.ndarray]:
+    """X as an (S, N) complex batch for a search of weight l, and its squared
+    row norms, as every search and estimate takes them (projection_residual,
+    the tests' reference, keeps its own).  Raises ValueError on another
+    shape or a non-finite entry, DomainError unless 0 <= l <= M."""
     X = np.asarray(X, dtype=complex)
     if X.ndim != 2 or X.shape[1] != frame.n:
         raise ValueError(f"signals have shape {X.shape}, expected (S, {frame.n})")
@@ -639,7 +636,7 @@ def _signals(frame: Frame, X, l: int) -> np.ndarray:
         raise ValueError("signals must be finite")
     if not 0 <= l <= frame.m:
         raise DomainError(f"need 0 <= L <= M, got L={l}")
-    return X
+    return X, np.einsum("sn,sn->s", X, X.conj()).real
 
 
 @dataclass(frozen=True)
@@ -659,16 +656,14 @@ def smdd_exact(frame: Frame, x, l: int, budget: int = DEFAULT_BUDGET) -> SmddRes
     of the minimum are broken toward the lexicographically smallest
     support.  Raises BudgetExceeded when C(M, l) exceeds the subset budget.
     """
-    xs = _signals(frame, np.ravel(x)[None, :], l)
-    x = xs[0]
+    xs, norms = _signals(frame, np.ravel(x)[None, :], l)
     if l == 0:
-        return SmddResult((), float(np.vdot(x, x).real), False)
-    norm = np.einsum("sn,sn->s", xs, xs.conj()).real[0]
+        return SmddResult((), float(norms[0]), False)
     # Ties are judged against the global minimum, so every support within
     # TIE_TOL of the running minimum is kept.
     res, supports = np.empty(0), np.empty((0, l), dtype=np.intp)
     for _, block, energy in _energies(frame, xs, l, budget):
-        res = np.concatenate([res, np.maximum(norm - energy[0], 0.0)])
+        res = np.concatenate([res, np.maximum(norms[0] - energy[0], 0.0)])
         supports = np.concatenate([supports, block])
         near = res <= res.min() + TIE_TOL
         res, supports = res[near], supports[near]
@@ -690,12 +685,11 @@ def smdd_residuals(frame: Frame, X, l: int, budget: int = DEFAULT_BUDGET) -> np.
     a search: every frame spans C^N, so some size-l support does (the
     bound's L = N branch).  Raises BudgetExceeded when C(M, l) exceeds the
     subset budget, at every l >= 1."""
-    X = _signals(frame, X, l)
-    norms = np.einsum("sn,sn->s", X, X.conj()).real
+    X, norms = _signals(frame, X, l)
     if l == 0:
         return norms
     if l >= frame.n:
-        _check_budget(frame, l, budget)
+        _over_budget(frame.m, l, budget)
         return np.zeros(len(X))
     top = np.full(X.shape[0], -np.inf)
     for rows, _, energy in _energies(frame, X, l, budget):
@@ -713,10 +707,11 @@ def smdd_greedy(frame: Frame, x, l: int) -> SmddResult:
     upper-bounds the exact minimum and is labeled approximate wherever
     it is surfaced; it never feeds bound-comparison verdicts.
     """
-    x = _signals(frame, np.ravel(x)[None, :], l)[0]
+    xs, norms = _signals(frame, np.ravel(x)[None, :], l)
+    x = xs[0]
     chosen: list[int] = []
     residual = x.copy()
-    norm_sq = resid_sq = float(np.vdot(x, x).real)
+    norm_sq = resid_sq = float(norms[0])
     row_norms = np.linalg.norm(frame.matrix, axis=1)
     for _ in range(l):
         scores = np.abs(frame.matrix.conj() @ residual) / row_norms
@@ -749,9 +744,6 @@ def bds_decode(frame: Frame, x, delta: float, budget: int = DEFAULT_BUDGET):
     """
     if not 0.0 <= delta <= 1.0:
         raise DomainError(f"delta {delta} outside [0, 1]")
-    x = np.asarray(x, dtype=complex).ravel()
-    norm_sq = float(np.vdot(x, x).real)
-    thr = delta * norm_sq + 1e-12 * norm_sq
     results: dict[int, SmddResult] = {}
 
     def result(l: int) -> SmddResult:
@@ -759,7 +751,10 @@ def bds_decode(frame: Frame, x, delta: float, budget: int = DEFAULT_BUDGET):
             results[l] = smdd_exact(frame, x, l, budget=budget)
         return results[l]
 
-    if result(0).residual_sq <= thr:
+    # The L = 0 residual is ||x||^2 itself.
+    norm_sq = result(0).residual_sq
+    thr = delta * norm_sq + 1e-12 * norm_sq
+    if norm_sq <= thr:
         return 0, results[0]
     lo, hi = 0, frame.n
     while hi - lo > 1:
@@ -822,9 +817,7 @@ def _check_estimate(frame: Frame, l: int, n_samples: int, budget: int,
         raise DomainError("need n_samples >= 1")
     if not 0 <= l <= frame.m:
         raise DomainError(f"need 0 <= L <= M, got L={l}")
-    if l > 0 and not fallback_greedy:
-        _check_budget(frame, l, budget)
-    return l > 0 and math.comb(frame.m, l) > budget
+    return l > 0 and _over_budget(frame.m, l, budget, refuse=not fallback_greedy)
 
 
 def estimate_distortion(
@@ -846,6 +839,7 @@ def estimate_distortion(
     estimate_from_samples; none is drawn where the exact search reads
     none, at l = 0 (every ratio 1) and l >= N (every ratio 0).
     """
+    seed = _seed(seed)
     approximate = _check_estimate(frame, l, n_samples, budget, fallback_greedy)
     if l == 0 or l >= frame.n and not approximate:
         return _estimate(frame, l, seed, np.ones(n_samples) if l == 0 else np.zeros(n_samples))
@@ -869,9 +863,9 @@ def estimate_from_samples(
     shape, a non-finite entry or a zero row.  At l = 0 every sample
     contributes ||x||^2 / ||x||^2 == 1.0 exactly.
     """
-    X = _signals(frame, X, l)
+    seed = _seed(seed)
+    X, norms = _signals(frame, X, l)
     approximate = _check_estimate(frame, l, len(X), budget, fallback_greedy)
-    norms = np.einsum("sn,sn->s", X, X.conj()).real
     if not norms.all():
         raise ValueError("signals must be non-zero")
     if approximate:
@@ -883,9 +877,9 @@ def estimate_from_samples(
 
 def _estimate(frame: Frame, l: int, seed, ratios: np.ndarray, approximate: bool = False,
               samples: np.ndarray | None = None) -> DistortionEstimate:
-    """The estimate whose per-sample relative residuals are ratios."""
+    """The estimate whose per-sample relative residuals are ratios, for a
+    seed as _seed reads it."""
     n_samples = len(ratios)
-    seed = tuple(seed) if isinstance(seed, (tuple, list)) else int(seed)
     config = EstimateConfig(frame_id(frame), frame.n, frame.m, l, seed)
     mean = float(ratios.mean())
     stderr = float(ratios.std(ddof=1) / math.sqrt(n_samples)) if n_samples > 1 else 0.0

@@ -1,3 +1,4 @@
+import ast
 import inspect
 import json
 import os
@@ -75,3 +76,24 @@ def test_only_decode_loads_scipy(tmp_path):
     assert report["before_decode"] == []
     assert report["status"] == "ok" and report["support"] == [3]
     assert report["linalg"]
+
+
+def test_no_function_keeps_a_cache_across_calls():
+    # A memoizing decorator keeps its table for the life of the process.
+    # The one allowed is the lazy LAPACK loader, which holds two functions.
+    caches, found = {"cache", "lru_cache"}, set()
+    for path in sorted((Path(__file__).resolve().parent.parent / "src" / "vframe").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owner = {}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                for dec in node.decorator_list:
+                    owner.update((id(sub), node.name) for sub in ast.walk(dec))
+        imported = {alias.asname or alias.name for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom) and node.module == "functools"
+                    for alias in node.names if alias.name in caches}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr in caches or \
+                    isinstance(node, ast.Name) and node.id in imported:
+                found.add(f"{path.stem}.{owner.get(id(node), node.lineno)}")
+    assert found == {"decoder._gelsy"}

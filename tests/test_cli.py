@@ -507,3 +507,18 @@ def test_sweep_resume_refuses_a_file_without_sweep_config(tmp_path, capsys):
     code, _, err = run(capsys, SWEEP_4 + ["--seed", "1", "--out", str(out_path), "--resume"])
     assert code == 1 and "config" in err
     assert out_path.read_text() == "N,M,L\n4,8,1\n"
+
+
+@pytest.mark.parametrize("config", [
+    [1],
+    {"subcommand": "sweep", "format": "csv", "samples": 50},
+    {"subcommand": "sweep", "format": "csv", "seed": 1},
+], ids=["not-an-object", "no-seed", "no-samples"])
+def test_sweep_resume_refuses_a_malformed_config_line(tmp_path, capsys, config):
+    out_path = tmp_path / "sweep.csv"
+    text = f"# config: {json.dumps(config)}\nN,M,L\n4,8,1\n"
+    out_path.write_text(text)
+    code, _, err = run(capsys, SWEEP_4 + ["--seed", "1", "--out", str(out_path), "--resume"])
+    assert code == 1 and err.startswith("error:") and "config" in err
+    assert "Traceback" not in err
+    assert out_path.read_text() == text

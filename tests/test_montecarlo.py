@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import struct
 import tracemalloc
 from pathlib import Path
@@ -792,6 +793,67 @@ def test_estimate_checks_before_drawing(monkeypatch):
     with pytest.raises(DomainError):
         vf.estimate_distortion(frame, 1, 0, seed=1)
     assert vf.estimate_distortion(frame, 0, 10, seed=1).mean == 1.0
+
+
+@pytest.mark.parametrize("seed,recorded", [
+    (7, 7), (((3, 2**40), 5), (3, 2**40, 5)), (np.array([3, 9]), (3, 9)), (range(4, 7), (4, 5, 6)),
+], ids=["int", "nested-tuple", "ndarray", "range"])
+@pytest.mark.parametrize("l", [0, 2, 4])
+def test_every_seed_form_reads_one_stream(seed, recorded, l):
+    # One reading of a seed serves the sampler and both estimates: an int is
+    # recorded as an int, any sequence as the flat tuple of its ints, whose
+    # stream is the same.
+    frame = roots_frame(4, 8)
+    est = vf.estimate_distortion(frame, l, 30, seed)
+    X = vf.sample_sphere_batch(4, 30, seed)
+    again = vf.estimate_from_samples(frame, l, X, seed)
+    assert est == again and est.ratios.tobytes() == again.ratios.tobytes()
+    assert type(est.config.seed) is type(recorded) and est.config.seed == recorded
+    assert X.tobytes() == vf.sample_sphere_batch(4, 30, recorded).tobytes()
+
+
+@pytest.mark.parametrize("seed,error", [(-1, ValueError), ((5, (1, -2)), ValueError),
+                                        (1.5, TypeError), (np.array([0.5]), TypeError),
+                                        ("7", TypeError)])
+def test_estimates_refuse_a_seed_before_drawing_or_scoring(seed, error, monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("drew or scored before reading the seed")
+
+    monkeypatch.setattr(montecarlo, "sample_sphere_batch", unreachable)
+    monkeypatch.setattr(montecarlo, "smdd_residuals", unreachable)
+    frame = roots_frame(4, 8)
+    X = np.ones((3, 4), dtype=complex)
+    for l in (0, 2, 4):
+        with pytest.raises(error):
+            vf.estimate_distortion(frame, l, 10, seed)
+        with pytest.raises(error):
+            vf.estimate_from_samples(frame, l, X, seed)
+
+
+@pytest.mark.parametrize("n,m", [(4, 8), (6, 12), (8, 32)])
+def test_searches_take_one_squared_norm(n, m):
+    # smdd_exact, smdd_greedy and bds_decode report at L = 0 the squared norm
+    # smdd_residuals and the estimates divide by, bit for bit.
+    frame = roots_frame(n, m)
+    X = vf.sample_sphere_batch(n, 300, seed=(23, n))
+    norms = vf.smdd_residuals(frame, X, 0)
+    for x, norm in zip(X, norms.tolist()):
+        assert vf.smdd_exact(frame, x, 0).residual_sq == norm
+        assert vf.smdd_residuals(frame, x[None], 0)[0] == norm
+        assert vf.smdd_greedy(frame, x, 0).residual_sq == norm
+        assert vf.bds_decode(frame, x, 1.0)[1].residual_sq == norm
+
+
+def test_budget_is_refused_in_one_message():
+    frame = roots_frame(4, 8)
+    X = vf.sample_sphere_batch(4, 3, seed=1)
+    message = re.escape("C(8,4) = 70 exceeds budget 69")
+    with pytest.raises(BudgetExceeded, match=message):
+        vf.check_condition_I(frame, budget=69)
+    with pytest.raises(BudgetExceeded, match=message):
+        vf.smdd_residuals(frame, X, 4, budget=69)
+    with pytest.raises(BudgetExceeded, match=message):
+        vf.estimate_distortion(frame, 4, 3, seed=1, budget=69)
 
 
 def test_search_at_or_past_n_keeps_its_budget():
