@@ -15,7 +15,6 @@ import argparse
 import csv
 import io
 import json
-import math
 import os
 import sys
 import time
@@ -24,7 +23,7 @@ import numpy as np
 
 from . import bounds as bnd
 from . import decoder, frames, montecarlo
-from .errors import VframeError
+from .errors import BudgetExceeded, VframeError
 
 JSON_KIND = "json"
 CSV_KIND = "csv"
@@ -338,13 +337,13 @@ def cmd_sweep(args):
         for l in (range(0, n + 1) if args.l == "all" else _parse_int_list(args.l))
         if (n, factor * n, l) not in done
     ]
-    if args.samples > 0:
-        for inp in cells:
-            if inp.l > 0 and math.comb(inp.m, inp.l) > args.budget:
-                raise VframeError(
-                    f"cell (N,M,L)=({inp.n},{inp.m},{inp.l}) needs C({inp.m},{inp.l}) = "
-                    f"{math.comb(inp.m, inp.l)} supports, over --budget {args.budget}"
-                )
+    for inp in cells:
+        if args.samples > 0 and inp.l > 0:
+            try:
+                frames._over_budget(inp.m, inp.l, args.budget)
+            except BudgetExceeded as exc:
+                raise BudgetExceeded(f"cell (N,M,L)=({inp.n},{inp.m},{inp.l}) is over "
+                                     f"--budget {args.budget}: {exc}") from None
     fh = open(args.out, "w" if prior is None else "a", newline="", encoding="utf-8") if args.out else sys.stdout
     try:
         if prior is None:

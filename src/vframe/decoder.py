@@ -2,38 +2,36 @@
 
 A signal r in C^N synthesized from a coefficient vector of weight
 w <= floor(N/2) is recovered exactly: in that regime the minimal-weight
-representation is unique, and it is found by the classical algebraic
-decoding pipeline run in complex floating point:
+representation is unique, and the classical algebraic decoding
+pipeline, run in complex floating point, finds it.  decode reads one
+lazily generated stream of candidate supports, minimal weight first,
+and judges each with one gate:
 
-    1. syndromes      -- the coordinates of r, read off verbatim;
-    2. key equation   -- extended Euclid division on (z^N, S1[z])
-                         yields locator sigma and evaluator omega;
-                         each division returns a trimmed remainder,
-                         so the loop reads degrees off array lengths;
-    3. root location  -- sigma is evaluated at every inverse node;
-    4. value recovery -- Forney's formula, then one least-squares
-                         refinement step on the located support;
-    5. verification   -- re-synthesize and check the relative residual.
+    1. syndromes  -- the coordinates of r, read off verbatim;
+    2. Euclid     -- extended Euclid division on (z^N, S1[z]) yields the
+                     locator sigma; its roots among the inverse nodes,
+                     when they number its degree, are the first candidate;
+    3. recurrence -- locators re-fit by least squares to the syndrome
+                     recurrence, weights in increasing order; the w
+                     inverse nodes where a weight-w locator is smallest
+                     in modulus are the next candidates;
+    4. values     -- Forney's formula and one least-squares refinement on
+                     a candidate's rows; near-zero phantom values drop
+                     their locations, once;
+    5. gate       -- a candidate that re-synthesizes r to machine level
+                     ends the stream; otherwise the lowest relative
+                     residual wins, and it is "ok" within the tolerance.
 
-Every decode is self-checking: a result is reported "ok" only when the
-re-synthesized signal matches r to the requested tolerance, so the
-decoder may reject an input but never silently mis-decodes one.
+The recurrence candidates exist for numerical stability.  The Euclid
+recursion is exact-arithmetic math; in doubles its remainder sequence
+degrades as the weight approaches floor(N/2) for N beyond ~16 (leading
+remainder coefficients suffer heavy cancellation).  The recurrence fit
+stacks the conjugate-reversed syndromes when the nodes are
+unit-modulus, which doubles the data and tames clustered supports.
 
-Numerical stability.  The Euclid recursion is exact-arithmetic math;
-in doubles its remainder sequence degrades as the weight approaches
-floor(N/2) for N beyond ~16 (leading remainder coefficients suffer
-heavy cancellation).  When the Euclid route fails its own
-verification, decode falls back to a stabilized locator estimate: the
-locator coefficients are re-fit by least squares to the syndrome
-recurrence (stacked with the conjugate-reversed syndromes when the
-nodes are unit-modulus, which doubles the data and tames clustered
-supports), candidate weights are scanned in increasing order, the
-support of a weight-w locator is the w inverse nodes where it is
-smallest in modulus, and each candidate must pass
-the synthesis-residual gate.  Worst-case configurations at w = N/2
-sit at the edge of double-precision identifiability, so a small
-failure rate remains near N = 64 at full weight; failures surface as
-non-"ok" statuses, never as wrong answers.
+"ok" certifies the residual only: near the decoding radius, and for
+clustered supports inside it, another support can meet the tolerance
+too (README, "Decoding accuracy").
 """
 
 from __future__ import annotations
@@ -242,103 +240,106 @@ def _lstsq(a, b):
     return x[:n]
 
 
-def _evaluator_for_support(s, nodes, locations):
-    """Truncated evaluator S1 * sigma mod z^w for a known support of
-    weight w, with sigma its exact product locator."""
-    x = nodes[np.asarray(locations, dtype=int) - 1]
+def _values(frame, s, support):
+    """Forney values on a support, from the truncated evaluator
+    S1 * sigma mod z^w of its exact product locator sigma, refined by one
+    least-squares step; returned with the support's frame rows, or None
+    when a Forney denominator vanishes."""
+    idx = np.asarray(support, dtype=int) - 1
     sigma = np.ones(1, dtype=complex)
-    for xi in x:
+    for xi in frame.nodes[idx]:
         sigma = np.convolve(sigma, np.array([1.0, -xi]))
-    return poly_trim(np.convolve(s, sigma)[: x.size]) if x.size else s[:0]
-
-
-def _candidate(frame, r, s, locations, norm_r, _collapsed=False):
-    """(rep, residual) for a candidate support, or None when unusable.
-
-    Values come from Forney's formula plus one least-squares
-    refinement step on the located rows.  Values below the dense zero
-    threshold collapse the support (a superset of the true support
-    carries near-zero phantom values) and the reduced candidate is
-    rebuilt once.
-    """
-    w = len(locations)
-    omega = _evaluator_for_support(s, frame.nodes, locations)
+    omega = poly_trim(np.convolve(s, sigma)[: idx.size]) if idx.size else s[:0]
     try:
-        values = forney_values(omega, list(locations), frame)
+        values = forney_values(omega, list(support), frame)
     except DegenerateDenominator:
         return None
-    rows = frame.matrix[np.asarray(locations, dtype=int) - 1]
-    values = values + _lstsq(rows.T, r - values @ rows)
-    if not _collapsed and w:
-        keep = np.abs(values) > ZERO_REL_TOL * np.abs(values).max()
-        if not np.all(keep):
-            reduced = tuple(loc for loc, k in zip(locations, keep) if k)
-            return _candidate(frame, r, s, reduced, norm_r, _collapsed=True)
-    rep = SparseRep(frame.m, tuple(locations), values)
-    residual = float(np.linalg.norm(r - values @ rows) / norm_r) if w else 1.0
-    return rep, residual
+    rows = frame.matrix[idx]
+    return values + _lstsq(rows.T, s - values @ rows), rows
 
 
-def _recurrence_fit(s, seqs, w):
+def _candidate(frame, s, support, norm_s):
+    """(support, values, residual) for a candidate support, or None when
+    a Forney denominator vanishes.  A superset of the true support carries
+    near-zero phantom values: locations whose values fall below the dense
+    zero threshold are dropped, once, and the rest valued afresh."""
+    fit = _values(frame, s, support)
+    if fit is not None and support:
+        mags = np.abs(fit[0])
+        keep = mags > ZERO_REL_TOL * mags.max()
+        if not keep.all():
+            support = tuple(loc for loc, k in zip(support, keep) if k)
+            fit = _values(frame, s, support)
+    if fit is None:
+        return None
+    values, rows = fit
+    return support, values, float(np.linalg.norm(s - values @ rows) / norm_s)
+
+
+def _recurrence_fit(seqs, w):
     """Least-squares locator tail for weight w plus its relative misfit.
 
     Fits s_i = -sum_k sigma_k s_{i-k} over every stacked sequence (the
     conjugate-reversed syndromes obey the same recurrence when the
-    nodes are unit-modulus, doubling the equations).  Row i of a sequence
-    reads its entries i+w-1 down to i, and its right-hand side entry i+w.
+    nodes are unit-modulus, doubling the equations); seqs[0] holds the
+    syndromes.  Row i of a sequence reads its entries i+w-1 down to i,
+    and its right-hand side entry i+w.
     """
     a = np.concatenate([sliding_window_view(seq[:-1], w)[:, ::-1] for seq in seqs])
     b = -np.concatenate([seq[w:] for seq in seqs])
     x = _lstsq(a, b)
     misfit = float(np.linalg.norm(a @ x - b))
-    scale = np.abs(s).max() * math.sqrt(a.shape[0])
+    scale = np.abs(seqs[0]).max() * math.sqrt(a.shape[0])
     return np.concatenate((np.ones(1, dtype=complex), x)), misfit / scale
 
 
-def _recurrence_candidates(s, t, unit_circle):
-    """Candidate (weight, locator) pairs from the syndrome recurrence,
-    minimal weight first.
+def _recurrence_locators(s, nodes):
+    """Locators fitted to the syndrome recurrence, minimal weight first,
+    of weight at most t = floor(N/2); nodes decide whether the
+    conjugate-reversed syndromes are stacked.
 
     The misfit drops from O(1) to rounding level at the minimal
     recurrence order, so the transition is found by bisection.  Near
     the decoding radius the syndrome matrix can be degenerate enough
     that the misfit dips early, so a window of weights above the
     transition is offered too, always ending at t; phantom roots of
-    overshot weights carry near-zero values and collapse in the gate.
+    overshot weights carry near-zero values and collapse in the
+    candidate step.  A window weight is fitted only when the scan
+    reaches it.
     """
-    n = s.size
+    t = s.size // 2
     seqs = [s]
-    if unit_circle:
+    if np.all(np.abs(np.abs(nodes) - 1.0) <= 1e-9):   # unit-modulus nodes
         seqs.append(np.conj(s[::-1]))
-    cache: dict[int, tuple[np.ndarray, float]] = {}
+    fitted: dict[int, np.ndarray | None] = {}
 
-    def fits(w):
-        if w not in cache:
-            cache[w] = _recurrence_fit(s, seqs, w)
-        return cache[w][1] <= RECURRENCE_TOL
+    def fit(w):                                    # the locator, if its misfit passes
+        if w not in fitted:
+            sigma, misfit = _recurrence_fit(seqs, w)
+            fitted[w] = sigma if misfit <= RECURRENCE_TOL else None
+        return fitted[w]
 
-    if t < 1 or not fits(t):
-        return []
+    if t < 1 or fit(t) is None:
+        return
     lo, hi = 1, t
     while lo < hi:
         mid = (lo + hi) // 2
-        if fits(mid):
+        if fit(mid) is not None:
             hi = mid
         else:
             lo = mid + 1
     weights = list(range(lo, min(lo + 8, t) + 1))
     if weights[-1] != t:
         weights.append(t)
-    out = []
     for w in weights:
-        if fits(w):
-            out.append((w, cache[w][0]))
-    return out
+        sigma = fit(w)
+        if sigma is not None:
+            yield sigma
 
 
 def _smallest_at_nodes(sigma, nodes):
     """Support of the w inverse nodes where |sigma| is smallest, with
-    w = deg sigma >= 1 (_recurrence_candidates offers no weight 0); None
+    w = deg sigma >= 1 (_recurrence_locators offers no weight 0); None
     when sigma does not evaluate to finite values.
 
     A soft Chien search: the locator of a weight-w representation
@@ -356,6 +357,24 @@ def _smallest_at_nodes(sigma, nodes):
     return tuple(sorted(int(i) + 1 for i in idx))
 
 
+def _supports(frame, s, sigma):
+    """Candidate supports, minimal weight first: the roots of the Euclid
+    locator sigma (None when the key equation broke down) when its
+    degree is at most floor(N/2) and they number it, then the support of
+    each recurrence locator."""
+    if sigma is not None and sigma.size - 1 <= frame.n // 2:   # sigma comes back trimmed
+        try:
+            roots = find_error_locations(sigma, frame)
+        except RootCountMismatch:
+            pass
+        else:
+            yield tuple(roots)
+    for locator in _recurrence_locators(s, frame.nodes):
+        support = _smallest_at_nodes(locator, frame.nodes)
+        if support is not None:
+            yield support
+
+
 def decode(frame: Frame, r, tol: float = RESIDUAL_TOL) -> DecodeOutcome:
     """Recover the unique representation of weight <= floor(N/2), if any.
 
@@ -370,56 +389,36 @@ def decode(frame: Frame, r, tol: float = RESIDUAL_TOL) -> DecodeOutcome:
     """
     _check_tol(tol)
     # The syndromes are r's coordinates, so they serve as the signal too.
-    r = s = syndromes(frame, r)
-    m, t = frame.m, frame.n // 2
-    norm_r = float(np.linalg.norm(r))
+    s = syndromes(frame, r)
+    norm_s = float(np.linalg.norm(s))
     # A nan or infinite entry makes the norm non-finite, and so does a
     # finite signal whose norm overflows; neither can be decoded.
-    if not math.isfinite(norm_r):
+    if not math.isfinite(norm_s):
         raise ValueError("signal must be finite, with a finite norm")
-    if norm_r == 0.0:
-        return DecodeOutcome(SparseRep(m, (), np.zeros(0, dtype=complex)), 0.0, 0, STATUS_OK)
-
-    strict = min(tol, STRICT_RESIDUAL)
-    best = None
-
-    def settle(cand):
-        nonlocal best
-        if cand is not None and (best is None or cand[1] < best[1]):
-            best = cand
-        return cand is not None and cand[1] <= strict
-
-    # Fast path: Euclid key equation, threshold root location.
-    euclid_degree = -1
-    try:
-        sigma, omega = solve_key_equation(s, t)
-        euclid_degree = sigma.size - 1             # sigma comes back trimmed
-        if euclid_degree <= t:
-            locations = find_error_locations(sigma, frame)
-            if settle(_candidate(frame, r, s, tuple(locations), norm_r)):
-                rep, residual = best
-                return DecodeOutcome(rep, residual, rep.weight, STATUS_OK)
-    except VframeError:
-        pass
-
-    # Fallback: least-squares locator refit per candidate weight,
-    # scanned in increasing order so the minimal weight wins.  Only a
-    # strict (machine-level) fit stops the scan; near-fits of the
-    # wrong weight stay mere candidates.
-    unit_circle = bool(np.all(np.abs(np.abs(frame.nodes) - 1.0) <= 1e-9))
-    for w, sigma in _recurrence_candidates(s, t, unit_circle):
-        support = _smallest_at_nodes(sigma, frame.nodes)
-        if support is None:
-            continue
-        if settle(_candidate(frame, r, s, support, norm_r)):
-            break
-
-    if best is not None:
-        rep, residual = best
-        status = STATUS_OK if residual <= tol else STATUS_RESIDUAL
-        return DecodeOutcome(rep, residual, rep.weight, status)
-    return DecodeOutcome(SparseRep(m, (), np.zeros(0, dtype=complex)), 1.0, euclid_degree,
-                         STATUS_WEIGHT)
+    sigma = None
+    if norm_s == 0.0:
+        best = ((), s[:0], 0.0)                    # the zero signal, exactly
+    else:
+        try:
+            sigma, _ = solve_key_equation(s, frame.n // 2)
+        except VframeError:
+            pass
+        # The gate: the first candidate at machine-level residual ends the
+        # scan; otherwise the lowest residual wins, the earlier on a tie.
+        strict = min(tol, STRICT_RESIDUAL)
+        best = None
+        for support in _supports(frame, s, sigma):
+            cand = _candidate(frame, s, support, norm_s)
+            if cand is not None and (best is None or cand[2] < best[2]):
+                best = cand
+                if best[2] <= strict:
+                    break
+    if best is None:
+        degree = -1 if sigma is None else sigma.size - 1
+        return DecodeOutcome(SparseRep(frame.m, (), s[:0]), 1.0, degree, STATUS_WEIGHT)
+    support, values, residual = best
+    status = STATUS_OK if residual <= tol else STATUS_RESIDUAL
+    return DecodeOutcome(SparseRep(frame.m, support, values), residual, len(support), status)
 
 
 def _check_tol(tol: float) -> None:

@@ -101,6 +101,24 @@ def test_decode_failure_is_data_not_crash(capsys):
     assert obj["outcome"]["status"] == "weight_exceeds_half_n"
 
 
+def test_encode_by_weight_round_trips_through_signal_files(tmp_path, capsys):
+    encoded = tmp_path / "encoded.json"
+    code, out, _ = run(capsys, ["encode", "--n", "8", "--m", "16", "--weight", "3",
+                                "--seed", "4", "--out", str(encoded)])
+    assert code == 0 and out == ""
+    obj = json.loads(encoded.read_text())
+    assert obj["config"]["weight"] == 3 and len(obj["rep"]["support"]) == 3
+    bare = tmp_path / "bare.json"
+    bare.write_text(json.dumps(obj["signal"]))
+    for signal_file in (encoded, bare):               # an object, then a bare list
+        decoded = tmp_path / "decoded.json"
+        code, out, _ = run(capsys, ["decode", "--n", "8", "--m", "16", "--signal-file",
+                                    str(signal_file), "--out", str(decoded)])
+        assert code == 0 and out == ""
+        outcome = json.loads(decoded.read_text())["outcome"]
+        assert outcome["status"] == "ok" and outcome["support"] == obj["rep"]["support"]
+
+
 def test_decode_frame_file(tmp_path, capsys):
     path = tmp_path / "frame.json"
     vf.save_frame(vf.make_vandermonde_frame(vf.default_nodes(4), 2), path)
@@ -173,9 +191,13 @@ def test_usage_error_exit_code_two():
 
 
 def test_domain_error_exit_code_one(capsys):
-    code, _, err = run(capsys, ["decode", "--n", "2", "--m", "4"])
-    assert code == 1
-    assert "error:" in err
+    for argv, message in (
+        (["decode", "--n", "2", "--m", "4"], "--signal-json"),
+        (["decode", "--frame", "vandermonde", "--signal-json", "[[1, 0]]"], "--n and --m"),
+    ):
+        code, _, err = run(capsys, argv)
+        assert code == 1
+        assert err.startswith("error:") and message in err
 
 
 # -- roundtrip --------------------------------------------------------------------
@@ -205,9 +227,13 @@ def test_roundtrip_refuses_a_negative_trial_count(capsys):
 
 # -- bound -----------------------------------------------------------------------
 
-def test_bound_csv_row(capsys):
+def test_bound_csv_row(tmp_path, capsys):
     code, out, _ = run(capsys, ["bound", "--n", "6", "--m", "12", "--l", "2"])
     assert code == 0
+    out_path = tmp_path / "bound.csv"
+    assert run(capsys, ["bound", "--n", "6", "--m", "12", "--l", "2", "--out", str(out_path)]) \
+        == (0, "", "")
+    assert out_path.read_bytes() == out.encode()
     rows = parse_csv(out)
     assert len(rows) == 1
     row = rows[0]
@@ -228,8 +254,10 @@ def test_bound_asymptotic(capsys):
 
 
 def test_bound_missing_args(capsys):
-    code, _, err = run(capsys, ["bound", "--n", "6"])
-    assert code == 1 and "error:" in err
+    for argv in (["bound", "--n", "6"], ["bound", "--asymptotic"],
+                 ["bound", "--asymptotic", "--r", "2"]):
+        code, _, err = run(capsys, argv)
+        assert code == 1 and "error:" in err
 
 
 # -- simulate ---------------------------------------------------------------------
@@ -499,6 +527,20 @@ def test_sweep_resume_refuses_another_config(tmp_path, capsys, first, resume, fl
     code, _, err = run(capsys, SWEEP_4 + resume + ["--out", str(out_path), "--resume"])
     assert code == 1 and flag in err
     assert out_path.read_text() == before
+
+
+@pytest.mark.parametrize("existing", [None, ""], ids=["missing", "empty"])
+def test_sweep_resume_starts_a_missing_or_empty_file(tmp_path, capsys, existing):
+    fresh = tmp_path / "fresh.csv"
+    run(capsys, SWEEP_4 + ["--seed", "1", "--out", str(fresh)])
+    out_path = tmp_path / "sweep.csv"
+    if existing is not None:
+        out_path.write_text(existing)
+    code, _, err = run(capsys, SWEEP_4 + ["--seed", "1", "--out", str(out_path), "--resume"])
+    assert code == 0, err
+    text = out_path.read_text()
+    assert config_line(text)["resume"] is True
+    assert parse_csv(text) == parse_csv(fresh.read_text())
 
 
 def test_sweep_resume_refuses_a_file_without_sweep_config(tmp_path, capsys):
