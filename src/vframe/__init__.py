@@ -80,7 +80,6 @@ from .montecarlo import (
     bds_decode,
     compare_to_bound,
     estimate_distortion,
-    estimate_from_samples,
     projection_residual,
     sample_rng,
     sample_sphere_batch,

@@ -292,6 +292,9 @@ def _sweep_progress(path):
                 or not {"seed", "samples"} <= cfg.keys():
             raise VframeError(f"{path} does not start with a sweep '# config:' line "
                               "holding its seed and samples")
+        if cfg.get("stream") != montecarlo.STREAM:
+            raise VframeError(f"{path} was written under sample stream {cfg.get('stream')!r}, "
+                              f"not {montecarlo.STREAM!r}: its rows came from other samples")
         for line in fh:
             if line.startswith("#") or line.startswith("N,"):
                 continue
@@ -323,7 +326,7 @@ def cmd_sweep(args):
     cfg = _config(
         "sweep", CSV_KIND, seed,
         n_list=n_list, m_factors=factors, l=args.l,
-        samples=args.samples, resume=args.resume,
+        samples=args.samples, resume=args.resume, stream=montecarlo.STREAM,
     )
     header = list(BOUND_HEADER)
     if args.samples > 0:
@@ -350,24 +353,15 @@ def cmd_sweep(args):
             fh.write(f"# config: {json.dumps(cfg)}\n")
             csv.writer(fh).writerow(header)
         writer = csv.writer(fh)
-        frame = batch = None
+        frame = None
         for inp in cells:
             report, row = _bound_row(inp)
             if args.samples > 0:
                 if frame is None or (frame.n, frame.m) != (inp.n, inp.m):
                     frame = _build_frame("vandermonde", inp.n, inp.m, seed)
-                # Every (M, L) cell of one N scores the same (N, samples, seed)
-                # stream and cells are N-major, so the first cell of an N with
-                # L >= 1 draws the batch and the others reuse it.
-                if batch is not None and batch.shape[1] == inp.n:
-                    est = montecarlo.estimate_from_samples(
-                        frame, inp.l, batch, seed, budget=args.budget
-                    )
-                else:
-                    est = montecarlo.estimate_distortion(
-                        frame, inp.l, args.samples, seed, budget=args.budget
-                    )
-                    batch = est.samples
+                est = montecarlo.estimate_distortion(
+                    frame, inp.l, args.samples, seed, budget=args.budget
+                )
                 verdict = montecarlo.compare_to_bound(est, report)
                 row += [est.mean, est.stderr, verdict.margin, verdict.passed]
             writer.writerow(row)

@@ -379,8 +379,9 @@ def test_sweep_draws_each_n_once_and_matches_per_cell_estimates(tmp_path, capsys
     out_path = tmp_path / "sweep.csv"
     code, _, err = run(capsys, SWEEP_34 + ["--out", str(out_path)])
     assert code == 0, err
-    # 14 cells with L >= 1 share two (N, samples, seed) streams
-    assert draws == [(3, 40, 8), (4, 40, 8)]
+    # Each of the 10 cells with 1 <= L < N draws its own stream, the same
+    # for every cell of one (N, samples, seed).
+    assert draws == [(3, 40, 8, 0)] * 4 + [(4, 40, 8, 0)] * 6
     rows = parse_csv(out_path.read_text())
     assert len(rows) == 2 * 4 + 2 * 5
     del draws[:]
@@ -397,26 +398,27 @@ def test_sweep_draws_each_n_once_and_matches_per_cell_estimates(tmp_path, capsys
 
 
 def test_sweep_csv_equals_one_drawn_per_sample(tmp_path, capsys, monkeypatch):
-    # The batch sampler's CSV is byte for byte the one of a sampler that
-    # draws every sample from its own freshly built generator.
+    # The CSV is byte for byte the one of a sampler that draws every sample
+    # on its own, as row `start` of its block.
     argv = ["sweep", "--n-list", "3,4,6", "--m-factors", "2", "--l", "all",
-            "--samples", "400", "--seed", "4242"]
+            "--samples", "1100", "--seed", "4242"]
     batch_path, reference_path = tmp_path / "batch.csv", tmp_path / "reference.csv"
     assert run(capsys, argv + ["--out", str(batch_path)])[0] == 0
+    batch = montecarlo.sample_sphere_batch
 
-    def per_sample(n, n_samples, seed):
+    def per_sample(n, n_samples, seed, start):
         drawn.append(n)
-        return np.array([vf.sample_uniform_sphere(n, vf.sample_rng(seed, i))
-                         for i in range(n_samples)]).reshape(n_samples, n)
+        return np.concatenate([batch(n, 1, seed, start + i) for i in range(n_samples)])
 
     drawn = []
     monkeypatch.setattr(montecarlo, "sample_sphere_batch", per_sample)
     assert run(capsys, argv + ["--out", str(reference_path)])[0] == 0
-    assert drawn == [3, 4, 6]
+    assert drawn == [3, 3, 4, 4, 4, 6, 6, 6, 6, 6]
     assert batch_path.read_bytes() == reference_path.read_bytes()
 
 
-@pytest.mark.parametrize("kept,expected_draws", [(2, [3, 4]), (8, [4]), (9, [4]), (18, [])])
+@pytest.mark.parametrize("kept,expected_draws", [(2, [3] * 3 + [4] * 6), (8, [4] * 6),
+                                                   (9, [4] * 6), (18, [])])
 def test_sweep_resume_draws_only_for_cells_left(tmp_path, capsys, monkeypatch, kept, expected_draws):
     out_path = tmp_path / "sweep.csv"
     run(capsys, SWEEP_34 + ["--out", str(out_path)])
@@ -428,6 +430,32 @@ def test_sweep_resume_draws_only_for_cells_left(tmp_path, capsys, monkeypatch, k
     assert code == 0, err
     assert [a[0] for a in draws] == expected_draws
     assert out_path.read_text() == full
+
+
+@pytest.mark.parametrize("stream", [None, "per-sample"])
+def test_sweep_resume_refuses_rows_of_another_sample_stream(tmp_path, capsys, stream):
+    # A file whose config names no stream (as written before the block
+    # contract) or another one holds rows drawn from other samples.
+    out_path = tmp_path / "sweep.csv"
+    cfg = {"subcommand": "sweep", "format": "csv", "seed": 8, "n_list": [3], "m_factors": [2],
+           "l": "all", "samples": 40, "resume": False}
+    if stream is not None:
+        cfg["stream"] = stream
+    text = (f"# config: {json.dumps(cfg)}\n"
+            "N,M,L,T_log2,kappa_c,rho_0,branch,lower_bound,est_mean,est_stderr,margin,passed\n"
+            "3,6,0,0.0,nan,nan,L0,1.0,1.0,0.0,0.0,True\n")
+    out_path.write_text(text)
+    code, _, err = run(capsys, ["sweep", "--n-list", "3", "--m-factors", "2", "--samples", "40",
+                                "--seed", "8", "--out", str(out_path), "--resume"])
+    assert code == 1
+    assert str(out_path) in err and "other samples" in err and repr(stream) in err
+    assert out_path.read_text() == text
+    # A file written now names the stream it was drawn from.
+    out_path.unlink()
+    assert run(capsys, ["sweep", "--n-list", "3", "--m-factors", "2", "--samples", "40",
+                        "--seed", "8", "--out", str(out_path)])[0] == 0
+    first = out_path.read_text().splitlines()[0]
+    assert json.loads(first[len("# config: "):])["stream"] == montecarlo.STREAM == "philox-block-1024"
 
 
 def test_sweep_with_samples(capsys):

@@ -1,9 +1,7 @@
 import itertools
 import math
 import re
-import struct
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -57,6 +55,20 @@ def test_sample_batch_derives_per_index_streams():
     assert np.array_equal(c[:5], a)
 
 
+BLOCK = montecarlo._BLOCK
+
+
+def contract_rows(n, seed, block, rows):
+    """The first `rows` samples of block `block` of stream `seed`, drawn as
+    the stream contract states: Philox keyed by SeedSequence(seed,
+    spawn_key=(block,)), standard_normal((rows, 2n)), real part then
+    imaginary part, each row divided by its norm."""
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(block,))))
+    g = rng.standard_normal((rows, 2 * n))
+    z = g[:, :n] + 1j * g[:, n:]
+    return z / np.linalg.norm(z, axis=1, keepdims=True)
+
+
 SEEDS = [0, 7, 2**32 - 1, 2**32, 2**33 + 5, 2**64 + 3, (708, 6, 3), (2**33, 0, 9),
          (1, 2, 3, 4, 5), [3, 4], ()]
 
@@ -64,18 +76,13 @@ SEEDS = [0, 7, 2**32 - 1, 2**32, 2**33 + 5, 2**64 + 3, (708, 6, 3), (2**33, 0, 9
 @pytest.mark.parametrize("seed", SEEDS, ids=repr)
 @pytest.mark.parametrize("n_samples", [0, 1, 37])
 def test_philox_keys_match_seed_sequence(seed, n_samples):
-    # Keys are derived by a port of SeedSequence's entropy pool; this fails
-    # if numpy ever changes SeedSequence, for int seeds of one, two and three
-    # words and tuple seeds shorter and longer than its 4-word pool.
-    entropy = tuple(seed) if isinstance(seed, (tuple, list)) else (seed,)
-    expected = np.array(
-        [np.random.SeedSequence(entropy + (i,)).generate_state(2, np.uint64)
-         for i in range(n_samples)], dtype=np.uint64).reshape(n_samples, 2)
-    keys = montecarlo._philox_keys(seed, n_samples)
-    assert keys.dtype == np.uint64 and keys.shape == (n_samples, 2)
-    assert np.array_equal(keys, expected)
-    for i in range(n_samples):
-        assert np.array_equal(keys[i], vf.sample_rng(seed, i).bit_generator.state["state"]["key"])
+    # Block 0's Philox key is SeedSequence(seed, spawn_key=(0,))'s, for int
+    # seeds of one, two and three words and sequence seeds shorter and
+    # longer than its 4-word pool.
+    entropy = tuple(seed) if isinstance(seed, (tuple, list)) else seed
+    batch = vf.sample_sphere_batch(3, n_samples, seed)
+    assert batch.shape == (n_samples, 3)
+    assert batch.tobytes() == contract_rows(3, entropy, 0, n_samples).tobytes()
 
 
 @pytest.mark.parametrize("seed,error", [(-1, ValueError), ((5, -2), ValueError),
@@ -90,166 +97,69 @@ def test_sample_seeds_refused_as_seed_sequence_refuses(seed, error):
         vf.sample_sphere_batch(3, 2, seed)
 
 
-def test_philox_keys_refuse_sample_indices_past_one_word():
-    # SeedSequence would give index 2**32 two entropy words; no batch is that long.
-    with pytest.raises(DomainError):
-        montecarlo._philox_keys(0, 2**32 + 1)
-
-
 @pytest.mark.parametrize("seed", [0, 2**40 + 1, 2**64 + 3, (708, 6, 3), (1, 2, 3, 4, 5)],
                          ids=repr)
 def test_sample_batch_rows_equal_per_sample_streams(seed):
-    # The vectorized draw reproduces a freshly built generator, bit for
-    # bit, in every dimension.
+    # Each row of a batch across a block edge is, bit for bit in every
+    # dimension, the sample drawn on its own and the contract's row.
+    entropy = tuple(seed) if isinstance(seed, tuple) else seed
     for n in range(1, 65):
-        batch = vf.sample_sphere_batch(n, 6, seed)
-        for i, row in enumerate(batch):
-            expected = vf.sample_uniform_sphere(n, vf.sample_rng(seed, i))
-            assert row.tobytes() == expected.tobytes(), (n, i)
+        batch = vf.sample_sphere_batch(n, 6, seed, start=BLOCK - 3)
+        expected = np.concatenate([contract_rows(n, entropy, 0, BLOCK)[-3:],
+                                   contract_rows(n, entropy, 1, 3)])
+        assert batch.tobytes() == expected.tobytes(), n
+        for k, row in enumerate(batch):
+            alone = vf.sample_sphere_batch(n, 1, seed, start=BLOCK - 3 + k)
+            assert alone.tobytes() == row.tobytes(), (n, k)
 
 
-def spy_loop(monkeypatch):
-    """Record the Philox key of every row the per-sample loop draws."""
-    looped = set()
-    draw = montecarlo.sample_uniform_sphere
-
-    def spy(n, rng):
-        looped.add(tuple(rng.bit_generator.state["state"]["key"]))
-        return draw(n, rng)
-
-    monkeypatch.setattr(montecarlo, "sample_uniform_sphere", spy)
-    return looped
-
-
-def words_read(n, key):
-    """The number of Philox words sample_uniform_sphere(n, .) reads from a
-    fresh generator keyed by key (2n exactly when every draw takes the
-    ziggurat fast path), and the generator's first 2n words."""
-    rng = np.random.Generator(np.random.Philox(key=key))
-    vf.sample_uniform_sphere(n, rng)
-    state = rng.bit_generator.state
-    return 4 * (int(state["state"]["counter"][0]) - 1) + state["buffer_pos"], \
-        np.random.Philox(key=key).random_raw(2 * n)
+@pytest.mark.parametrize("n", [1, 5, 64])
+def test_sample_rows_do_not_depend_on_the_rows_drawn_with_them(n):
+    # Rows 1023, 1024 and 1025 straddle the edge of blocks 0 and 1.
+    seed = (31, n)
+    full = vf.sample_sphere_batch(n, 2 * BLOCK + 5, seed)
+    np.testing.assert_allclose(np.linalg.norm(full, axis=1), 1.0, rtol=0, atol=1e-15)
+    for i in (BLOCK - 1, BLOCK, BLOCK + 1):
+        for start in (0, BLOCK - 1, i):
+            for stop in (i + 1, 2 * BLOCK + 5):
+                part = vf.sample_sphere_batch(n, stop - start, seed, start)
+                assert part[i - start].tobytes() == full[i].tobytes(), (i, start, stop)
+    # A block index is not limited to one 32-bit word.
+    far = vf.sample_sphere_batch(n, 2, seed, start=2**33 * BLOCK + 1)
+    assert far.tobytes() == contract_rows(n, seed, 2**33, 3)[1:].tobytes()
 
 
-@pytest.mark.parametrize("n,seed", [(6, (4, 5)), (24, 2**70), (montecarlo._VECTOR_MAX_N, 11)],
-                         ids=repr)
-def test_sample_batch_chunks_and_both_paths_equal_per_sample_streams(n, seed, monkeypatch):
-    # Past one chunk of rows, three kinds of row, each bit for bit its own
-    # stream: fast rows, whose 2n draws all take the ziggurat fast path (the
-    # norm is the stacked matmul); rows with wedge draws resolved in numpy
-    # passes; and rows left to the per-sample loop.  Rows draw on all 256
-    # ziggurat layers; fast rows on every layer but layer 1, whose k is 0
-    # so that numpy never accepts it there.
-    rows_per_chunk = montecarlo._CHUNK_WORDS // (4 * -(-n // 2))
-    n_samples = 2 * rows_per_chunk + 7
-    looped = spy_loop(monkeypatch)
-    batch = vf.sample_sphere_batch(n, n_samples, seed)
-    monkeypatch.undo()
-    keys = montecarlo._philox_keys(seed, n_samples)
-    kinds = {"fast": 0, "numpy": 0, "loop": 0}
-    layers, fast_layers = set(), set()
-    for i, key in enumerate(keys):
-        expected = vf.sample_uniform_sphere(n, vf.sample_rng(seed, i))
-        assert batch[i].tobytes() == expected.tobytes(), i
-        read, words = words_read(n, key)
-        drawn = set(words & 0xFF)
-        layers |= drawn
-        if read == 2 * n:
-            assert tuple(key) not in looped, i
-            kinds["fast"] += 1
-            fast_layers |= drawn
-        else:
-            kinds["loop" if tuple(key) in looped else "numpy"] += 1
-    assert 0 < kinds["loop"] < kinds["numpy"] and kinds["fast"] > 0, kinds
-    assert layers == set(range(256))
-    assert fast_layers == set(np.flatnonzero(montecarlo._ZIGGURAT_K)) == layers - {1}
+@pytest.mark.parametrize("seed", [0, 5, 2**40 + 1, (708, 6, 3)], ids=repr)
+def test_blocks_are_keyed_apart_from_the_per_sample_streams(seed):
+    # SeedSequence((5, 0)) is SeedSequence(5), so keying block b by the
+    # entropy (seed..., b) would make block 0 sample_rng(seed, 0), the
+    # stream of encode's and roundtrip's first trial.  The spawn key does not.
+    n = 4
+    first = vf.sample_sphere_batch(n, 1, seed)[0]
+    per_sample = vf.sample_uniform_sphere(n, vf.sample_rng(seed, 0))
+    assert not np.allclose(first, per_sample)
+    # Trailing zeros pad SeedSequence's pool, so s and (s, 0) name one stream.
+    flat = seed if isinstance(seed, tuple) else (seed,)
+    assert vf.sample_sphere_batch(n, 3, flat + (0,)).tobytes() == \
+        vf.sample_sphere_batch(n, 3, seed).tobytes()
 
 
-def test_sample_batch_leaves_every_wedge_test_to_the_loop_in_a_wide_band(monkeypatch):
-    # With the band around exp(-x^2/2) made infinite, every row with a draw
-    # off the fast path goes to the per-sample loop, and rows are unchanged.
-    n, seed = 6, (3, 1)
-    monkeypatch.setattr(montecarlo, "_WEDGE_BAND", np.inf)
-    looped = spy_loop(monkeypatch)
-    batch = vf.sample_sphere_batch(n, 3000, seed)
-    monkeypatch.undo()
-    slow = set()
-    for i, key in enumerate(montecarlo._philox_keys(seed, 3000)):
-        expected = vf.sample_uniform_sphere(n, vf.sample_rng(seed, i))
-        assert batch[i].tobytes() == expected.tobytes(), i
-        if words_read(n, key)[0] > 2 * n:
-            slow.add(tuple(key))
-    assert looped == slow and len(slow) > 100
+@pytest.mark.parametrize("n", [2, 3, 8, 16, 64])
+def test_sample_coordinate_energy_follows_the_beta_law(n):
+    # |x_k|^2 of a uniform point of the complex unit sphere in C^n is
+    # Beta(1, n - 1); 10,000 samples span ten blocks.
+    X = vf.sample_sphere_batch(n, 10_000, seed=(709, n))
+    for k in (0, n - 1):
+        assert stats.kstest(np.abs(X[:, k]) ** 2, stats.beta(1, n - 1).cdf).statistic <= 0.02
 
 
 @pytest.mark.parametrize("n,n_samples", [(0, 0), (0, 3), (-2, 1), (3, -1)])
 def test_sample_batch_refuses_bad_sizes(n, n_samples):
     with pytest.raises(DomainError):
         vf.sample_sphere_batch(n, n_samples, 0)
+    with pytest.raises(DomainError):
+        vf.sample_sphere_batch(3, 1, 0, start=-1)
     assert vf.sample_sphere_batch(3, 0, 0).shape == (0, 3)
-
-
-def test_philox_words_match_numpy_philox():
-    keys = montecarlo._philox_keys((9, 9), 40)
-    words = montecarlo._philox_words(keys, 5)
-    for key, row in zip(keys, words):
-        assert np.array_equal(row, np.random.Philox(key=key).random_raw(20))
-
-
-def ar_member(path, member):
-    """Bytes of member `member` of the ar archive at `path`."""
-    data = path.read_bytes()
-    pos, long_names = 8, b""
-    while pos < len(data):
-        ident, size = data[pos:pos + 16].decode().strip(), int(data[pos + 48:pos + 58])
-        body = data[pos + 60:pos + 60 + size]
-        if ident == "//":
-            long_names = body
-        elif ident[1:].isdigit():
-            start = int(ident[1:])
-            ident = long_names[start:long_names.index(b"\n", start)].decode()
-        if ident.rstrip("/") == member:
-            return body
-        pos += 60 + size + size % 2
-    raise KeyError(member)
-
-
-def elf_symbols(obj, names):
-    """Bytes of the named symbols of the ELF64 little-endian object obj."""
-    shoff, = struct.unpack_from("<Q", obj, 0x28)
-    shentsize, shnum = struct.unpack_from("<HH", obj, 0x3A)
-    sections = [struct.unpack_from("<IIQQQQIIQQ", obj, shoff + i * shentsize)
-                for i in range(shnum)]
-    found = {}
-    for _, kind, _, _, offset, size, link, _, _, _ in sections:
-        if kind != 2:                       # SHT_SYMTAB
-            continue
-        strings = sections[link][4]
-        for sym in range(offset, offset + size, 24):
-            name_at, _, _, index, value, length = struct.unpack_from("<IBBHQQ", obj, sym)
-            name = obj[strings + name_at:obj.index(b"\0", strings + name_at)].decode()
-            if name in names:
-                at = sections[index][4] + value
-                found[name] = obj[at:at + length]
-    return found
-
-
-def test_ziggurat_tables_match_numpy_archive():
-    archive = Path(np.__file__).parent / "random" / "lib" / "libnpyrandom.a"
-    if not archive.is_file():
-        pytest.skip("numpy ships no libnpyrandom.a here")
-    obj = ar_member(archive, "src_distributions_distributions.c.o")
-    if obj[:6] != b"\x7fELF\x02\x01":
-        pytest.skip("numpy's distributions object is not ELF64 little-endian here")
-    tables = elf_symbols(obj, {"ki_double", "wi_double", "fi_double"})
-    assert tables["ki_double"] == montecarlo._ZIGGURAT_K.tobytes()
-    assert tables["wi_double"] == montecarlo._ZIGGURAT_W.tobytes()
-    # fi_double is derived from wi_double, so it may differ by an ulp: within
-    # the band that sends a wedge test to the per-sample loop.
-    fi = np.frombuffer(tables["fi_double"], dtype="<f8")
-    assert fi.shape == montecarlo._ZIGGURAT_F.shape
-    assert (np.abs(montecarlo._ZIGGURAT_F - fi) <= montecarlo._WEDGE_BAND * fi).all()
 
 
 # -- projections -----------------------------------------------------------------
@@ -441,9 +351,9 @@ def test_support_energies_match_projection_residual(m, n, kind, monkeypatch):
 
 def test_kernel_matches_stacked_reference_on_mc_enum_cell(monkeypatch):
     # Values of the complex stacked-basis kernel (the only one before the
-    # Gram weights) on the N=8, M=32, L=4 cell, stream (1, 1).
+    # Gram weights) on the N=8, M=32, L=4 cell, per-sample streams (1, 1).
     frame = roots_frame(8, 32)
-    X = vf.sample_sphere_batch(8, 1000, seed=(1, 1))
+    X = np.array([vf.sample_uniform_sphere(8, vf.sample_rng((1, 1), i)) for i in range(1000)])
     gram_calls = spy_gram_features(monkeypatch)
     res = vf.smdd_residuals(frame, X, 4)
     assert gram_calls
@@ -454,8 +364,9 @@ def test_kernel_matches_stacked_reference_on_mc_enum_cell(monkeypatch):
     np.testing.assert_allclose(res[[270, 999]], [0.1836232351621241, 0.09143799905813721],
                                rtol=0, atol=2e-15)
     assert abs(float(res.mean()) - 0.07130588313606415) <= 1e-15
+    # The estimate draws the block stream (1, 1) instead.
     est = vf.estimate_distortion(frame, 4, 1000, seed=(1, 1))
-    assert abs(est.mean - 0.07130588313606415) <= 1e-15
+    assert abs(est.mean - 0.06917249005758919) <= 1e-15
     expected = [
         ((1, 13, 18, 28), 0.03143607644836732),
         ((11, 17, 18, 20), 0.05059633557349308),
@@ -744,7 +655,7 @@ def test_estimate_ln_zero(monkeypatch):
     calls = spy_block_weights(monkeypatch)
     for n, m, l in [(4, 8, 4), (3, 12, 5)]:
         est = vf.estimate_distortion(roots_frame(n, m), l, 300, seed=11)
-        assert (est.mean, est.stderr, est.n_samples, est.samples) == (0.0, 0.0, 300, None)
+        assert (est.mean, est.stderr, est.n_samples) == (0.0, 0.0, 300)
         assert est.ratios.tobytes() == np.zeros(300).tobytes()
     assert calls == []
 
@@ -771,16 +682,13 @@ def test_estimate_is_the_reduction_of_its_batch(l):
     frame = roots_frame(4, 8)
     est = vf.estimate_distortion(frame, l, 50, seed=(9, 1))
     X = vf.sample_sphere_batch(4, 50, (9, 1))
-    again = vf.estimate_from_samples(frame, l, X, (9, 1))
-    assert again == est
-    assert np.array_equal(again.ratios, est.ratios)
+    ratios = vf.smdd_residuals(frame, X, l) / vf.smdd_residuals(frame, X, 0)
     if l == 0:
-        assert est.samples is None and again.samples is None
+        assert est.ratios.tobytes() == np.ones(50).tobytes()
     elif l == 4:
-        # L = N: estimate_distortion draws no sample; the batch given is kept.
-        assert est.samples is None and again.samples is X
-    else:
-        assert est.samples.tobytes() == X.tobytes() and again.samples is X
+        assert est.ratios.tobytes() == np.zeros(50).tobytes()
+    assert est.ratios.tobytes() == ratios.tobytes()
+    assert est.mean == float(ratios.mean())
 
 
 def test_estimate_checks_before_drawing(monkeypatch):
@@ -800,15 +708,15 @@ def test_estimate_checks_before_drawing(monkeypatch):
 ], ids=["int", "nested-tuple", "ndarray", "range"])
 @pytest.mark.parametrize("l", [0, 2, 4])
 def test_every_seed_form_reads_one_stream(seed, recorded, l):
-    # One reading of a seed serves the sampler and both estimates: an int is
+    # One reading of a seed serves the sampler and the estimate: an int is
     # recorded as an int, any sequence as the flat tuple of its ints, whose
     # stream is the same.
     frame = roots_frame(4, 8)
     est = vf.estimate_distortion(frame, l, 30, seed)
-    X = vf.sample_sphere_batch(4, 30, seed)
-    again = vf.estimate_from_samples(frame, l, X, seed)
+    again = vf.estimate_distortion(frame, l, 30, recorded)
     assert est == again and est.ratios.tobytes() == again.ratios.tobytes()
     assert type(est.config.seed) is type(recorded) and est.config.seed == recorded
+    X = vf.sample_sphere_batch(4, 30, seed)
     assert X.tobytes() == vf.sample_sphere_batch(4, 30, recorded).tobytes()
 
 
@@ -822,12 +730,9 @@ def test_estimates_refuse_a_seed_before_drawing_or_scoring(seed, error, monkeypa
     monkeypatch.setattr(montecarlo, "sample_sphere_batch", unreachable)
     monkeypatch.setattr(montecarlo, "smdd_residuals", unreachable)
     frame = roots_frame(4, 8)
-    X = np.ones((3, 4), dtype=complex)
     for l in (0, 2, 4):
         with pytest.raises(error):
             vf.estimate_distortion(frame, l, 10, seed)
-        with pytest.raises(error):
-            vf.estimate_from_samples(frame, l, X, seed)
 
 
 @pytest.mark.parametrize("n,m", [(4, 8), (6, 12), (8, 32)])
@@ -869,41 +774,75 @@ def test_search_at_or_past_n_keeps_its_budget():
             vf.estimate_distortion(frame, l, 5, seed=2, budget=budget)
         assert not vf.smdd_residuals(frame, X, l, budget=budget + 1).any()
         est = vf.estimate_distortion(frame, l, 5, seed=2, budget=budget, fallback_greedy=True)
-        assert est.approximate and est.samples.tobytes() == X.tobytes()
-
-
-@pytest.mark.parametrize("l", [0, 1])
-def test_estimate_from_samples_refuses_a_zero_row(l):
-    frame = roots_frame(4, 8)
-    with pytest.raises(ValueError, match="non-zero"):
-        vf.estimate_from_samples(frame, l, np.zeros((3, 4)), 0)
-
-
-def test_estimate_from_samples_checks_shape_at_weight_zero():
-    with pytest.raises(ValueError, match="shape"):
-        vf.estimate_from_samples(roots_frame(4, 8), 0, np.ones((3, 7)), 0)
-
-
-def test_estimate_from_samples_checks_finiteness_at_weight_zero():
-    X = vf.sample_sphere_batch(4, 3, seed=0)
-    X[1, 2] = np.nan
-    with pytest.raises(ValueError, match="finite"):
-        vf.estimate_from_samples(roots_frame(4, 8), 0, X, 0)
+        greedy = [vf.smdd_greedy(frame, x, l).residual_sq for x in X]
+        assert est.approximate
+        assert est.ratios.tobytes() == (greedy / vf.smdd_residuals(frame, X, 0)).tobytes()
 
 
 def test_estimate_agrees_with_per_sample_smdd():
     frame = roots_frame(4, 8)
     est = vf.estimate_distortion(frame, 2, 40, seed=5)
+    X = vf.sample_sphere_batch(4, 40, seed=5)
     ratios = []
-    for i in range(40):
-        x = vf.sample_uniform_sphere(4, vf.sample_rng(5, i))
+    for x in X:
         res = vf.smdd_exact(frame, x, 2)
         ratios.append(res.residual_sq / float(np.vdot(x, x).real))
     assert est.mean == pytest.approx(float(np.mean(ratios)), abs=1e-15)
-    X = vf.sample_sphere_batch(4, 40, seed=5)
     residuals = [vf.smdd_exact(frame, x, 2).residual_sq for x in X]
     np.testing.assert_allclose(vf.smdd_residuals(frame, X, 2), residuals, rtol=0, atol=1e-15)
     np.testing.assert_allclose(vf.smdd_residuals(frame, X, 0), 1.0, rtol=0, atol=1e-15)
+
+
+def spy_draws(monkeypatch):
+    """Record the arguments of every sample_sphere_batch call."""
+    draws = []
+    batch = montecarlo.sample_sphere_batch
+    monkeypatch.setattr(montecarlo, "sample_sphere_batch",
+                        lambda *a, **k: draws.append(a) or batch(*a, **k))
+    return draws
+
+
+@pytest.mark.parametrize("greedy", [False, True], ids=["exact", "greedy"])
+def test_estimate_is_the_same_in_chunks_of_one_block(greedy, monkeypatch):
+    # Chunks hold whole blocks: 2**18 // (1024 * 4) = 64 at N = 4, so 3,089
+    # samples are one draw; patched down to one block they are four.  The
+    # greedy fallback (C(8, 2) = 28 over the budget) runs per chunk too.
+    frame, n_samples = roots_frame(4, 8), 3 * BLOCK + 17
+    budget = 3 if greedy else montecarlo.DEFAULT_BUDGET
+    draws = spy_draws(monkeypatch)
+    whole = vf.estimate_distortion(frame, 2, n_samples, (4, 4), budget, fallback_greedy=greedy)
+    assert draws == [(4, n_samples, (4, 4), 0)]
+    draws.clear()
+    monkeypatch.setattr(montecarlo, "_CHUNK_ENTRIES", BLOCK * 4)
+    chunked = vf.estimate_distortion(frame, 2, n_samples, (4, 4), budget, fallback_greedy=greedy)
+    assert draws == [(4, BLOCK, (4, 4), 0), (4, BLOCK, (4, 4), BLOCK),
+                     (4, BLOCK, (4, 4), 2 * BLOCK), (4, 17, (4, 4), 3 * BLOCK)]
+    assert chunked.approximate == whole.approximate == greedy
+    assert chunked.mean == whole.mean and chunked.stderr == whole.stderr
+    np.testing.assert_allclose(chunked.ratios, whole.ratios, rtol=0, atol=1e-15)
+
+
+def test_estimate_chunk_is_the_whole_blocks_that_fit(monkeypatch):
+    # 2**18 // (1024 * 8) = 32 blocks at N = 8: one sample past them takes a
+    # second draw.
+    draws = spy_draws(monkeypatch)
+    vf.estimate_distortion(roots_frame(8, 16), 1, 32 * BLOCK + 1, seed=3)
+    assert draws == [(8, 32 * BLOCK, 3, 0), (8, 1, 3, 32 * BLOCK)]
+
+
+def test_estimate_memory_grows_by_its_ratios_alone():
+    # Samples are drawn and scored a chunk at a time; only the 8-byte ratio
+    # of each sample is kept.
+    frame = roots_frame(4, 8)
+    peaks = []
+    for n_samples in (200_000, 400_000):
+        tracemalloc.start()
+        try:
+            vf.estimate_distortion(frame, 1, n_samples, seed=12)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 16 * 200_000
 
 
 # -- greedy fallback ------------------------------------------------------------------
