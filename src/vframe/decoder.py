@@ -17,7 +17,7 @@ and judges each with one gate:
                      in modulus are the next candidates;
     4. values     -- Forney's formula and one least-squares refinement on
                      a candidate's rows; near-zero phantom values drop
-                     their locations, once;
+                     their locations, until none is left;
     5. gate       -- a candidate that re-synthesizes r to machine level
                      ends the stream; otherwise the lowest relative
                      residual wins, and it is "ok" within the tolerance.
@@ -52,7 +52,7 @@ from .errors import (
     VframeError,
 )
 from .frames import VANDERMONDE, ZERO_REL_TOL, Frame, SparseRep, complex_to_pairs
-from .poly import poly_degree, poly_divmod, poly_eval, poly_trim
+from .poly import _max, poly_degree, poly_divmod, poly_eval, poly_trim
 
 # Root acceptance factor: sigma(1/z_j) counts as zero below
 # ROOT_ACCEPT_TOL * (1 + max_k |sigma(1/z_k)|).
@@ -72,6 +72,13 @@ RECURRENCE_TOL = 1e-6
 STATUS_OK = "ok"
 STATUS_WEIGHT = "weight_exceeds_half_n"
 STATUS_RESIDUAL = "residual_too_large"
+
+
+def _norm(x) -> float:
+    """2-norm of a complex vector, formed as np.linalg.norm forms it (the
+    dot products of the real and imaginary parts, then the square root),
+    without its dispatch."""
+    return math.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))
 
 
 @dataclass(frozen=True)
@@ -128,8 +135,8 @@ def solve_key_equation(s, t: int):
         raise ValueError("need at least one syndrome")
     if not 0 <= t <= n:
         raise ValueError("t must lie in 0..N")
-    one = np.ones(1, dtype=complex)
-    if np.abs(s).max() == 0.0:
+    one = np.array([1.0], dtype=complex)
+    if _max(np.abs(s)) == 0.0:
         return one, s[:0]
 
     r_prev = np.zeros(n + 1, dtype=complex)
@@ -141,20 +148,21 @@ def solve_key_equation(s, t: int):
     # divisor, so r_cur.size - 1 is the degree and the loop ends.
     while r_cur.size > t:
         q, rem = poly_divmod(r_prev, r_cur)
-        # q * v_cur is longer than v_prev: pad v_prev, then subtract.
-        qv = np.convolve(q, v_cur)
-        v_next = np.concatenate((v_prev, np.zeros(qv.size - v_prev.size, dtype=complex))) - qv
+        # v_prev - q * v_cur, where q * v_cur is the longer of the two.
+        v_next = -np.convolve(q, v_cur)
+        v_next[: v_prev.size] += v_prev
         r_prev, v_prev = r_cur, v_cur
         r_cur, v_cur = rem, v_next
         # Joint rescale keeps the recursion well-scaled; each (r, v)
         # pair satisfies its own Bezout relation, so pairs may be
-        # scaled independently of one another.
-        top = np.abs(r_cur).max() if r_cur.size else 0.0
+        # scaled independently of one another.  Both arrays are fresh,
+        # so they are scaled in place.
+        top = _max(np.abs(r_cur)) if r_cur.size else 0.0
         if top > 0.0:
-            r_cur = r_cur / top
-            v_cur = v_cur / top
+            r_cur /= top
+            v_cur /= top
 
-    if abs(v_cur[0]) <= 1e-12 * np.abs(v_cur).max():
+    if abs(v_cur[0]) <= 1e-12 * _max(np.abs(v_cur)):
         raise NumericBreakdown("locator constant term vanished")
     sigma = poly_trim(v_cur / v_cur[0])
     omega = poly_trim(r_cur / v_cur[0])
@@ -177,13 +185,13 @@ def find_error_locations(sigma, frame: Frame) -> list[int]:
     if sigma.size == 0 or abs(sigma[0] - 1.0) > 1e-6:
         raise ValueError("locator must be normalized with sigma(0) = 1")
     vals = np.abs(poly_eval(sigma, 1.0 / frame.nodes))
-    hits = np.nonzero(vals < ROOT_ACCEPT_TOL * (1.0 + vals.max()))[0]
+    hits = np.nonzero(vals < ROOT_ACCEPT_TOL * (1.0 + _max(vals)))[0]
     deg = poly_degree(sigma)
     if hits.size != deg:
         raise RootCountMismatch(
             f"locator degree {deg} but {hits.size} roots among inverse nodes"
         )
-    return [int(j) + 1 for j in hits]
+    return (hits + 1).tolist()
 
 
 def forney_values(omega, locations, frame: Frame) -> np.ndarray:
@@ -197,11 +205,11 @@ def forney_values(omega, locations, frame: Frame) -> np.ndarray:
     if x.size == 0:
         return np.zeros(0, dtype=complex)
     xinv = 1.0 / x
-    factors = 1.0 - np.outer(x, xinv)          # [i, j] = 1 - X_i / X_j
-    np.fill_diagonal(factors, 1.0)             # empty product over i == j
+    factors = 1.0 - x[:, None] * xinv          # [i, j] = 1 - X_i / X_j
+    factors.reshape(-1)[:: x.size + 1] = 1.0   # empty product over i == j
     dens = factors.prod(axis=0)
     small = np.abs(dens) <= 1e-12
-    if np.any(small):
+    if small.any():
         j = int(np.nonzero(small)[0][0])
         raise DegenerateDenominator(f"denominator vanished at location {locations[j]}")
     return poly_eval(omega, xinv) / dens
@@ -246,12 +254,15 @@ def _values(frame, s, support):
     least-squares step; returned with the support's frame rows, or None
     when a Forney denominator vanishes."""
     idx = np.asarray(support, dtype=int) - 1
-    sigma = np.ones(1, dtype=complex)
-    for xi in frame.nodes[idx]:
-        sigma = np.convolve(sigma, np.array([1.0, -xi]))
+    factors = np.empty((idx.size, 2), dtype=complex)  # row j: 1 - X_j z
+    factors[:, 0] = 1.0
+    np.negative(frame.nodes[idx], out=factors[:, 1])
+    sigma = np.array([1.0], dtype=complex)
+    for factor in factors:
+        sigma = np.convolve(sigma, factor)
     omega = poly_trim(np.convolve(s, sigma)[: idx.size]) if idx.size else s[:0]
     try:
-        values = forney_values(omega, list(support), frame)
+        values = forney_values(omega, support, frame)
     except DegenerateDenominator:
         return None
     rows = frame.matrix[idx]
@@ -262,18 +273,20 @@ def _candidate(frame, s, support, norm_s):
     """(support, values, residual) for a candidate support, or None when
     a Forney denominator vanishes.  A superset of the true support carries
     near-zero phantom values: locations whose values fall below the dense
-    zero threshold are dropped, once, and the rest valued afresh."""
+    zero threshold are dropped and the rest valued afresh, until every
+    value passes it.  Each round drops a location, so the rounds end."""
     fit = _values(frame, s, support)
-    if fit is not None and support:
+    while fit is not None and support:
         mags = np.abs(fit[0])
-        keep = mags > ZERO_REL_TOL * mags.max()
-        if not keep.all():
-            support = tuple(loc for loc, k in zip(support, keep) if k)
-            fit = _values(frame, s, support)
+        keep = mags > ZERO_REL_TOL * _max(mags)
+        if keep.all():
+            break
+        support = tuple(loc for loc, k in zip(support, keep) if k)
+        fit = _values(frame, s, support)
     if fit is None:
         return None
     values, rows = fit
-    return support, values, float(np.linalg.norm(s - values @ rows) / norm_s)
+    return support, values, _norm(s - values @ rows) / norm_s
 
 
 def _recurrence_fit(seqs, w):
@@ -288,7 +301,7 @@ def _recurrence_fit(seqs, w):
     a = np.concatenate([sliding_window_view(seq[:-1], w)[:, ::-1] for seq in seqs])
     b = -np.concatenate([seq[w:] for seq in seqs])
     x = _lstsq(a, b)
-    misfit = float(np.linalg.norm(a @ x - b))
+    misfit = _norm(a @ x - b)
     scale = np.abs(seqs[0]).max() * math.sqrt(a.shape[0])
     return np.concatenate((np.ones(1, dtype=complex), x)), misfit / scale
 
@@ -390,7 +403,7 @@ def decode(frame: Frame, r, tol: float = RESIDUAL_TOL) -> DecodeOutcome:
     _check_tol(tol)
     # The syndromes are r's coordinates, so they serve as the signal too.
     s = syndromes(frame, r)
-    norm_s = float(np.linalg.norm(s))
+    norm_s = _norm(s)
     # A nan or infinite entry makes the norm non-finite, and so does a
     # finite signal whose norm overflows; neither can be decoded.
     if not math.isfinite(norm_s):

@@ -19,6 +19,7 @@ import hashlib
 import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -166,15 +167,17 @@ class SparseRep:
     values: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=complex))
 
     def __post_init__(self):
-        support = tuple(int(i) for i in self.support)
-        vals = np.atleast_1d(np.asarray(self.values, dtype=complex))
+        support = tuple(map(int, self.support))
+        vals = np.asarray(self.values, dtype=complex)
+        if vals.ndim == 0:
+            vals = vals.reshape(1)
         if len(support) != vals.size:
             raise ValueError("support and values must have equal length")
-        if any(b <= a for a, b in zip(support, support[1:])):
+        if any(map(operator.ge, support, support[1:])):
             raise ValueError("support must be strictly increasing")
         if support and (support[0] < 1 or support[-1] > self.ambient_len):
             raise ValueError("support indices must lie in 1..ambient_len")
-        if not np.all(np.isfinite(vals)):
+        if not np.isfinite(vals).all():
             raise ValueError("values must be finite")
         object.__setattr__(self, "support", support)
         object.__setattr__(self, "values", _readonly(vals))

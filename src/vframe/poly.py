@@ -58,30 +58,40 @@ def poly_degree(p):
 
 
 def poly_eval(p, z):
-    """Evaluate by Horner's scheme; z may be a scalar or an array."""
+    """Evaluate by Horner's scheme; z may be a scalar or an array.
+
+    The steps reuse two buffers, and the product never overwrites its
+    own operand: numpy 2.4 rounds a one-element complex product taken in
+    place differently from the same product taken out of place.
+    """
     p = as_poly(p)
     z = np.asarray(z, dtype=complex)
-    out = np.zeros_like(z)
-    for c in p[::-1]:
-        out = out * z + c
+    out = np.zeros(z.shape, dtype=complex)
+    zout = np.empty_like(out)
+    for c in p[::-1].tolist():
+        np.multiply(out, z, out=zout)
+        np.add(zout, c, out=out)
     return complex(out) if out.ndim == 0 else out
 
 
 def poly_divmod(p, q):
     """Quotient and remainder of p by q with deg(rem) < deg(q).
 
-    Raises DivideByZeroPoly when q trims to the zero polynomial.
+    The divisor and the remainder are trimmed; the dividend is taken as
+    given, so a caller passes it trimmed (trailing dust in it only adds
+    near-zero leading quotient terms).  Raises DivideByZeroPoly when q
+    trims to the zero polynomial.
     """
-    p = poly_trim(p)
+    p = as_poly(p)
     q = poly_trim(q)
     if q.size == 0:
         raise DivideByZeroPoly("division by the zero polynomial")
     if p.size < q.size:
-        return p[:0], p
+        return p[:0], poly_trim(p)
     dq = q.size - 1
     lead = q[-1]
     rem = p.copy()
-    quot = np.zeros(p.size - dq, dtype=complex)
+    quot = np.empty(p.size - dq, dtype=complex)
     for k in range(p.size - q.size, -1, -1):
         c = rem[dq + k] / lead
         quot[k] = c

@@ -1,0 +1,147 @@
+"""Regenerate the decode corpus and digest every outcome.
+
+    PYTHONPATH=src python tests/decode_corpus.py --seed S [--out FILE] [--against FILE]
+
+The corpus is seeded by S and has two groups:
+
+    sparse  3,000 signals like the decode-sparse benchmark: N = 64,
+            M = 256, weights cycling through 1..8, values of magnitude
+            0.5..2 with random phases, on random supports;
+    hard    for N = 8..64 and M in (2N, 4N), weights 1, 2, N//4,
+            N//2 - 1 and N//2, three supports of each shape: random,
+            contiguous (a run of adjacent nodes at a random start) and
+            half-clustered (half of the support a contiguous run, the
+            rest random); then unit values on nodes 1..w for every
+            w in 1..N//2.
+
+Every input lies inside the decoding radius.  The script prints one
+sha256 over each outcome's status, support, value bytes, repr of the
+residual and locator degree, per group and overall, and counts the
+outcomes by class: exact (ok with the true support), superset, subset,
+other (ok with another support) and rejected (any status but ok).
+--out writes one line per input (group, index, class, outcome digest);
+--against reads such a file from another run on the same seed and counts
+the inputs whose outcome changed, by class before -> after.
+
+The file is a script, not a test module: pytest does not collect it.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import itertools
+import sys
+from collections import Counter
+
+import numpy as np
+
+import vframe as vf
+
+CLASSES = ("exact", "superset", "subset", "other", "rejected")
+SPARSE_COUNT = 3000
+HARD_REPEATS = 3
+
+
+def _values(rng, w):
+    return rng.uniform(0.5, 2.0, w) * np.exp(2j * np.pi * rng.uniform(size=w))
+
+
+def _sparse(seed):
+    frame = vf.make_vandermonde_frame(vf.default_nodes(256), 64)
+    rng = np.random.default_rng([seed, 0])
+    for i in range(SPARSE_COUNT):
+        w = 1 + i % 8
+        idx = np.sort(rng.choice(frame.m, size=w, replace=False))
+        yield frame, idx, _values(rng, w)
+
+
+def _hard(seed):
+    rng = np.random.default_rng([seed, 1])
+    for n in range(8, 65):
+        for m in (2 * n, 4 * n):
+            frame = vf.make_vandermonde_frame(vf.default_nodes(m), n)
+            for w, _ in itertools.product(sorted({1, 2, n // 4, n // 2 - 1, n // 2}),
+                                          range(HARD_REPEATS)):
+                yield frame, np.sort(rng.choice(m, size=w, replace=False)), _values(rng, w)
+                start = int(rng.integers(m))
+                yield frame, np.sort((start + np.arange(w)) % m), _values(rng, w)
+                run = w - w // 2
+                head = (start + np.arange(run)) % m
+                rest = rng.choice(np.setdiff1d(np.arange(m), head), size=w - run,
+                                  replace=False)
+                yield frame, np.sort(np.concatenate((head, rest))), _values(rng, w)
+            for w in range(1, n // 2 + 1):
+                yield frame, np.arange(w), np.ones(w, dtype=complex)
+
+
+def corpus(seed):
+    """(group, frame, true support, signal) for every input, in order."""
+    for group, inputs in (("sparse", _sparse(seed)), ("hard", _hard(seed))):
+        for frame, idx, values in inputs:
+            yield group, frame, tuple(int(j) + 1 for j in idx), values @ frame.matrix[idx]
+
+
+def outcome_bytes(out) -> bytes:
+    return repr((out.status, out.rep.support, out.rep.values.tobytes(),
+                 repr(out.residual), out.locator_degree)).encode()
+
+
+def classify(out, support) -> str:
+    if out.status != vf.STATUS_OK:
+        return "rejected"
+    found, true = set(out.rep.support), set(support)
+    if found == true:
+        return "exact"
+    if found > true:
+        return "superset"
+    if found < true:
+        return "subset"
+    return "other"
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--out", help="write one line per input to this file")
+    parser.add_argument("--against", help="count changed outcomes against this --out file")
+    args = parser.parse_args(argv)
+
+    total = hashlib.sha256()
+    digests = {}
+    counts: dict[str, Counter] = {}
+    lines = []
+    for group, frame, support, signal in corpus(args.seed):
+        out = vf.decode(frame, signal)
+        data = outcome_bytes(out)
+        total.update(data)
+        digests.setdefault(group, hashlib.sha256()).update(data)
+        cls = classify(out, support)
+        counts.setdefault(group, Counter())[cls] += 1
+        lines.append(f"{group}\t{len(lines)}\t{cls}\t{hashlib.sha256(data).hexdigest()}")
+
+    for group, digest in digests.items():
+        table = " ".join(f"{c}={counts[group][c]}" for c in CLASSES)
+        print(f"{group}\t{sum(counts[group].values())} inputs\t{digest.hexdigest()}\t{table}")
+    print(f"all\t{len(lines)} inputs\t{total.hexdigest()}")
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines) + "\n")
+    if args.against:
+        with open(args.against, encoding="utf-8") as fh:
+            before = [line.split("\t") for line in fh.read().splitlines()]
+        if len(before) != len(lines):
+            raise SystemExit(f"error: {args.against} has {len(before)} inputs, "
+                             f"this run {len(lines)}")
+        moved = Counter()
+        for old, new in zip(before, (line.split("\t") for line in lines)):
+            if old[3] != new[3]:
+                moved[(new[0], f"{old[2]} -> {new[2]}")] += 1
+        for (group, change), count in sorted(moved.items()):
+            print(f"changed\t{group}\t{change}\t{count}")
+        print(f"changed\tall\t{sum(moved.values())} of {len(lines)} inputs")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -66,3 +66,61 @@ def test_divmod_reconstruction_property():
         assert np.abs(pad).max() <= 1e-10 * (1 + np.abs(a).max())
         assert poly.poly_degree(r) < poly.poly_degree(b) or r.size == 0
 
+
+def _random_poly(rng, deg):
+    return rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1)
+
+
+def test_divmod_dividend_trailing_dust_gives_the_same_trimmed_remainder():
+    # The dividend is taken as given: exact trailing zeros only add zero
+    # leading quotient terms, and dust below the trim floor adds
+    # near-zero ones, so the trimmed remainder stays the same.
+    rng = np.random.default_rng(23)
+    for _ in range(100):
+        a = _random_poly(rng, int(rng.integers(3, 12)))
+        b = _random_poly(rng, int(rng.integers(1, 4)))
+        b[-1] = 1.0                                # dust / lead stays dust
+        q, r = poly.poly_divmod(a, b)
+        q0, r0 = poly.poly_divmod(np.concatenate((a, np.zeros(3))), b)
+        assert np.array_equal(r0, r) and np.array_equal(q0[: q.size], q)
+        assert not q0[q.size:].any()
+        dust = 1e-13 * np.abs(a).max() * np.array([1.0, -1j, 0.5])
+        _, rd = poly.poly_divmod(np.concatenate((a, dust)), b)
+        assert rd.size == r.size == b.size - 1
+        assert np.abs(rd - r).max() <= 1e-10 * np.abs(r).max()
+
+
+def test_divmod_short_dividend_returns_a_trimmed_remainder():
+    # deg p < deg q: the quotient is zero and the remainder is p, trimmed.
+    q, r = poly.poly_divmod([1.0, 2.0, 1e-14, 0.0], [1.0, 0.0, 0.0, 0.0, 3.0])
+    assert q.size == 0
+    assert np.array_equal(r, np.array([1.0, 2.0], dtype=complex))
+    q, r = poly.poly_divmod([0.0, 0.0], [1.0, 1.0, 1.0])
+    assert q.size == 0 and r.size == 0
+
+
+@pytest.mark.parametrize("divisor", [[], [0.0], [0.0, 0.0, 0.0]])
+def test_divmod_by_an_empty_or_zero_divisor_raises(divisor):
+    with pytest.raises(DivideByZeroPoly):
+        poly.poly_divmod([1.0, 2.0, 3.0], divisor)
+
+
+def test_eval_is_bit_equal_to_out_of_place_horner():
+    # Scalars and one-element arrays included: numpy can round an
+    # in-place one-element product differently.
+    rng = np.random.default_rng(29)
+    for _ in range(200):
+        p = _random_poly(rng, int(rng.integers(0, 12)))
+        size = int(rng.integers(0, 40))
+        z = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+        for point in (z, z[:1]):
+            expect = np.zeros_like(point)
+            for c in p[::-1]:
+                expect = expect * point + c
+            assert np.array_equal(poly.poly_eval(p, point), expect)
+        if size:
+            z0 = np.asarray(z[0])
+            expect0 = np.zeros_like(z0)
+            for c in p[::-1]:
+                expect0 = expect0 * z0 + c
+            assert poly.poly_eval(p, z[0]) == complex(expect0)
