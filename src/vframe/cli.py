@@ -354,13 +354,25 @@ def cmd_sweep(args):
             csv.writer(fh).writerow(header)
         writer = csv.writer(fh)
         frame = None
+        # Every cell of one N reads the same chunks: the last one drawn is
+        # kept, read-only, for the next cell, so no more than one is held.
+        last = {}
+
+        def draw(n, rows, seed, start):
+            key = (n, rows, seed, start)
+            if key not in last:
+                last.clear()
+                last[key] = montecarlo.sample_sphere_batch(n, rows, seed, start)
+                last[key].flags.writeable = False
+            return last[key]
+
         for inp in cells:
             report, row = _bound_row(inp)
             if args.samples > 0:
                 if frame is None or (frame.n, frame.m) != (inp.n, inp.m):
                     frame = _build_frame("vandermonde", inp.n, inp.m, seed)
                 est = montecarlo.estimate_distortion(
-                    frame, inp.l, args.samples, seed, budget=args.budget
+                    frame, inp.l, args.samples, seed, budget=args.budget, draw=draw
                 )
                 verdict = montecarlo.compare_to_bound(est, report)
                 row += [est.mean, est.stderr, verdict.margin, verdict.passed]

@@ -51,13 +51,16 @@ numbers: as easy as 1, 2, 3", SC 2011); the normals are numpy's own
 ziggurat (Marsaglia & Tsang, J. Stat. Softw. 5(8), 2000).  A row does
 not depend on how many rows are drawn with it, so estimate_distortion
 draws and scores a chunk of whole blocks at a time, its size fixed by N.
-Another chunk size gives the same samples; their residuals may move by
-an ulp, as BLAS rounds a GEMM by its shape (at most 7.8e-16 measured,
-at N = 6, M = 12, L = 3).  The spawn key keeps block b apart from
-sample_rng(seed, b), the per-sample stream of encode and roundtrip, for
-seeds of fewer than four 32-bit words (every CLI seed).  SeedSequence
-pads its entropy pool with zeros, so seeds that differ only by trailing
-zeros, such as s and (s, 0), name the same stream.
+Every cell of one (N, seed) reads the same chunks, so vframe sweep hands
+the last one drawn to the next cell: a stream that fits one chunk is
+drawn once per N.  Another chunk size gives the same samples; their
+residuals may move by an ulp, as BLAS rounds a GEMM by its shape (at
+most 7.8e-16 measured, at N = 6, M = 12, L = 3).  The spawn key keeps
+block b apart from sample_rng(seed, b), the per-sample stream of encode
+and roundtrip, for seeds of fewer than four 32-bit words (every CLI
+seed).  SeedSequence pads its entropy pool with zeros, so seeds that
+differ only by trailing zeros, such as s and (s, 0), name the same
+stream.
 """
 
 from __future__ import annotations
@@ -392,7 +395,12 @@ def smdd_residuals(frame: Frame, X, l: int, budget: int = DEFAULT_BUDGET) -> np.
     a search: every frame spans C^N, so some size-l support does (the
     bound's L = N branch).  Raises BudgetExceeded when C(M, l) exceeds the
     subset budget, at every l >= 1."""
-    X, norms = _signals(frame, X, l)
+    return _residuals(frame, *_signals(frame, X, l), l, budget)
+
+
+def _residuals(frame: Frame, X: np.ndarray, norms: np.ndarray, l: int, budget: int) -> np.ndarray:
+    """smdd_residuals of a batch X that _signals has checked, with the squared
+    row norms it returned."""
     if l == 0:
         return norms
     if l >= frame.n:
@@ -517,6 +525,8 @@ def estimate_distortion(
     seed,
     budget: int = DEFAULT_BUDGET,
     fallback_greedy: bool = False,
+    *,
+    draw=None,
 ) -> DistortionEstimate:
     """Mean relative SMDD residual over seeded unit-sphere samples.
 
@@ -531,6 +541,11 @@ def estimate_distortion(
     and labels the estimate approximate.  No sample is drawn where the
     exact search reads none: at l = 0 every ratio is 1, at l >= N every
     ratio is 0.
+
+    Each chunk is read through draw(n, rows, seed, start), which must
+    return sample_sphere_batch(n, rows, seed, start), the default (looked
+    up at call time).  The estimate never writes to a chunk, so a caller
+    may hand the same one to several estimates, as vframe sweep does.
     """
     seed = _seed(seed)
     if n_samples < 1:
@@ -541,15 +556,16 @@ def estimate_distortion(
     if l == 0 or l >= frame.n and not approximate:
         ratios = np.ones(n_samples) if l == 0 else np.zeros(n_samples)
     else:
+        draw = draw or sample_sphere_batch
         ratios = np.empty(n_samples)
         chunk = _BLOCK * max(1, _CHUNK_ENTRIES // (_BLOCK * frame.n))
         for start in range(0, n_samples, chunk):
-            X = sample_sphere_batch(frame.n, min(chunk, n_samples - start), seed, start)
-            _, norms = _signals(frame, X, l)
+            X = draw(frame.n, min(chunk, n_samples - start), seed, start)
+            X, norms = _signals(frame, X, l)
             if approximate:
                 mins = np.array([smdd_greedy(frame, x, l).residual_sq for x in X])
             else:
-                mins = smdd_residuals(frame, X, l, budget)
+                mins = _residuals(frame, X, norms, l, budget)
             ratios[start:start + len(X)] = mins / norms
     config = EstimateConfig(frame_id(frame), frame.n, frame.m, l, seed)
     stderr = float(ratios.std(ddof=1) / math.sqrt(n_samples)) if n_samples > 1 else 0.0

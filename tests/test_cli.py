@@ -379,9 +379,9 @@ def test_sweep_draws_each_n_once_and_matches_per_cell_estimates(tmp_path, capsys
     out_path = tmp_path / "sweep.csv"
     code, _, err = run(capsys, SWEEP_34 + ["--out", str(out_path)])
     assert code == 0, err
-    # Each of the 10 cells with 1 <= L < N draws its own stream, the same
-    # for every cell of one (N, samples, seed).
-    assert draws == [(3, 40, 8, 0)] * 4 + [(4, 40, 8, 0)] * 6
+    # The 10 cells with 1 <= L < N, over both M factors, share one draw
+    # per (N, samples, seed).
+    assert draws == [(3, 40, 8, 0), (4, 40, 8, 0)]
     rows = parse_csv(out_path.read_text())
     assert len(rows) == 2 * 4 + 2 * 5
     del draws[:]
@@ -413,12 +413,11 @@ def test_sweep_csv_equals_one_drawn_per_sample(tmp_path, capsys, monkeypatch):
     drawn = []
     monkeypatch.setattr(montecarlo, "sample_sphere_batch", per_sample)
     assert run(capsys, argv + ["--out", str(reference_path)])[0] == 0
-    assert drawn == [3, 3, 4, 4, 4, 6, 6, 6, 6, 6]
+    assert drawn == [3, 4, 6]
     assert batch_path.read_bytes() == reference_path.read_bytes()
 
 
-@pytest.mark.parametrize("kept,expected_draws", [(2, [3] * 3 + [4] * 6), (8, [4] * 6),
-                                                   (9, [4] * 6), (18, [])])
+@pytest.mark.parametrize("kept,expected_draws", [(2, [3, 4]), (8, [4]), (9, [4]), (18, [])])
 def test_sweep_resume_draws_only_for_cells_left(tmp_path, capsys, monkeypatch, kept, expected_draws):
     out_path = tmp_path / "sweep.csv"
     run(capsys, SWEEP_34 + ["--out", str(out_path)])

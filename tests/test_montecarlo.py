@@ -830,6 +830,42 @@ def test_estimate_chunk_is_the_whole_blocks_that_fit(monkeypatch):
     assert draws == [(8, 32 * BLOCK, 3, 0), (8, 1, 3, 32 * BLOCK)]
 
 
+@pytest.mark.parametrize("n,m,l,budget,chunks", [
+    (4, 8, 2, montecarlo.DEFAULT_BUDGET, [(4, 300, 5, 0)]),
+    (4, 8, 2, 3, [(4, 300, 5, 0)]),
+    (64, 64, 1, montecarlo.DEFAULT_BUDGET, [(64, 4 * BLOCK, 5, 0), (64, 1, 5, 4 * BLOCK)]),
+], ids=["orbit", "greedy", "two-chunks"])
+def test_estimate_through_a_reusing_draw_is_the_default_one(n, m, l, budget, chunks, monkeypatch):
+    # vframe sweep hands the chunk one cell drew to the next cell of its N.
+    # Through a draw that keeps every chunk, read-only, an estimate is byte
+    # for byte the default one, also when every chunk was drawn before.
+    frame, n_samples = roots_frame(n, m), sum(rows for _, rows, _, _ in chunks)
+    greedy = budget < math.comb(m, l)
+    kept, calls = {}, []
+
+    def draw(*key):
+        calls.append(key)
+        if key not in kept:
+            kept[key] = vf.sample_sphere_batch(*key)
+            kept[key].flags.writeable = False
+        return kept[key]
+
+    default = vf.estimate_distortion(frame, l, n_samples, 5, budget, fallback_greedy=greedy)
+    for _ in range(2):
+        est = vf.estimate_distortion(frame, l, n_samples, 5, budget, fallback_greedy=greedy,
+                                     draw=draw)
+        assert est.approximate == greedy
+        assert est.ratios.tobytes() == default.ratios.tobytes()
+        assert (est.mean, est.stderr) == (default.mean, default.stderr)
+    assert calls == chunks * 2 and list(kept) == chunks
+    # No sample is read at L = 0 or L >= N, through draw or the default.
+    monkeypatch.setattr(montecarlo, "sample_sphere_batch", None)
+    for weight in (0, n, n + 1):
+        if weight <= m:
+            vf.estimate_distortion(frame, weight, n_samples, 5, draw=draw)
+    assert len(calls) == 2 * len(chunks)
+
+
 def test_estimate_memory_grows_by_its_ratios_alone():
     # Samples are drawn and scored a chunk at a time; only the 8-byte ratio
     # of each sample is kept.
