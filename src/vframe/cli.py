@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import os
 import sys
@@ -27,6 +26,7 @@ from .errors import BudgetExceeded, VframeError
 
 JSON_KIND = "json"
 CSV_KIND = "csv"
+CONFIG_PREFIX = "# config: "
 
 
 def _resolve_seed(seed):
@@ -204,16 +204,23 @@ BOUND_HEADER = ["N", "M", "L", "T_log2", "kappa_c", "rho_0", "branch", "lower_bo
 ASYMPTOTIC_HEADER = ["r", "eps", "kappa0", "bound"]
 
 
-def _write_csv(rows, header, cfg, out_path):
-    fh = open(out_path, "w", newline="", encoding="utf-8") if out_path else io.StringIO()
-    fh.write(f"# config: {json.dumps(cfg)}\n")
-    writer = csv.writer(fh)
-    writer.writerow(header)
-    writer.writerows(rows)
-    if out_path:
-        fh.close()
-    else:
-        print(fh.getvalue(), end="")
+def _write_csv(path, header, rows, config=None, append=False):
+    """Write `rows` as CSV to `path` (stdout when None), flushing after
+    each row.  A new file starts with the `config` echo, when given, and
+    the header; an appended one gets neither."""
+    fh = open(path, "a" if append else "w", newline="", encoding="utf-8") if path else sys.stdout
+    try:
+        writer = csv.writer(fh)
+        if not append:
+            if config is not None:
+                fh.write(f"{CONFIG_PREFIX}{json.dumps(config)}\n")
+            writer.writerow(header)
+        for row in rows:
+            writer.writerow(row)
+            fh.flush()
+    finally:
+        if path:
+            fh.close()
 
 
 def cmd_bound(args):
@@ -223,13 +230,13 @@ def cmd_bound(args):
         cfg = _config("bound", CSV_KIND, asymptotic=True, r=args.r, eps=args.eps)
         k0 = bnd.asymptotic_kappa0(args.r, args.eps)
         rows = [[args.r, args.eps, k0, bnd.asymptotic_bound(args.r, args.eps)]]
-        _write_csv(rows, ASYMPTOTIC_HEADER, cfg, args.out)
+        _write_csv(args.out, ASYMPTOTIC_HEADER, rows, cfg)
         return 0
     if args.n is None or args.m is None or args.l is None:
         raise VframeError("bound needs --n, --m and --l (or --asymptotic)")
     cfg = _config("bound", CSV_KIND, n=args.n, m=args.m, l=args.l)
     _, row = _bound_row(bnd.BoundInput(args.n, args.m, args.l))
-    _write_csv([row], BOUND_HEADER, cfg, args.out)
+    _write_csv(args.out, BOUND_HEADER, [row], cfg)
     return 0
 
 
@@ -268,40 +275,36 @@ def cmd_simulate(args):
         verdict = montecarlo.compare_to_bound(est, report)
         payload["verdict"] = {"passed": verdict.passed, "margin": verdict.margin}
     if args.samples_csv:
-        with open(args.samples_csv, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["index", "residual_ratio"])
-            writer.writerows(enumerate(est.ratios.tolist()))
+        _write_csv(args.samples_csv, ["index", "residual_ratio"], enumerate(est.ratios.tolist()))
     _emit_json(payload, args.out)
     return 0
 
 
 def _sweep_progress(path):
-    """The config echoed at the top of a sweep file and the (N, M, L)
-    cells it holds rows for; (None, empty set) when the file is missing
-    or empty."""
-    done = set()
-    if not os.path.exists(path):
-        return None, done
-    with open(path, "r", encoding="utf-8") as fh:
-        first = fh.readline()
-        if not first:
-            return None, done
-        cfg = json.loads(first[len("# config: "):]) if first.startswith("# config: ") else {}
-        if not isinstance(cfg, dict) or cfg.get("subcommand") != "sweep" \
-                or not {"seed", "samples"} <= cfg.keys():
-            raise VframeError(f"{path} does not start with a sweep '# config:' line "
-                              "holding its seed and samples")
-        if cfg.get("stream") != montecarlo.STREAM:
-            raise VframeError(f"{path} was written under sample stream {cfg.get('stream')!r}, "
-                              f"not {montecarlo.STREAM!r}: its rows came from other samples")
-        for line in fh:
-            if line.startswith("#") or line.startswith("N,"):
-                continue
-            parts = line.strip().split(",")
-            if len(parts) >= 3:
-                done.add((int(parts[0]), int(parts[1]), int(parts[2])))
-    return cfg, done
+    """The config echoed at the top of a sweep file, the (N, M, L) cells
+    of the rows after its header, and the bytes up to its last line
+    feed; a line cut by an interrupted write counts for nothing.
+    (None, empty set, 0) when the file is missing or empty."""
+    data = b""
+    if os.path.exists(path):
+        with open(path, "rb") as fh:
+            data = fh.read()
+    if not data:
+        return None, set(), 0
+    end = data.rfind(b"\n") + 1
+    first, newline, rest = data[:end].decode("utf-8").partition("\n")
+    if not newline:
+        raise VframeError(f"{path} ends inside its first line: no complete '# config:' line")
+    cfg = json.loads(first[len(CONFIG_PREFIX):]) if first.startswith(CONFIG_PREFIX) else {}
+    if not isinstance(cfg, dict) or cfg.get("subcommand") != "sweep" \
+            or not {"seed", "samples"} <= cfg.keys():
+        raise VframeError(f"{path} does not start with a sweep '# config:' line "
+                          "holding its seed and samples")
+    if cfg.get("stream") != montecarlo.STREAM:
+        raise VframeError(f"{path} was written under sample stream {cfg.get('stream')!r}, "
+                          f"not {montecarlo.STREAM!r}: its rows came from other samples")
+    rows = list(csv.reader(rest.splitlines()))[1:]
+    return cfg, {(int(r[0]), int(r[1]), int(r[2])) for r in rows if len(r) >= 3}, end
 
 
 def cmd_sweep(args):
@@ -311,7 +314,7 @@ def cmd_sweep(args):
         raise VframeError("--resume needs --out")
     # Appended rows must share the file's config: take its seed when
     # --seed is omitted, and refuse a different --seed or --samples.
-    prior, done = _sweep_progress(args.out) if args.resume else (None, set())
+    prior, done, end = _sweep_progress(args.out) if args.resume else (None, set(), 0)
     if prior is not None:
         for flag, value in (("samples", args.samples), ("seed", args.seed)):
             if value is not None and value != prior[flag]:
@@ -323,7 +326,7 @@ def cmd_sweep(args):
         seed = _resolve_seed(args.seed)
     n_list = _parse_int_list(args.n_list)
     factors = _parse_int_list(args.m_factors)
-    cfg = _config(
+    cfg = prior or _config(
         "sweep", CSV_KIND, seed,
         n_list=n_list, m_factors=factors, l=args.l,
         samples=args.samples, resume=args.resume, stream=montecarlo.STREAM,
@@ -347,25 +350,20 @@ def cmd_sweep(args):
             except BudgetExceeded as exc:
                 raise BudgetExceeded(f"cell (N,M,L)=({inp.n},{inp.m},{inp.l}) is over "
                                      f"--budget {args.budget}: {exc}") from None
-    fh = open(args.out, "w" if prior is None else "a", newline="", encoding="utf-8") if args.out else sys.stdout
-    try:
-        if prior is None:
-            fh.write(f"# config: {json.dumps(cfg)}\n")
-            csv.writer(fh).writerow(header)
-        writer = csv.writer(fh)
+    # Every cell of one N reads the same chunks: the last one drawn is
+    # kept, read-only, for the next cell, so no more than one is held.
+    last = {}
+
+    def draw(n, rows, seed, start):
+        key = (n, rows, seed, start)
+        if key not in last:
+            last.clear()
+            last[key] = montecarlo.sample_sphere_batch(n, rows, seed, start)
+            last[key].flags.writeable = False
+        return last[key]
+
+    def cell_rows():
         frame = None
-        # Every cell of one N reads the same chunks: the last one drawn is
-        # kept, read-only, for the next cell, so no more than one is held.
-        last = {}
-
-        def draw(n, rows, seed, start):
-            key = (n, rows, seed, start)
-            if key not in last:
-                last.clear()
-                last[key] = montecarlo.sample_sphere_batch(n, rows, seed, start)
-                last[key].flags.writeable = False
-            return last[key]
-
         for inp in cells:
             report, row = _bound_row(inp)
             if args.samples > 0:
@@ -376,11 +374,13 @@ def cmd_sweep(args):
                 )
                 verdict = montecarlo.compare_to_bound(est, report)
                 row += [est.mean, est.stderr, verdict.margin, verdict.passed]
-            writer.writerow(row)
-            fh.flush()
-    finally:
-        if args.out:
-            fh.close()
+            yield row
+
+    # Resume after the last complete row, dropping a row cut by an
+    # interrupted write; with no complete row, write the file anew.
+    if done:
+        os.truncate(args.out, end)
+    _write_csv(args.out, header, cell_rows(), cfg, append=bool(done))
     return 0
 
 
@@ -443,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="evaluate the large-N bound at --r/--eps instead")
     p.add_argument("--r", type=float, default=None, help="redundancy ratio M/N")
     p.add_argument("--eps", type=float, default=None, help="sparsity fraction L/N")
-    add_common(p, frame_flag=False)
+    p.add_argument("--out", default=None, help="write output to this file instead of stdout")
     p.set_defaults(func=cmd_bound)
 
     p = sub.add_parser("simulate", help="Monte-Carlo distortion estimate vs the bound")

@@ -253,6 +253,13 @@ def test_bound_asymptotic(capsys):
     assert float(row["bound"]) == pytest.approx(0.02708, abs=5e-6)
 
 
+def test_bound_takes_no_seed():
+    # A bound draws nothing, so a seed would change no byte of its output.
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["bound", "--n", "6", "--m", "12", "--l", "2", "--seed", "1"])
+    assert exc.value.code == 2
+
+
 def test_bound_missing_args(capsys):
     for argv in (["bound", "--n", "6"], ["bound", "--asymptotic"],
                  ["bound", "--asymptotic", "--r", "2"]):
@@ -529,6 +536,35 @@ def truncated_sweep(capsys, out_path, argv, kept=2):
     full = out_path.read_text()
     out_path.write_text("\n".join(full.splitlines()[:2 + kept]) + "\n")
     return full
+
+
+SWEEP_CUT = ["sweep", "--n-list", "3,4", "--m-factors", "2", "--samples", "30", "--seed", "1"]
+
+
+def test_sweep_resume_after_a_cut_at_any_byte_equals_the_uninterrupted_file(tmp_path, capsys):
+    # An interrupted write may stop anywhere after the config line: inside
+    # the header, inside a row, or between a row's "\r" and "\n".
+    whole_path, out_path = tmp_path / "whole.csv", tmp_path / "sweep.csv"
+    assert run(capsys, SWEEP_CUT + ["--out", str(whole_path)])[0] == 0
+    whole = whole_path.read_bytes()
+    differs = []
+    for cut in range(whole.index(b"\n") + 1, len(whole) + 1):
+        out_path.write_bytes(whole[:cut])
+        code, _, _ = run(capsys, SWEEP_CUT + ["--out", str(out_path), "--resume"])
+        if (code, out_path.read_bytes()) != (0, whole):
+            differs.append(cut)
+    assert differs == []
+
+
+def test_sweep_resume_refuses_a_config_line_without_its_line_end(tmp_path, capsys):
+    out_path = tmp_path / "sweep.csv"
+    assert run(capsys, SWEEP_CUT + ["--out", str(out_path)])[0] == 0
+    whole = out_path.read_bytes()
+    for cut in range(1, whole.index(b"\n") + 1):
+        out_path.write_bytes(whole[:cut])
+        code, out, err = run(capsys, SWEEP_CUT + ["--out", str(out_path), "--resume"])
+        assert (code, out) == (1, "") and err.startswith("error:") and "config" in err
+        assert out_path.read_bytes() == whole[:cut]
 
 
 def test_sweep_resume_takes_the_seed_of_the_file(tmp_path, capsys):

@@ -729,6 +729,7 @@ def test_estimates_refuse_a_seed_before_drawing_or_scoring(seed, error, monkeypa
 
     monkeypatch.setattr(montecarlo, "sample_sphere_batch", unreachable)
     monkeypatch.setattr(montecarlo, "smdd_residuals", unreachable)
+    monkeypatch.setattr(montecarlo, "_residuals", unreachable)
     frame = roots_frame(4, 8)
     for l in (0, 2, 4):
         with pytest.raises(error):
