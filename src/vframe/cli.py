@@ -39,6 +39,11 @@ def _parse_int_list(text):
     return [int(tok) for tok in str(text).split(",") if tok.strip()]
 
 
+def _parse_l(text):
+    """A sweep's --l: "all", or the list of its weights."""
+    return text if text == "all" else _parse_int_list(text)
+
+
 def _emit_json(payload, out_path):
     text = json.dumps(payload, indent=2)
     if out_path:
@@ -297,9 +302,9 @@ def _sweep_progress(path):
         raise VframeError(f"{path} ends inside its first line: no complete '# config:' line")
     cfg = json.loads(first[len(CONFIG_PREFIX):]) if first.startswith(CONFIG_PREFIX) else {}
     if not isinstance(cfg, dict) or cfg.get("subcommand") != "sweep" \
-            or not {"seed", "samples"} <= cfg.keys():
+            or not {"seed", "samples", "n_list", "m_factors", "l"} <= cfg.keys():
         raise VframeError(f"{path} does not start with a sweep '# config:' line "
-                          "holding its seed and samples")
+                          "holding its seed, samples and grid")
     if cfg.get("stream") != montecarlo.STREAM:
         raise VframeError(f"{path} was written under sample stream {cfg.get('stream')!r}, "
                           f"not {montecarlo.STREAM!r}: its rows came from other samples")
@@ -312,20 +317,24 @@ def cmd_sweep(args):
         raise VframeError(f"--samples must be >= 0, got {args.samples}")
     if args.resume and not args.out:
         raise VframeError("--resume needs --out")
+    n_list = _parse_int_list(args.n_list)
+    factors = _parse_int_list(args.m_factors)
     # Appended rows must share the file's config: take its seed when
-    # --seed is omitted, and refuse a different --seed or --samples.
+    # --seed is omitted, and refuse a different --seed, --samples or grid.
     prior, done, end = _sweep_progress(args.out) if args.resume else (None, set(), 0)
     if prior is not None:
-        for flag, value in (("samples", args.samples), ("seed", args.seed)):
-            if value is not None and value != prior[flag]:
-                raise VframeError(
-                    f"--{flag} {value} differs from {flag} {prior[flag]} in {args.out}"
-                )
+        for key, value, recorded in (
+                ("samples", args.samples, prior["samples"]),
+                ("seed", args.seed, prior["seed"]),
+                ("n_list", n_list, prior["n_list"]),
+                ("m_factors", factors, prior["m_factors"]),
+                ("l", _parse_l(args.l), _parse_l(prior["l"]))):
+            if value is not None and value != recorded:
+                raise VframeError(f"--{key.replace('_', '-')} {value} differs from "
+                                  f"{key} {recorded} in {args.out}")
         seed = prior["seed"]
     else:
         seed = _resolve_seed(args.seed)
-    n_list = _parse_int_list(args.n_list)
-    factors = _parse_int_list(args.m_factors)
     cfg = prior or _config(
         "sweep", CSV_KIND, seed,
         n_list=n_list, m_factors=factors, l=args.l,
@@ -350,17 +359,20 @@ def cmd_sweep(args):
             except BudgetExceeded as exc:
                 raise BudgetExceeded(f"cell (N,M,L)=({inp.n},{inp.m},{inp.l}) is over "
                                      f"--budget {args.budget}: {exc}") from None
-    # Every cell of one N reads the same chunks: the last one drawn is
-    # kept, read-only, for the next cell, so no more than one is held.
+    # Every cell of one N reads the same stream, in chunks whose size may
+    # differ by cell: the last chunk drawn is kept, read-only, and a later
+    # one inside it is a slice of it, so no more than one is held.  A row
+    # does not depend on the rows drawn with it, so the slice is the draw.
     last = {}
 
     def draw(n, rows, seed, start):
-        key = (n, rows, seed, start)
-        if key not in last:
+        first, chunk = last.get((n, seed), (0, None))
+        if chunk is None or not first <= start <= start + rows <= first + len(chunk):
             last.clear()
-            last[key] = montecarlo.sample_sphere_batch(n, rows, seed, start)
-            last[key].flags.writeable = False
-        return last[key]
+            first, chunk = start, montecarlo.sample_sphere_batch(n, rows, seed, start)
+            chunk.flags.writeable = False
+            last[n, seed] = first, chunk
+        return chunk[start - first:start - first + rows]
 
     def cell_rows():
         frame = None

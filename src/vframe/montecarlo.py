@@ -10,31 +10,44 @@ bound.
 
 Scoring kernel: a support S with rank-masked orthonormal basis V_S has
 projection energy ||P_S x||^2 = x^H G_S x, G_S = V_S^H V_S.  For N <= 4L
-samples and supports are lifted to N^2 real features and weights, so one
-real GEMM scores a chunk of samples against a block of supports at N^2
-multiply-adds per pair, no more than the 4*L*N of the stacked bases used
-for N > 4L.  One constant, _GEMM_ENERGIES = 2**20 energies (8 MiB), owns
-the search's working set.  Supports are scored in blocks of
-B = _GEMM_ENERGIES // (16*L*N) = 2**16 // (L*N): weights at most 2 MiB
-(N^2 * B * 8, or L * N * B * 16 stacked), dropped once scored, and chunks
-of _GEMM_ENERGIES // B rows (_GEMM_ENERGIES // (L*B) stacked), so at most
+samples and supports are lifted to real features and weights, so one
+real GEMM scores a chunk of samples against a block of supports: N^2
+multiply-adds per pair in the Gram form, no more than the 4*L*N of the
+stacked bases used for N > 4L.  One constant, _GEMM_ENERGIES = 2**20
+energies (8 MiB), owns the search's working set.  Supports are scored
+in blocks of B = _GEMM_ENERGIES // (16*L*N) = 2**16 // (L*N) (twice that
+at most on the orbit path below): weights at most 2 MiB (N^2 * B * 8, or
+L * N * B * 16 stacked), dropped once scored, and GEMMs of
+_GEMM_ENERGIES // B rows (_GEMM_ENERGIES // (L*B) stacked), so at most
 _GEMM_ENERGIES energies per GEMM.  So memory does not grow with C(M, L);
-the budget on C(M, L) bounds the time.
+the budget on C(M, L) bounds the time.  The samples are lifted once per
+chunk of _chunk_rows rows, the most whole sample blocks whose lift (or,
+stacked, whose complex rows) fits _CHUNK_ENTRIES complex entries (4 MiB),
+and every block is scored against that lift.
 
 Where the weights come from: on most frames, one SVD per support, C(M, L)
 in all.  On the default frame, whose nodes z_j are the M-th roots of
-unity (default_nodes), shifting a support by s multiplies its rows by
-the phases D_s = diag(z_s^k), the frame's row s, so G_{S+s} = D_s G_S
-D_s^H.  There, for L < N, only the R orbit representatives (each orbit's
-lexicographically smallest shift, about C(M, L) / M of them) are SVD'd;
-a block holds a slice of them times all M shifts, its weights rotated
-by an elementwise phase multiply.  The frame and L alone choose the
-path, and both searches read the rotated energies as they come: a
-rotated residual differs from the per-support one by a few ulp (at most
-3.1e-15 measured, on the N=8, M=32, L=4 cell).  At L >= N some support
-spans C^N, so smdd_residuals returns exact zeros without a search, as
-the bound's L = N branch does; smdd_exact, which names the support,
-enumerates them on the per-support path.
+unity (default_nodes), two symmetries cut that, for L < N:
+- Rotation: shifting a support by s multiplies its rows by the phases
+  D_s = diag(z_s^k), the frame's row s, so G_{S+s} = D_s G_S D_s^H.
+- Reflection: node -j is conj(z_j), so G_{-S} = conj(G_S).
+Only the R dihedral representatives (each support smallest among its
+shifts and reflections, about C(M, L) / 2M of them; 624 of 35,960 at
+M = 32, L = 4) are SVD'd.  A block holds a slice of them, and the
+reflections of those whose -S lies in another rotation orbit, times all
+M shifts.  The unit circle also makes the weights real: with J the
+coordinate reversal, J G J = conj(G) for every support, so
+x^H G x = (a^T H a + b^T H b) / 2 with a + ib = x + i Jx and
+H_ij = Re G_ij - Im G_(N-1-i)j real and symmetric (G is centro-Hermitian:
+A. Lee, "Centrohermitian and skew-centrohermitian matrices", Linear
+Algebra Appl. 29, 1980).  A pair there costs N(N+1)/2 multiply-adds,
+36 against 64 at N = 8.  The frame and L alone choose the path, and
+both searches read its energies as they come: a residual there differs
+from the per-support one by a few ulp (at most 2.4e-15 measured, on the
+N=8, M=32, L=4 cell).  At L >= N some
+support spans C^N, so smdd_residuals returns exact zeros without a
+search, as the bound's L = N branch does; smdd_exact, which names the
+support, enumerates them on the per-support path.
 
 Distortion is accumulated per sample as the *relative* squared
 residual ||x - proj||^2 / ||x||^2.  On the unit sphere the two agree
@@ -50,15 +63,16 @@ to be keyed per block, not per draw (Salmon et al., "Parallel random
 numbers: as easy as 1, 2, 3", SC 2011); the normals are numpy's own
 ziggurat (Marsaglia & Tsang, J. Stat. Softw. 5(8), 2000).  A row does
 not depend on how many rows are drawn with it, so estimate_distortion
-draws and scores a chunk of whole blocks at a time, its size fixed by N.
-Every cell of one (N, seed) reads the same chunks, so vframe sweep hands
-the last one drawn to the next cell: a stream that fits one chunk is
-drawn once per N.  Another chunk size gives the same samples; their
-residuals may move by an ulp, as BLAS rounds a GEMM by its shape (at
-most 7.8e-16 measured, at N = 6, M = 12, L = 3).  The spawn key keeps
-block b apart from sample_rng(seed, b), the per-sample stream of encode
-and roundtrip, for seeds of fewer than four 32-bit words (every CLI
-seed).  SeedSequence pads its entropy pool with zeros, so seeds that
+draws and scores a chunk of whole blocks at a time, its size fixed by
+the frame and L (_chunk_rows).  Every cell of one (N, seed) reads the
+same stream, so vframe sweep keeps the last chunk drawn and hands the
+next cell that chunk, or the slice of it the cell asks for: a stream
+that fits the chunk of the first cell to draw is drawn once per N.
+Another chunk size gives the same samples; their residuals may move by
+an ulp, as BLAS rounds a GEMM by its shape (at most 7.8e-16 measured,
+at N = 6, M = 12, L = 3).  The spawn key keeps block b apart from
+sample_rng(seed, b), the per-sample stream of encode and roundtrip, for
+seeds of fewer than four 32-bit words (every CLI seed).  SeedSequence pads its entropy pool with zeros, so seeds that
 differ only by trailing zeros, such as s and (s, 0), name the same
 stream.
 """
@@ -91,8 +105,9 @@ _GEMM_ENERGIES = 2**20
 # Rows per sample block: sample i is row i % _BLOCK of block i // _BLOCK.
 _BLOCK = 1024
 
-# Complex sample entries an estimate draws and scores at once (4 MiB), in
-# whole blocks, at least one: about a quarter of a GEMM's energies.
+# 4 MiB, as complex entries, half the size of a GEMM's energies: the
+# scoring input of the rows an exact search lifts and scores at once
+# (_chunk_rows) fits it, in whole blocks, at least one.
 _CHUNK_ENTRIES = _GEMM_ENERGIES // 4
 
 # The sample-stream contract's name, recorded by vframe sweep so that
@@ -198,100 +213,174 @@ def projection_residual(rows, x) -> float:
     return max(norm_sq - float(np.vdot(coeffs, coeffs).real), 0.0)
 
 
-def _orbit_representatives(m: int, l: int) -> np.ndarray:
-    """(R, l) array, in lexicographic order, of the size-l subsets of range(m)
-    (l >= 1) that are the lexicographically smallest of their cyclic shifts
-    S + s (mod m): one per orbit.
+def _orbit_representatives(m: int, l: int) -> tuple[np.ndarray, np.ndarray]:
+    """(reps, flip) for the size-l subsets of range(m) (l >= 1) under the
+    shifts S + s and the reflections s - S (mod m).  reps is the (R, l)
+    array, in lexicographic order, of the subsets that are the
+    lexicographically smallest of their shifts and reflections: one per
+    dihedral orbit.  flip marks the representatives whose reflection -S
+    lies in another rotation orbit than S, so that the two rotation orbits
+    together make up the dihedral one.
 
     A representative holds 0, so the candidates are the C(m-1, l-1) subsets
-    that do, taken 2**18 // l at a time; one is kept when none of the shifts
-    that move another of its elements to 0 is smaller.
+    that do, taken 2**18 // l at a time.  One is kept when none of the
+    shifts and reflections that move one of its elements to 0 is smaller,
+    and flipped when none of those reflections is itself.
     """
-    kept = []
+    reps, flips = [], []
     for tails in support_blocks(m - 1, l - 1, max(1, 2**18 // l)):
         cand = np.concatenate([np.zeros((len(tails), 1), dtype=np.intp), tails + 1], axis=1)
         keep = np.ones(len(cand), dtype=bool)
-        for i in range(1, l):
-            diff = np.sort((cand - cand[:, i:i + 1]) % m, axis=1) - cand
-            first = np.argmax(diff != 0, axis=1)
-            keep &= diff[np.arange(len(cand)), first] >= 0
-        kept.append(cand[keep])
-    return np.concatenate(kept)
+        flip = keep.copy()
+        for i in range(l):
+            for sign in (1, -1) if i else (-1,):
+                diff = np.sort(sign * (cand - cand[:, i:i + 1]) % m, axis=1) - cand
+                moved = diff != 0
+                keep &= diff[np.arange(len(cand)), np.argmax(moved, axis=1)] >= 0
+                if sign < 0:
+                    flip &= moved.any(axis=1)
+        reps.append(cand[keep])
+        flips.append(flip[keep])
+    return np.concatenate(reps), np.concatenate(flips)
 
 
-def _gram_features(xs: np.ndarray) -> np.ndarray:
+def _gram_features(xs: np.ndarray, pairs) -> np.ndarray:
     """(s, N*N) real lift of the samples xs: |x_a|^2, then 2 Re(conj(x_a) x_b)
-    and 2 Im(conj(x_a) x_b) for a < b, in triu_indices order."""
-    a, b = np.triu_indices(xs.shape[1], 1)
+    and 2 Im(conj(x_a) x_b) for the pairs a < b."""
+    a, b = pairs
     cross = 2.0 * (xs[:, a].conj() * xs[:, b])
     return np.concatenate([xs.real**2 + xs.imag**2, cross.real, cross.imag], axis=1)
 
 
-def _block_weights(matrix: np.ndarray, supports: np.ndarray) -> np.ndarray:
-    """Weights that score samples against the (B, l) block of supports in
-    one GEMM, from one SVD per support.
+def _real_features(xs: np.ndarray, pairs) -> np.ndarray:
+    """(s, N(N+1)/2) real lift of the samples xs for real-symmetric weights:
+    with y = x + i Jx (J reverses coordinates), a = Re y and b = Im y,
+    (a_i^2 + b_i^2) / 2, then a_i a_j + b_i b_j for the pairs i < j."""
+    y = xs + 1j * xs[:, ::-1]
+    a, b = pairs
+    re, im = y.real, y.imag
+    return np.concatenate([0.5 * (re**2 + im**2), re[:, a] * re[:, b] + im[:, a] * im[:, b]],
+                          axis=1)
 
-    V is a support's rank-masked orthonormal basis (the conjugated rows
-    of its SVD's vh above SINGULAR_REL_TOL).  x^H G x costs N*N real
-    multiply-adds per (sample, support) and the stacked bases 4*l*N, so
-    for N <= 4l they are the (N*N, B) real projectors G = V^H V, one
-    column per support: G_aa, then Re G_ab and -Im G_ab for a < b, so
-    _gram_features(x) @ weights = x^H G x.  Otherwise (past N = 4l the
-    Gram weights would also take N/(2l) > 2 times the memory) they are
-    the complex (N, l*B) stacked bases: column j*B + k holds basis
-    vector j of support k.
+
+def _bases(matrix: np.ndarray, supports: np.ndarray) -> np.ndarray:
+    """(B, l, N) rank-masked orthonormal bases of the (B, l) supports, one
+    SVD each: the conjugated rows of vh whose singular values exceed
+    SINGULAR_REL_TOL times the largest, the others zero."""
+    _, s, vh = np.linalg.svd(matrix[supports], full_matrices=False)
+    return (vh * (s > SINGULAR_REL_TOL * s[:, :1])[:, :, None]).conj()
+
+
+def _block_weights(matrix: np.ndarray, supports: np.ndarray, pairs) -> np.ndarray:
+    """Weights that score samples against the (B, l) block of supports in
+    one GEMM, from their _bases.
+
+    x^H G x costs N*N real multiply-adds per (sample, support) and the
+    stacked bases 4*l*N, so for N <= 4l they are the (N*N, B) real
+    projectors G = V^H V, one column per support: G_aa, then Re G_ab and
+    -Im G_ab for the pairs a < b, so _gram_features(x) @ weights =
+    x^H G x.  Otherwise (past N = 4l the Gram weights would also take
+    N/(2l) > 2 times the memory) they are the complex (N, l*B) stacked
+    bases: column j*B + k holds basis vector j of support k.
     """
     n, l = matrix.shape[1], supports.shape[1]
-    _, s, vh = np.linalg.svd(matrix[supports], full_matrices=False)
-    v = (vh * (s > SINGULAR_REL_TOL * s[:, :1])[:, :, None]).conj()    # (B, l, n)
+    v = _bases(matrix, supports)                                       # (B, l, n)
     if n > 4 * l:
         return v.transpose(1, 0, 2).reshape(-1, n).T
     g = v.conj().transpose(0, 2, 1) @ v                                # (B, n, n)
-    a, b = np.triu_indices(n, 1)
+    a, b = pairs
     upper = g[:, a, b].T
     return np.concatenate([g.diagonal(axis1=1, axis2=2).real.T, upper.real, -upper.imag])
 
 
-def _orbit_blocks(matrix: np.ndarray, reps: np.ndarray, width: int):
-    """(supports, weights) blocks of _block_weights' form covering every size-l
-    support of a roots-of-unity frame: a slice of the orbit representatives
-    reps times all M shifts, at most max(width, M) supports per block.
+def _orbit_blocks(matrix: np.ndarray, reps: np.ndarray, flip: np.ndarray, width: int, pairs):
+    """(supports, weights) blocks covering every size-l support of a
+    roots-of-unity frame, from _orbit_representatives' reps and flip: a
+    slice of r representatives and their f flipped reflections, times all
+    M shifts.  Column s*(r + f) + k scores representative k (or, past r,
+    the reflection of flipped one k - r) shifted by s, and supports(cols)
+    is the (len(cols), l) array of those supports, sorted.  A block holds
+    at most 2 * max(width, M) supports.
 
     Shifting a support by s multiplies its rows by D_s = diag(z_s^k), the
-    frame's row s, so its basis is V D_s^H: basis entry k is multiplied by
-    conj(z_s^k), and G_ab by z_s^(a-b).  Only the representatives are
-    SVD'd.  Column s*r + k (of r representatives) scores the support
-    reps[k] + s, which is the same row of supports, sorted.
+    frame's row s, so its basis is V D_s^H and G_ab is multiplied by
+    z_s^(a-b); node -j is conj(z_j), so the reflection -S has basis
+    conj(V) and Gram conj(G).  Only the representatives are SVD'd.  Past
+    N = 4l the weights are the stacked bases, (N, l*M*(r + f)) in
+    _block_weights' order.  Otherwise they are real-symmetric: as
+    J G J = conj(G) (J reverses coordinates; J row(z) = z^(N-1) conj(row(z))
+    on the unit circle), x^H G x = (a^T H a + b^T H b) / 2 with a, b the
+    real and imaginary parts of x + i Jx and H_ij = Re G_ij - Im G_(N-1-i)j,
+    real and symmetric.  The weights are the (N(N+1)/2, M*(r + f)) H_ii,
+    then H_ij for the pairs i < j, so _real_features(x) @ weights = x^H G x;
+    each shift's are made from G_ij z_s^(i-j) and G_(N-1-i)j z_s^(N-1-i-j)
+    by one batched GEMM.
     """
     m, n = matrix.shape
     l = reps.shape[1]
-    phase = matrix.conj()                     # phase[s, k] multiplies basis entry k
-    a, b = np.triu_indices(n, 1)
-    pair = phase[:, a].conj() * phase[:, b]   # (M, pairs): multiplies G_ab
+    if n > 4 * l:
+        phase = matrix.conj().T[:, None, :, None]   # multiplies basis entry k of shift s
+    else:
+        i, j = (np.concatenate([np.arange(n), p]) for p in pairs)
+        z, shift = default_nodes(m), np.arange(m)
+        p, q = z[(i - j)[:, None] * shift % m], z[(n - 1 - i - j)[:, None] * shift % m]
+        # H_ij of shift s is rotate[k, s] @ (Re, Im of G_ij, Re, Im of G_(N-1-i)j).
+        rotate = np.stack([p.real, -p.imag, -q.imag, -q.real], axis=2)     # (K, M, 4)
     step = max(1, width // m)
     for start in range(0, len(reps), step):
-        block = reps[start:start + step]
-        r = len(block)
-        supports = np.sort((block + np.arange(m)[:, None, None]) % m, axis=2).reshape(-1, l)
-        base = _block_weights(matrix, block)
-        if base.dtype == complex:
-            weights = (base.reshape(n, l, 1, r) * phase.T[:, None, :, None]).reshape(n, -1)
+        block, f = reps[start:start + step], flip[start:start + step]
+        signed = np.concatenate([block, -block[f]])
+        v = _bases(matrix, block)                                      # (r, l, n)
+        if n > 4 * l:
+            v = np.concatenate([v, v[f].conj()])
+            weights = (v.transpose(2, 1, 0)[:, :, None, :] * phase).reshape(n, -1)
         else:
-            upper = pair[:, :, None] * (base[n:n + a.size] - 1j * base[n + a.size:])
-            weights = np.concatenate([np.broadcast_to(base[:n], (m, n, r)), upper.real,
-                                      -upper.imag], axis=1).transpose(1, 0, 2).reshape(-1, m * r)
+            g = (v.conj().transpose(0, 2, 1) @ v).transpose(1, 2, 0)   # (n, n, r)
+            g = np.stack([g[i, j], g[n - 1 - i, j]])                   # (2, K, r)
+            g = np.concatenate([g, g[:, :, f].conj()], axis=2)
+            parts = np.stack([g[0].real, g[0].imag, g[1].real, g[1].imag], axis=1)
+            weights = (rotate @ parts).reshape(len(i), -1)
+
+        def supports(cols, signed=signed):
+            return np.sort((signed[cols % len(signed)] + (cols // len(signed))[:, None]) % m,
+                           axis=1)
+
         yield supports, weights
+
+
+def _orbit_path(frame: Frame, l: int) -> bool:
+    """Whether the exact search of weight l scores frame's supports as
+    rotations and reflections of orbit representatives: l < N and the
+    nodes are default_nodes(M)."""
+    return l < frame.n and np.array_equal(frame.nodes, default_nodes(frame.m))
+
+
+def _chunk_rows(frame: Frame, l: int) -> int:
+    """Rows an exact search of weight l >= 1 lifts and scores at once, and
+    an estimate draws: the most whole sample blocks whose scoring input
+    fits _CHUNK_ENTRIES complex entries, at least one.  The input is the
+    complex rows for the stacked bases (16*N bytes a row), the real lift
+    for real-symmetric weights (4*N*(N+1)) or for Gram weights (8*N*N)."""
+    n = frame.n
+    if n > 4 * l:
+        row = 16 * n
+    elif _orbit_path(frame, l):
+        row = 4 * n * (n + 1)
+    else:
+        row = 8 * n * n
+    return _BLOCK * max(1, 16 * _CHUNK_ENTRIES // (_BLOCK * row))
 
 
 def _energies(frame: Frame, X: np.ndarray, l: int, budget: int):
     """Projection energies ||P_S x||^2 of the (S, N) batch X on every size-l
     support S (l >= 1), one block of supports at a time.
 
-    Yields (rows, supports, energy): a slice of X, a (B, l) block of
-    supports, each sorted, and the (len(rows), B) energies of those rows
-    on them.  When l < N and the frame's nodes are default_nodes(M), the
-    blocks come from _orbit_blocks: the weights of each shift are a phase
-    rotation of its representative's, so the energies may differ from a
+    Yields (rows, supports, energy): a slice of X, a function that maps
+    columns of the block to their (len(cols), l) supports, each sorted,
+    and the (len(rows), B) energies of those rows on the block.  X is
+    lifted once, for all blocks.  When _orbit_path holds, the blocks come
+    from _orbit_blocks: the weights of each shift and reflection are made
+    from its representative's, so the energies may differ from a
     support's own SVD by a few ulp, and a support whose shifts fix it
     appears once per such shift.  Otherwise the blocks hold B =
     _GEMM_ENERGIES // (16*l*N) supports each, in lexicographic order, every
@@ -301,32 +390,33 @@ def _energies(frame: Frame, X: np.ndarray, l: int, budget: int):
     """
     _over_budget(frame.m, l, budget)
     m, n = frame.matrix.shape
+    pairs = np.triu_indices(n, 1)
     # A block's weights (N*N <= 4*l*N floats, or l*N complex, per support)
     # then take at most a quarter of a GEMM's energies.
     width = max(1, _GEMM_ENERGIES // (16 * l * n))
-    if l < n and np.array_equal(frame.nodes, default_nodes(m)):
-        blocks = _orbit_blocks(frame.matrix, _orbit_representatives(m, l), width)
+    if _orbit_path(frame, l):
+        blocks = _orbit_blocks(frame.matrix, *_orbit_representatives(m, l), width, pairs)
+        lift = _real_features
     else:
-        blocks = ((s, _block_weights(frame.matrix, s)) for s in support_blocks(m, l, width))
-    return _scored(X, blocks)
-
-
-def _scored(X: np.ndarray, blocks):
-    """Score X against each (supports, weights) block in chunks of rows that
-    keep every GEMM's output at most _GEMM_ENERGIES values; yields (rows,
-    supports, energy)."""
+        # Column k of a block scores its row k.
+        blocks = ((s.__getitem__, _block_weights(frame.matrix, s, pairs))
+                  for s in support_blocks(m, l, width))
+        lift = _gram_features
+    if n <= 4 * l:
+        X = lift(X, pairs)
     for supports, weights in blocks:
         chunk = max(1, _GEMM_ENERGIES // weights.shape[1])
         for start in range(0, len(X), chunk):
             rows = slice(start, start + chunk)
-            yield rows, supports, _chunk_energies(X[rows], weights, supports.shape[1])
+            yield rows, supports, _chunk_energies(X[rows], weights, l)
 
 
 def _chunk_energies(xs: np.ndarray, weights: np.ndarray, l: int) -> np.ndarray:
-    """(s, B) projection energies of the (s, N) samples xs on the B supports
-    of one _block_weights, real for the Gram form and complex otherwise."""
+    """(s, B) projection energies of the samples xs, lifted to match real
+    weights or complex (s, N) for stacked bases, on the B supports of one
+    block."""
     if weights.dtype != complex:
-        return _gram_features(xs) @ weights
+        return xs @ weights
     proj = (xs @ weights).reshape(len(xs), l, -1)
     energy = np.zeros((len(xs), proj.shape[2]))
     for j in range(l):
@@ -370,12 +460,16 @@ def smdd_exact(frame: Frame, x, l: int, budget: int = DEFAULT_BUDGET) -> SmddRes
     if l == 0:
         return SmddResult((), float(norms[0]), False)
     # Ties are judged against the global minimum, so every support within
-    # TIE_TOL of the running minimum is kept.
+    # TIE_TOL of the running minimum is kept; supports are built for those
+    # columns alone.
     res, supports = np.empty(0), np.empty((0, l), dtype=np.intp)
-    for _, block, energy in _energies(frame, xs, l, budget):
-        res = np.concatenate([res, np.maximum(norms[0] - energy[0], 0.0)])
-        supports = np.concatenate([supports, block])
-        near = res <= res.min() + TIE_TOL
+    for _, support_of, energy in _energies(frame, xs, l, budget):
+        block = np.maximum(norms[0] - energy[0], 0.0)
+        best = min(block.min(), res.min(initial=np.inf))
+        cols = np.flatnonzero(block <= best + TIE_TOL)
+        res = np.concatenate([res, block[cols]])
+        supports = np.concatenate([supports, support_of(cols)])
+        near = res <= best + TIE_TOL
         res, supports = res[near], supports[near]
     # Orbit blocks repeat the supports their shifts fix and come in shift
     # order: np.unique keeps each support's first residual and sorts them
@@ -391,10 +485,10 @@ def smdd_exact(frame: Frame, x, l: int, budget: int = DEFAULT_BUDGET) -> SmddRes
 def smdd_residuals(frame: Frame, X, l: int, budget: int = DEFAULT_BUDGET) -> np.ndarray:
     """smdd_exact's squared residual for each row of the (S, N) batch X: the
     norm less the largest projection energy over supports, kept as a running
-    maximum while they are scored block by block.  At l >= N it is 0 without
-    a search: every frame spans C^N, so some size-l support does (the
-    bound's L = N branch).  Raises BudgetExceeded when C(M, l) exceeds the
-    subset budget, at every l >= 1."""
+    maximum while they are scored block by block, _chunk_rows rows at a
+    time.  At l >= N it is 0 without a search: every frame spans C^N, so
+    some size-l support does (the bound's L = N branch).  Raises
+    BudgetExceeded when C(M, l) exceeds the subset budget, at every l >= 1."""
     return _residuals(frame, *_signals(frame, X, l), l, budget)
 
 
@@ -403,14 +497,17 @@ def _residuals(frame: Frame, X: np.ndarray, norms: np.ndarray, l: int, budget: i
     row norms it returned."""
     if l == 0:
         return norms
+    _over_budget(frame.m, l, budget)
     if l >= frame.n:
-        _over_budget(frame.m, l, budget)
         return np.zeros(len(X))
     top = np.full(X.shape[0], -np.inf)
-    for rows, _, energy in _energies(frame, X, l, budget):
-        # Rebinding drops the chunk's energies before the next is scored.
-        energy = energy.max(axis=1)
-        top[rows] = np.maximum(top[rows], energy)
+    chunk = _chunk_rows(frame, l)
+    for start in range(0, len(X), chunk):
+        best = top[start:start + chunk]
+        for rows, _, energy in _energies(frame, X[start:start + chunk], l, budget):
+            # Rebinding drops the chunk's energies before the next is scored.
+            energy = energy.max(axis=1)
+            best[rows] = np.maximum(best[rows], energy)
     return np.maximum(norms - top, 0.0)
 
 
@@ -532,8 +629,8 @@ def estimate_distortion(
 
     Deterministic given (frame, l, n_samples, seed): the samples are
     sample_sphere_batch(frame.n, n_samples, seed), drawn and scored a
-    chunk of whole blocks at a time, as many as _CHUNK_ENTRIES complex
-    entries hold (at least one), and reduced in index order.  Only the
+    chunk of whole blocks at a time, as many as _chunk_rows gives (at
+    least one), and reduced in index order.  Only the
     ratios are kept, so memory grows by 8 bytes per sample.  The seed and
     the arguments are checked before any sample is drawn: DomainError on
     bad arguments.  When C(M, l) exceeds the budget, either raises
@@ -558,7 +655,7 @@ def estimate_distortion(
     else:
         draw = draw or sample_sphere_batch
         ratios = np.empty(n_samples)
-        chunk = _BLOCK * max(1, _CHUNK_ENTRIES // (_BLOCK * frame.n))
+        chunk = _chunk_rows(frame, l)
         for start in range(0, n_samples, chunk):
             X = draw(frame.n, min(chunk, n_samples - start), seed, start)
             X, norms = _signals(frame, X, l)

@@ -404,6 +404,23 @@ def test_sweep_draws_each_n_once_and_matches_per_cell_estimates(tmp_path, capsys
     assert len(draws) == 10
 
 
+def test_sweep_reads_a_smaller_chunk_out_of_the_one_it_holds(tmp_path, capsys, monkeypatch):
+    # At N = 8 an estimate scores 32 blocks of rows at once for stacked
+    # bases (L = 1) but 14 for real-symmetric weights (L = 2, 3): the
+    # later cells read their two chunks out of the first cell's draw.
+    draws = count_draws(monkeypatch)
+    out_path = tmp_path / "sweep.csv"
+    samples = 14 * 1024 + 1
+    code, _, err = run(capsys, ["sweep", "--n-list", "8", "--m-factors", "2", "--l", "1,2,3",
+                                "--samples", str(samples), "--seed", "5", "--out", str(out_path)])
+    assert code == 0, err
+    assert draws == [(8, samples, 5, 0)]
+    frame = vf.make_vandermonde_frame(vf.default_nodes(16), 8)
+    for r in parse_csv(out_path.read_text()):
+        est = vf.estimate_distortion(frame, int(r["L"]), samples, 5)
+        assert (float(r["est_mean"]), float(r["est_stderr"])) == (est.mean, est.stderr)
+
+
 def test_sweep_csv_equals_one_drawn_per_sample(tmp_path, capsys, monkeypatch):
     # The CSV is byte for byte the one of a sampler that draws every sample
     # on its own, as row `start` of its block.
@@ -590,6 +607,28 @@ def test_sweep_resume_refuses_another_config(tmp_path, capsys, first, resume, fl
     code, _, err = run(capsys, SWEEP_4 + resume + ["--out", str(out_path), "--resume"])
     assert code == 1 and flag in err
     assert out_path.read_text() == before
+
+
+@pytest.mark.parametrize("resume,flag", [
+    (["--n-list", "4", "--m-factors", "4", "--l", "1"], "--n-list [4]"),
+    (["--n-list", "3", "--m-factors", "4"], "--m-factors [4]"),
+    (["--n-list", "3", "--m-factors", "2", "--l", "1"], "--l [1]"),
+    (["--n-list", "3,4", "--m-factors", "2"], "--n-list [3, 4]"),
+])
+def test_sweep_resume_refuses_another_grid(tmp_path, capsys, resume, flag):
+    # Rows of another grid would sit under a config line that does not
+    # name them.
+    out_path = tmp_path / "sweep.csv"
+    first = ["sweep", "--n-list", "3", "--m-factors", "2", "--seed", "1"]
+    truncated_sweep(capsys, out_path, first)
+    before = out_path.read_text()
+    code, out, err = run(capsys, ["sweep", "--seed", "1"] + resume + ["--out", str(out_path), "--resume"])
+    assert (code, out) == (1, "") and flag in err
+    assert out_path.read_text() == before
+    # The same grid, --l spelled out or left to its default, resumes.
+    code, _, err = run(capsys, first + ["--l", "all", "--out", str(out_path), "--resume"])
+    assert code == 0, err
+    assert len(parse_csv(out_path.read_text())) == 4
 
 
 @pytest.mark.parametrize("existing", [None, ""], ids=["missing", "empty"])

@@ -308,22 +308,31 @@ def dup_rows_frame(m, n, seed):
     return vf.make_general_frame(rows)
 
 
-def spy_gram_features(monkeypatch):
-    """Record the batch size of every call of the Gram kernel's feature lift."""
+def spy_lifts(monkeypatch):
+    """Record (form, rows) of every lift of samples for real weights: "gram"
+    for the Gram form, "real" for the real-symmetric one."""
     calls = []
-    features = montecarlo._gram_features
-    monkeypatch.setattr(montecarlo, "_gram_features", lambda xs: calls.append(len(xs)) or features(xs))
+    for form in ("gram", "real"):
+        name = f"_{form}_features"
+        monkeypatch.setattr(montecarlo, name,
+                            lambda xs, pairs, form=form, lift=getattr(montecarlo, name):
+                            calls.append((form, len(xs))) or lift(xs, pairs))
     return calls
 
 
-def spy_block_weights(monkeypatch):
-    """Record the number of supports SVD'd by every call of _block_weights."""
+def spy_bases(monkeypatch):
+    """Record the number of supports SVD'd by every call of _bases."""
     calls = []
-    weights = montecarlo._block_weights
-    monkeypatch.setattr(montecarlo, "_block_weights",
-                        lambda matrix, supports, *rest: calls.append(len(supports))
-                        or weights(matrix, supports, *rest))
+    bases = montecarlo._bases
+    monkeypatch.setattr(montecarlo, "_bases",
+                        lambda matrix, supports: calls.append(len(supports))
+                        or bases(matrix, supports))
     return calls
+
+
+def block_supports(blocks):
+    """The supports of every column of _energies' blocks, in column order."""
+    return np.concatenate([supports(np.arange(energy.shape[1])) for _, supports, energy in blocks])
 
 
 @pytest.mark.parametrize("m,n", [(9, 3), (12, 10)])
@@ -333,15 +342,15 @@ def test_support_energies_match_projection_residual(m, n, kind, monkeypatch):
     # (9, 3) is Gram at every L, (12, 10) stacked at L = 1, 2, Gram at L = 3
     frame = vf.make_gaussian_frame(m, n, seed=(41, m)) if kind == "gaussian" else dup_rows_frame(m, n, 43)
     X = vf.sample_sphere_batch(n, 3, seed=(45, m)) * np.array([[1.0], [0.5], [3.0]])
-    gram_calls = spy_gram_features(monkeypatch)
+    lifts = spy_lifts(monkeypatch)
     for l in (1, 2, 3):
-        gram_calls.clear()
+        lifts.clear()
         blocks = list(montecarlo._energies(frame, X, l, montecarlo.DEFAULT_BUDGET))
-        assert bool(gram_calls) == (n <= 4 * l)
+        assert lifts == ([("gram", len(X))] if n <= 4 * l else [])
         assert all(len(X[rows]) == len(X) for rows, _, _ in blocks)
         energies = np.concatenate([energy for _, _, energy in blocks], axis=1)
         supports = [list(s) for s in itertools.combinations(range(m), l)]
-        assert np.concatenate([block for _, block, _ in blocks]).tolist() == supports
+        assert block_supports(blocks).tolist() == supports
         assert energies.shape == (len(X), math.comb(m, l))
         for x, energy in zip(X, energies):
             norm = float(np.vdot(x, x).real)
@@ -354,9 +363,9 @@ def test_kernel_matches_stacked_reference_on_mc_enum_cell(monkeypatch):
     # Gram weights) on the N=8, M=32, L=4 cell, per-sample streams (1, 1).
     frame = roots_frame(8, 32)
     X = np.array([vf.sample_uniform_sphere(8, vf.sample_rng((1, 1), i)) for i in range(1000)])
-    gram_calls = spy_gram_features(monkeypatch)
+    lifts = spy_lifts(monkeypatch)
     res = vf.smdd_residuals(frame, X, 4)
-    assert gram_calls
+    assert lifts == [("real", 1000)]
     reference = [float.fromhex(h) for h in (
         "0x1.01863b0854510p-5", "0x1.9e7c34d2bd310p-5", "0x1.453a233f23c60p-5",
         "0x1.fe9c2150d94e0p-6", "0x1.dbe99fc37f080p-5", "0x1.03d145fe7b240p-4")]
@@ -380,20 +389,69 @@ def test_kernel_matches_stacked_reference_on_mc_enum_cell(monkeypatch):
         assert abs(got.residual_sq - residual_sq) <= 2e-15
 
 
+def brute_force_orbits(m, l):
+    """(dihedral, rotation) orbit counts of the size-l subsets of range(m),
+    walked support by support."""
+    seen, dihedral, rotation = set(), 0, 0
+    for support in itertools.combinations(range(m), l):
+        if support not in seen:
+            shifted = {tuple(sorted((j + s) % m for j in support)) for s in range(m)}
+            mirrored = {tuple(sorted((s - j) % m for j in support)) for s in range(m)}
+            seen |= shifted | mirrored
+            dihedral += 1
+            rotation += 1 if shifted == mirrored else 2
+    return dihedral, rotation
+
+
 @pytest.mark.parametrize("m,l,orbits", [(8, 4, 10), (12, 1, 1), (12, 6, 80), (32, 4, 1128)])
 def test_orbit_representatives_cover_every_support_once(m, l, orbits):
-    reps = montecarlo._orbit_representatives(m, l)
-    assert reps.shape == (orbits, l)
+    # orbits counts rotation orbits: one per representative, two per flipped
+    # one (its own and its reflection's).  There is one representative per
+    # dihedral orbit.
+    dihedral = {(8, 4): 8, (12, 1): 1, (12, 6): 50, (32, 4): 624}[m, l]
+    assert brute_force_orbits(m, l) == (dihedral, orbits)
+    reps, flip = montecarlo._orbit_representatives(m, l)
+    assert reps.shape == (dihedral, l) and flip.shape == (dihedral,)
+    assert dihedral + int(flip.sum()) == orbits
     assert reps.tolist() == sorted(reps.tolist())
     covered = set()
-    for rep in reps.tolist():
-        orbit = {tuple(sorted((j + s) % m for j in rep)) for s in range(m)}
-        assert min(orbit) == tuple(rep)          # its own smallest rotation
-        assert not orbit & covered               # in no other representative's orbit
-        covered |= orbit
+    for rep, flipped in zip(reps.tolist(), flip.tolist()):
+        shifted = {tuple(sorted((j + s) % m for j in rep)) for s in range(m)}
+        mirrored = {tuple(sorted((s - j) % m for j in rep)) for s in range(m)}
+        assert min(shifted | mirrored) == tuple(rep)   # its own smallest shift or reflection
+        assert flipped == (shifted != mirrored)
+        for orbit in [shifted, mirrored] if flipped else [shifted]:
+            assert not orbit & covered                 # in no other orbit scored
+            covered |= orbit
     assert covered == set(itertools.combinations(range(m), l))
     if (m, l) == (8, 4):
         assert [0, 2, 4, 6] in reps.tolist()     # a support of stabilizer {0, 2, 4, 6}
+
+
+@pytest.mark.parametrize("n", [5, 8])
+def test_real_symmetric_form_holds_on_unit_nodes_alone(n):
+    # For nodes on the unit circle J G J = conj(G), so with y = x + i Jx,
+    # x^H G x = (a^T H a + b^T H b) / 2, a = Re y, b = Im y, H_ij =
+    # Re G_ij - Im G_(N-1-i)j real and symmetric.  Off the circle it fails,
+    # which is why the form is kept to the roots-of-unity frame.
+    rng = np.random.default_rng((53, n))
+    pairs = np.triu_indices(n, 1)
+    i, j = (np.concatenate([np.arange(n), p]) for p in pairs)
+    X = vf.sample_sphere_batch(n, 200, seed=(53, n))
+    for radius in (1.0, rng.uniform(0.5, 2.0, n)):
+        # A random support of three unit (or scaled) nodes.
+        frame = vf.make_vandermonde_frame(radius * np.exp(2j * np.pi * rng.random(n)), n)
+        v = montecarlo._bases(frame.matrix, np.arange(3)[None])[0]
+        g = v.conj().T @ v
+        h = g.real - g.imag[::-1]
+        real = montecarlo._real_features(X, pairs) @ h[i, j]
+        hermitian = np.einsum("sa,ab,sb->s", X.conj(), g, X).real
+        if np.isscalar(radius):
+            np.testing.assert_allclose(h, h.T, rtol=0, atol=1e-15)
+            np.testing.assert_allclose(real, hermitian, rtol=0, atol=1e-15)
+        else:
+            assert np.abs(h - h.T).max() > 1e-3
+            assert np.abs(real - hermitian).max() > 1e-3
 
 
 @pytest.mark.parametrize("n,m,weights", [(6, 12, (1, 2, 3, 4)), (8, 16, (1, 2, 3, 4)),
@@ -402,16 +460,18 @@ def test_orbit_energies_match_projection_residual(n, m, weights, monkeypatch):
     # Stacked bases at (6, 12, 1), (8, 16, 1) and (12, 24, 1..2), Gram weights otherwise.
     frame = roots_frame(n, m)
     X = vf.sample_sphere_batch(n, 3, seed=(47, m)) * np.array([[1.0], [0.5], [3.0]])
-    gram_calls = spy_gram_features(monkeypatch)
-    svd_calls = spy_block_weights(monkeypatch)
+    lifts = spy_lifts(monkeypatch)
+    svd_calls = spy_bases(monkeypatch)
     for l in weights:
-        gram_calls.clear()
+        lifts.clear()
         svd_calls.clear()
         blocks = list(montecarlo._energies(frame, X, l, montecarlo.DEFAULT_BUDGET))
-        assert sum(svd_calls) == len(montecarlo._orbit_representatives(m, l))
-        assert bool(gram_calls) == (n <= 4 * l)
+        reps, flip = montecarlo._orbit_representatives(m, l)
+        assert sum(svd_calls) == len(reps)
+        assert lifts == ([("real", len(X))] if n <= 4 * l else [])
         assert all(len(X[rows]) == len(X) for rows, _, _ in blocks)
-        supports = np.concatenate([block for _, block, _ in blocks])
+        supports = block_supports(blocks)
+        assert len(supports) == m * (len(reps) + int(flip.sum()))
         energies = np.concatenate([energy for _, _, energy in blocks], axis=1)
         assert {tuple(s) for s in supports.tolist()} == set(itertools.combinations(range(m), l))
         norms = np.einsum("sn,sn->s", X, X.conj()).real
@@ -432,7 +492,7 @@ def test_rotation_ties_break_as_the_full_search_does(n, m, l, support, residual_
     # x = e_0 is fixed by every shift's phases, so each shift of a support
     # ties with it; the values are those of the search over every support.
     x = np.eye(n, dtype=complex)[0]
-    calls = spy_block_weights(monkeypatch)
+    calls = spy_bases(monkeypatch)
     got = vf.smdd_exact(roots_frame(n, m), x, l)
     assert sum(calls) < math.comb(m, l)
     assert got.support == support and got.ties_broken
@@ -453,16 +513,20 @@ def test_orbit_ties_break_toward_the_lexicographically_smallest_support():
 
 
 def test_orbit_search_svds_only_the_representatives(monkeypatch):
-    # The mc-enum cell: R = 1128 representatives against C(32, 4) = 35960
-    # supports, and no winner re-scored.
+    # The mc-enum cell: R = 624 dihedral representatives against C(32, 4) =
+    # 35960 supports, no winner re-scored, and the 1000 rows lifted once.
     frame = roots_frame(8, 32)
     X = vf.sample_sphere_batch(8, 1000, seed=(1, 2))
-    calls = spy_block_weights(monkeypatch)
+    calls = spy_bases(monkeypatch)
+    lifts = spy_lifts(monkeypatch)
     vf.smdd_residuals(frame, X, 4)
-    assert sum(calls) == 1128
+    assert sum(calls) == 624
+    assert lifts == [("real", 1000)]
     calls.clear()
+    lifts.clear()
     vf.smdd_exact(frame, X[0], 4)
-    assert sum(calls) == 1128
+    assert sum(calls) == 624
+    assert lifts == [("real", 1)]
 
 
 @pytest.mark.parametrize("frame,l,samples,rotated", [
@@ -477,8 +541,8 @@ def test_orbit_path_runs_only_where_it_svds_fewer_supports(frame, l, samples, ro
     # The frame's nodes and L choose the path, whatever the batch size.  At
     # L = N smdd_residuals needs no search: its residuals are exact zeros.
     X = vf.sample_sphere_batch(frame.n, samples, seed=(19, samples))
-    calls = spy_block_weights(monkeypatch)
-    expected = len(montecarlo._orbit_representatives(frame.m, l)) if rotated else math.comb(frame.m, l)
+    calls = spy_bases(monkeypatch)
+    expected = len(montecarlo._orbit_representatives(frame.m, l)[0]) if rotated else math.comb(frame.m, l)
     residuals = vf.smdd_residuals(frame, X, l)
     if l == frame.n:
         assert sum(calls) == 0 and residuals.tobytes() == np.zeros(samples).tobytes()
@@ -559,6 +623,26 @@ def test_exact_search_keeps_one_chunk_of_energies_at_a_time():
     finally:
         tracemalloc.stop()
     assert peak < 2 * 2**20 * 8
+
+
+def test_exact_search_lifts_a_batch_one_chunk_at_a_time(monkeypatch):
+    # roots(8, 12) at L = 2 scores real-symmetric weights, whose lift takes
+    # 36 floats (288 bytes) a row: 200,000 rows lifted at once would take
+    # 57.6 MB.  smdd_residuals lifts 14 sample blocks (14,336 rows, 4.1 MB)
+    # at a time and scores every block of supports against them.  The
+    # bound is a number, not the constant; the largest part of the peak is
+    # the conjugate copy of X (25.6 MB) that the squared norms take.
+    frame = roots_frame(8, 12)
+    X = vf.sample_sphere_batch(8, 200_000, seed=(1, 4))
+    lifts = spy_lifts(monkeypatch)
+    tracemalloc.start()
+    try:
+        vf.smdd_residuals(frame, X, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 10**6
+    assert lifts == [("real", 14 * BLOCK)] * 13 + [("real", 200_000 - 13 * 14 * BLOCK)]
 
 
 def test_exact_search_keeps_no_support_table():
@@ -652,7 +736,7 @@ def test_estimate_ln_zero(monkeypatch):
     # At L = N, and past it, no sample is drawn or support scored: every
     # ratio is exactly 0.
     monkeypatch.setattr(montecarlo, "sample_sphere_batch", None)
-    calls = spy_block_weights(monkeypatch)
+    calls = spy_bases(monkeypatch)
     for n, m, l in [(4, 8, 4), (3, 12, 5)]:
         est = vf.estimate_distortion(roots_frame(n, m), l, 300, seed=11)
         assert (est.mean, est.stderr, est.n_samples) == (0.0, 0.0, 300)
@@ -829,6 +913,22 @@ def test_estimate_chunk_is_the_whole_blocks_that_fit(monkeypatch):
     draws = spy_draws(monkeypatch)
     vf.estimate_distortion(roots_frame(8, 16), 1, 32 * BLOCK + 1, seed=3)
     assert draws == [(8, 32 * BLOCK, 3, 0), (8, 1, 3, 32 * BLOCK)]
+
+
+@pytest.mark.parametrize("frame,l,blocks", [
+    (roots_frame(8, 12), 2, 14),
+    (vf.make_gaussian_frame(12, 8, seed=5), 2, 8),
+], ids=["real-symmetric", "gram"])
+def test_estimate_chunk_of_lifted_rows_is_the_whole_blocks_that_fit(frame, l, blocks, monkeypatch):
+    # At N = 8 the 4 MiB of 2**18 complex entries hold 14 blocks of rows
+    # lifted for real-symmetric weights (36 floats a row, roots frames) and
+    # 8 lifted for Gram weights (64 floats a row, other frames).  Each chunk
+    # is lifted once.
+    draws = spy_draws(monkeypatch)
+    lifts = spy_lifts(monkeypatch)
+    vf.estimate_distortion(frame, l, blocks * BLOCK + 1, seed=3)
+    assert draws == [(8, blocks * BLOCK, 3, 0), (8, 1, 3, blocks * BLOCK)]
+    assert [rows for _, rows in lifts] == [blocks * BLOCK, 1]
 
 
 @pytest.mark.parametrize("n,m,l,budget,chunks", [
