@@ -209,10 +209,12 @@ BOUND_HEADER = ["N", "M", "L", "T_log2", "kappa_c", "rho_0", "branch", "lower_bo
 ASYMPTOTIC_HEADER = ["r", "eps", "kappa0", "bound"]
 
 
-def _write_csv(path, header, rows, config=None, append=False):
-    """Write `rows` as CSV to `path` (stdout when None), flushing after
-    each row.  A new file starts with the `config` echo, when given, and
-    the header; an appended one gets neither."""
+def _write_csv(path, header, rows, config=None, append=False, flush_rows=False):
+    """Write `rows` as CSV to `path` (stdout when None).  A new file starts
+    with the `config` echo, when given, and the header; an appended one
+    gets neither.  With flush_rows each row is flushed as it is written,
+    so a row is on disk once its generator moves on (sweep --resume reads
+    the finished cells back); otherwise the rows go out in one call."""
     fh = open(path, "a" if append else "w", newline="", encoding="utf-8") if path else sys.stdout
     try:
         writer = csv.writer(fh)
@@ -220,9 +222,12 @@ def _write_csv(path, header, rows, config=None, append=False):
             if config is not None:
                 fh.write(f"{CONFIG_PREFIX}{json.dumps(config)}\n")
             writer.writerow(header)
-        for row in rows:
-            writer.writerow(row)
-            fh.flush()
+        if flush_rows:
+            for row in rows:
+                writer.writerow(row)
+                fh.flush()
+        else:
+            writer.writerows(rows)
     finally:
         if path:
             fh.close()
@@ -392,7 +397,7 @@ def cmd_sweep(args):
     # interrupted write; with no complete row, write the file anew.
     if done:
         os.truncate(args.out, end)
-    _write_csv(args.out, header, cell_rows(), cfg, append=bool(done))
+    _write_csv(args.out, header, cell_rows(), cfg, append=bool(done), flush_rows=True)
     return 0
 
 

@@ -11,10 +11,12 @@ and judges each with one gate:
     2. Euclid     -- extended Euclid division on (z^N, S1[z]) yields the
                      locator sigma; its roots among the inverse nodes,
                      when they number its degree, are the first candidate;
-    3. recurrence -- locators re-fit by least squares to the syndrome
-                     recurrence, weights in increasing order; the w
-                     inverse nodes where a weight-w locator is smallest
-                     in modulus are the next candidates;
+    3. recurrence -- one QR of the syndromes' Hankel rows gives the
+                     recurrence misfit of every weight <= floor(N/2);
+                     each passing weight, lightest first, yields a
+                     least-squares locator, and the w inverse nodes
+                     where a weight-w locator is smallest in modulus
+                     are the next candidates;
     4. values     -- Forney's formula and one least-squares refinement on
                      a candidate's rows; near-zero phantom values drop
                      their locations, until none is left;
@@ -25,7 +27,7 @@ and judges each with one gate:
 The recurrence candidates exist for numerical stability.  The Euclid
 recursion is exact-arithmetic math; in doubles its remainder sequence
 degrades as the weight approaches floor(N/2) for N beyond ~16 (leading
-remainder coefficients suffer heavy cancellation).  The recurrence fit
+remainder coefficients suffer heavy cancellation).  The recurrence QR
 stacks the conjugate-reversed syndromes when the nodes are
 unit-modulus, which doubles the data and tames clustered supports.
 
@@ -289,65 +291,40 @@ def _candidate(frame, s, support, norm_s):
     return support, values, _norm(s - values @ rows) / norm_s
 
 
-def _recurrence_fit(seqs, w):
-    """Least-squares locator tail for weight w plus its relative misfit.
-
-    Fits s_i = -sum_k sigma_k s_{i-k} over every stacked sequence (the
-    conjugate-reversed syndromes obey the same recurrence when the
-    nodes are unit-modulus, doubling the equations); seqs[0] holds the
-    syndromes.  Row i of a sequence reads its entries i+w-1 down to i,
-    and its right-hand side entry i+w.
-    """
-    a = np.concatenate([sliding_window_view(seq[:-1], w)[:, ::-1] for seq in seqs])
-    b = -np.concatenate([seq[w:] for seq in seqs])
-    x = _lstsq(a, b)
-    misfit = _norm(a @ x - b)
-    scale = np.abs(seqs[0]).max() * math.sqrt(a.shape[0])
-    return np.concatenate((np.ones(1, dtype=complex), x)), misfit / scale
-
-
 def _recurrence_locators(s, nodes):
-    """Locators fitted to the syndrome recurrence, minimal weight first,
-    of weight at most t = floor(N/2); nodes decide whether the
-    conjugate-reversed syndromes are stacked.
+    """Locators fitted to the syndrome recurrence, of every weight
+    w <= t = floor(N/2) whose misfit passes RECURRENCE_TOL, lightest
+    first; none when weight t fails.  nodes decide whether the
+    conjugate-reversed syndromes, which obey the same recurrence when the
+    nodes are unit-modulus, are stacked too.
 
-    The misfit drops from O(1) to rounding level at the minimal
-    recurrence order, so the transition is found by bisection.  Near
-    the decoding radius the syndrome matrix can be degenerate enough
-    that the misfit dips early, so a window of weights above the
-    transition is offered too, always ending at t; phantom roots of
-    overshot weights carry near-zero values and collapse in the
-    candidate step.  A window weight is fitted only when the scan
-    reaches it.
+    One QR serves every weight.  Row i of a sequence is (s_i, ..., s_{i+t}),
+    so the first w columns of the stack H predict column w through
+    s_{i+w} = -sum_k sigma_k s_{i+w-k}; with H = QR, |R_ww| is the
+    least-squares misfit of that fit and R[:w, :w] x = -R[:w, w] gives
+    its tail (sigma_w, ..., sigma_1).  Past the minimal order the block
+    R[:w, :w] is near-singular, and the minimum-norm solution is an
+    overshot locator whose phantom roots carry near-zero values; the
+    candidate step collapses them.  A non-unit frame at even N has t
+    rows for t + 1 columns: weight t then fits exactly, and its missing
+    diagonal entry counts as 0.
     """
     t = s.size // 2
     seqs = [s]
     if np.all(np.abs(np.abs(nodes) - 1.0) <= 1e-9):   # unit-modulus nodes
         seqs.append(np.conj(s[::-1]))
-    fitted: dict[int, np.ndarray | None] = {}
-
-    def fit(w):                                    # the locator, if its misfit passes
-        if w not in fitted:
-            sigma, misfit = _recurrence_fit(seqs, w)
-            fitted[w] = sigma if misfit <= RECURRENCE_TOL else None
-        return fitted[w]
-
-    if t < 1 or fit(t) is None:
+    h = np.concatenate([sliding_window_view(seq, t + 1) for seq in seqs])
+    r = np.linalg.qr(h, mode="r")
+    misfit = np.zeros(t + 1)
+    misfit[: min(r.shape)] = np.abs(np.diagonal(r))
+    # Relative, per sqrt-row, as RECURRENCE_TOL is stated.
+    passing = misfit <= RECURRENCE_TOL * np.abs(s).max() * math.sqrt(h.shape[0])
+    if not passing[t]:
         return
-    lo, hi = 1, t
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if fit(mid) is not None:
-            hi = mid
-        else:
-            lo = mid + 1
-    weights = list(range(lo, min(lo + 8, t) + 1))
-    if weights[-1] != t:
-        weights.append(t)
-    for w in weights:
-        sigma = fit(w)
-        if sigma is not None:
-            yield sigma
+    for w in range(1, t + 1):
+        if passing[w]:
+            x = _lstsq(r[:w, :w], -r[:w, w])
+            yield np.concatenate((np.ones(1, dtype=complex), x[::-1]))
 
 
 def _smallest_at_nodes(sigma, nodes):

@@ -428,7 +428,11 @@ def _signals(frame: Frame, X, l: int) -> tuple[np.ndarray, np.ndarray]:
     """X as an (S, N) complex batch for a search of weight l, and its squared
     row norms, as every search and estimate takes them (projection_residual,
     the tests' reference, keeps its own).  Raises ValueError on another
-    shape or a non-finite entry, DomainError unless 0 <= l <= M."""
+    shape or a non-finite entry, DomainError unless 0 <= l <= M.
+
+    The norms are taken over chunks of _CHUNK_ENTRIES entries, so the
+    conjugate is never a copy of the whole batch; a row's norm does not
+    depend on the rows beside it, and an estimate's chunk is one call."""
     X = np.asarray(X, dtype=complex)
     if X.ndim != 2 or X.shape[1] != frame.n:
         raise ValueError(f"signals have shape {X.shape}, expected (S, {frame.n})")
@@ -436,7 +440,12 @@ def _signals(frame: Frame, X, l: int) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("signals must be finite")
     if not 0 <= l <= frame.m:
         raise DomainError(f"need 0 <= L <= M, got L={l}")
-    return X, np.einsum("sn,sn->s", X, X.conj()).real
+    norms = np.empty(X.shape[0], dtype=complex)
+    step = max(1, _CHUNK_ENTRIES // frame.n)
+    for start in range(0, X.shape[0], step):
+        chunk = X[start:start + step]
+        np.einsum("sn,sn->s", chunk, chunk.conj(), out=norms[start:start + step])
+    return X, norms.real
 
 
 @dataclass(frozen=True)

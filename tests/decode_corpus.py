@@ -18,10 +18,15 @@ Every input lies inside the decoding radius.  The script prints one
 sha256 over each outcome's status, support, value bytes, repr of the
 residual and locator degree, per group and overall, and counts the
 outcomes by class: exact (ok with the true support), superset, subset,
-other (ok with another support) and rejected (any status but ok).
---out writes one line per input (group, index, class, outcome digest);
---against reads such a file from another run on the same seed and counts
-the inputs whose outcome changed, by class before -> after.
+other (ok with another support) and rejected (any status but ok), per
+group and per shape of the true support (random, contiguous, half or
+unit, the last for unit values on nodes 1..w; sparse inputs are random).
+--out writes one line per input (group, index, class, outcome digest,
+shape, residual); --against reads such a file from another run on the
+same seed (only its first four fields) and counts the inputs whose
+outcome changed, by group, shape, class before -> after and the band of
+the new residual: strict (<= STRICT_RESIDUAL), tol (<= RESIDUAL_TOL) or
+over.
 
 The file is a script, not a test module: pytest does not collect it.
 """
@@ -37,6 +42,7 @@ from collections import Counter
 import numpy as np
 
 import vframe as vf
+from vframe.decoder import RESIDUAL_TOL, STRICT_RESIDUAL
 
 CLASSES = ("exact", "superset", "subset", "other", "rejected")
 SPARSE_COUNT = 3000
@@ -53,7 +59,7 @@ def _sparse(seed):
     for i in range(SPARSE_COUNT):
         w = 1 + i % 8
         idx = np.sort(rng.choice(frame.m, size=w, replace=False))
-        yield frame, idx, _values(rng, w)
+        yield frame, idx, _values(rng, w), "random"
 
 
 def _hard(seed):
@@ -63,23 +69,25 @@ def _hard(seed):
             frame = vf.make_vandermonde_frame(vf.default_nodes(m), n)
             for w, _ in itertools.product(sorted({1, 2, n // 4, n // 2 - 1, n // 2}),
                                           range(HARD_REPEATS)):
-                yield frame, np.sort(rng.choice(m, size=w, replace=False)), _values(rng, w)
+                yield (frame, np.sort(rng.choice(m, size=w, replace=False)), _values(rng, w),
+                       "random")
                 start = int(rng.integers(m))
-                yield frame, np.sort((start + np.arange(w)) % m), _values(rng, w)
+                yield frame, np.sort((start + np.arange(w)) % m), _values(rng, w), "contiguous"
                 run = w - w // 2
                 head = (start + np.arange(run)) % m
                 rest = rng.choice(np.setdiff1d(np.arange(m), head), size=w - run,
                                   replace=False)
-                yield frame, np.sort(np.concatenate((head, rest))), _values(rng, w)
+                yield frame, np.sort(np.concatenate((head, rest))), _values(rng, w), "half"
             for w in range(1, n // 2 + 1):
-                yield frame, np.arange(w), np.ones(w, dtype=complex)
+                yield frame, np.arange(w), np.ones(w, dtype=complex), "unit"
 
 
 def corpus(seed):
-    """(group, frame, true support, signal) for every input, in order."""
+    """(group, shape, frame, true support, signal) for every input, in order."""
     for group, inputs in (("sparse", _sparse(seed)), ("hard", _hard(seed))):
-        for frame, idx, values in inputs:
-            yield group, frame, tuple(int(j) + 1 for j in idx), values @ frame.matrix[idx]
+        for frame, idx, values, shape in inputs:
+            yield (group, shape, frame, tuple(int(j) + 1 for j in idx),
+                   values @ frame.matrix[idx])
 
 
 def outcome_bytes(out) -> bytes:
@@ -100,6 +108,16 @@ def classify(out, support) -> str:
     return "other"
 
 
+def band(residual) -> str:
+    if residual <= STRICT_RESIDUAL:
+        return "strict"
+    return "tol" if residual <= RESIDUAL_TOL else "over"
+
+
+def _table(counter) -> str:
+    return " ".join(f"{c}={counter[c]}" for c in CLASSES)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seed", type=int, required=True)
@@ -110,19 +128,24 @@ def main(argv=None) -> int:
     total = hashlib.sha256()
     digests = {}
     counts: dict[str, Counter] = {}
+    by_shape: dict[tuple[str, str], Counter] = {}
     lines = []
-    for group, frame, support, signal in corpus(args.seed):
+    for group, shape, frame, support, signal in corpus(args.seed):
         out = vf.decode(frame, signal)
         data = outcome_bytes(out)
         total.update(data)
         digests.setdefault(group, hashlib.sha256()).update(data)
         cls = classify(out, support)
         counts.setdefault(group, Counter())[cls] += 1
-        lines.append(f"{group}\t{len(lines)}\t{cls}\t{hashlib.sha256(data).hexdigest()}")
+        by_shape.setdefault((group, shape), Counter())[cls] += 1
+        lines.append(f"{group}\t{len(lines)}\t{cls}\t{hashlib.sha256(data).hexdigest()}"
+                     f"\t{shape}\t{out.residual!r}")
 
     for group, digest in digests.items():
-        table = " ".join(f"{c}={counts[group][c]}" for c in CLASSES)
-        print(f"{group}\t{sum(counts[group].values())} inputs\t{digest.hexdigest()}\t{table}")
+        print(f"{group}\t{sum(counts[group].values())} inputs\t{digest.hexdigest()}"
+              f"\t{_table(counts[group])}")
+    for (group, shape), counter in by_shape.items():
+        print(f"shape\t{group}\t{shape}\t{sum(counter.values())} inputs\t{_table(counter)}")
     print(f"all\t{len(lines)} inputs\t{total.hexdigest()}")
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -136,9 +159,9 @@ def main(argv=None) -> int:
         moved = Counter()
         for old, new in zip(before, (line.split("\t") for line in lines)):
             if old[3] != new[3]:
-                moved[(new[0], f"{old[2]} -> {new[2]}")] += 1
-        for (group, change), count in sorted(moved.items()):
-            print(f"changed\t{group}\t{change}\t{count}")
+                moved[(new[0], new[4], f"{old[2]} -> {new[2]}", band(float(new[5])))] += 1
+        for (group, shape, change, where), count in sorted(moved.items()):
+            print(f"changed\t{group}\t{shape}\t{change}\t{where}\t{count}")
         print(f"changed\tall\t{sum(moved.values())} of {len(lines)} inputs")
     return 0
 

@@ -346,6 +346,24 @@ def test_sweep_grid_complete(tmp_path, capsys):
     assert ("3", "6", "0") in keys and ("4", "8", "4") in keys
 
 
+def test_sweep_puts_each_row_on_disk_before_the_next_cell(tmp_path, capsys, monkeypatch):
+    # --resume reads back the rows of finished cells, so each row is
+    # flushed as it is written, not when the file closes.
+    out_path = tmp_path / "sweep.csv"
+    on_disk = []
+    bound_row = cli._bound_row
+
+    def recording(inp):
+        on_disk.append(len(parse_csv(out_path.read_text())))
+        return bound_row(inp)
+
+    monkeypatch.setattr(cli, "_bound_row", recording)
+    code, _, err = run(capsys, ["sweep", "--n-list", "3", "--m-factors", "2", "--seed", "1",
+                                "--out", str(out_path)])
+    assert code == 0, err
+    assert on_disk == [0, 1, 2, 3]
+
+
 def test_sweep_resume_idempotent(tmp_path, capsys):
     out_path = tmp_path / "sweep.csv"
     run(capsys, ["sweep", "--n-list", "3", "--m-factors", "2", "--seed", "1",

@@ -323,21 +323,65 @@ def _clustered_decode(monkeypatch, w):
 
 
 def test_decode_collapses_an_overshot_fallback_locator(monkeypatch):
-    # The weight-24 recurrence locator names two phantom nodes; the
-    # collapsed 22 nodes are the true support.
+    # The recurrence QR offers the weight-22 locator itself, whose
+    # roots are the true support; no heavier locator is valued.
     out, seen = _clustered_decode(monkeypatch, 22)
     assert out.status == STATUS_OK
     assert out.rep.support == tuple(range(1, 23))
-    assert seen[-2:] == [24, 22]
+    assert seen[-1] == max(seen) == 22
 
 
 def test_decode_of_a_clustered_support_inside_the_radius_is_not_a_wrong_ok(monkeypatch):
-    # The weight-24 recurrence locator collapses to 22 nodes, two of them
-    # still phantoms below the zero threshold; the collapse repeats.
+    # The recurrence QR offers the weight-20 locator itself, whose
+    # roots are the true support; no heavier locator is valued.
     out, seen = _clustered_decode(monkeypatch, 20)
     assert out.status == STATUS_OK
     assert out.rep.support == tuple(range(1, 21))
-    assert seen[-3:] == [24, 22, 20]
+    assert seen[-1] == max(seen) == 20
+
+
+@pytest.mark.parametrize("w", [16, 32])
+def test_decode_past_n_64_recovers_what_the_euclid_locator_misses(w):
+    # Past N = 64 the Euclid locator's root count often misses in
+    # doubles; the recurrence fallback must still decode those inputs.
+    frame = roots_frame(128, 512)
+    missed = 0
+    for trial in range(16):
+        rep = vf.random_sparse_rep(512, w, vf.sample_rng(2128, trial))
+        r = vf.synthesize(frame, rep)
+        sigma, _ = solve_key_equation(r, 64)
+        try:
+            find_error_locations(sigma, frame)
+        except RootCountMismatch:
+            missed += 1
+            out = vf.decode(frame, r)
+            assert out.status == STATUS_OK
+            assert out.rep.support == rep.support
+            assert np.linalg.norm(out.rep.values - rep.values) <= 1e-9 * np.linalg.norm(rep.values)
+    assert missed >= 3
+
+
+def test_fallback_on_non_unit_nodes_at_even_n_fits_weight_t_exactly(monkeypatch):
+    # Without the conjugate-reversed syndromes an even N stacks t rows
+    # for t + 1 columns: weight t always fits, and every weight from the
+    # true one up to t is offered.  With Euclid's roots refused, the
+    # fallback alone must decode every weight up to t.
+    n, m = 8, 16
+    frame = vf.make_vandermonde_frame(0.9 * vf.default_nodes(m), n)
+
+    def miss(sigma, frame):
+        raise RootCountMismatch("refused")
+
+    monkeypatch.setattr(decoder, "find_error_locations", miss)
+    for w in range(1, n // 2 + 1):
+        rep = vf.random_sparse_rep(m, w, np.random.default_rng([n, w]))
+        r = vf.synthesize(frame, rep)
+        locators = decoder._recurrence_locators(r, frame.nodes)
+        assert [sigma.size - 1 for sigma in locators] == list(range(w, n // 2 + 1))
+        out = vf.decode(frame, r)
+        assert out.status == STATUS_OK
+        assert out.rep.support == rep.support
+        assert out.residual <= 1e-14
 
 
 def test_uniqueness_boundary_two_representations():

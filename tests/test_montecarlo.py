@@ -630,8 +630,7 @@ def test_exact_search_lifts_a_batch_one_chunk_at_a_time(monkeypatch):
     # 36 floats (288 bytes) a row: 200,000 rows lifted at once would take
     # 57.6 MB.  smdd_residuals lifts 14 sample blocks (14,336 rows, 4.1 MB)
     # at a time and scores every block of supports against them.  The
-    # bound is a number, not the constant; the largest part of the peak is
-    # the conjugate copy of X (25.6 MB) that the squared norms take.
+    # bound is a number, not the constant.
     frame = roots_frame(8, 12)
     X = vf.sample_sphere_batch(8, 200_000, seed=(1, 4))
     lifts = spy_lifts(monkeypatch)
@@ -643,6 +642,21 @@ def test_exact_search_lifts_a_batch_one_chunk_at_a_time(monkeypatch):
         tracemalloc.stop()
     assert peak < 40 * 10**6
     assert lifts == [("real", 14 * BLOCK)] * 13 + [("real", 200_000 - 13 * 14 * BLOCK)]
+
+
+def test_squared_norms_take_no_copy_of_the_batch():
+    # 200,000 rows at N = 8 are 25.6 MB; the norms conjugate them one
+    # chunk (4 MiB) at a time, and equal the whole-batch einsum bit for bit.
+    frame = roots_frame(8, 12)
+    X = vf.sample_sphere_batch(8, 200_000, seed=(1, 4))
+    tracemalloc.start()
+    try:
+        _, norms = montecarlo._signals(frame, X, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 10**6
+    assert np.array_equal(norms, np.einsum("sn,sn->s", X, X.conj()).real)
 
 
 def test_exact_search_keeps_no_support_table():
