@@ -83,7 +83,6 @@ from .montecarlo import (
     projection_residual,
     sample_rng,
     sample_sphere_batch,
-    sample_uniform_sphere,
     smdd_exact,
     smdd_greedy,
     smdd_residuals,

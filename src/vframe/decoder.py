@@ -116,20 +116,21 @@ def syndromes(frame: Frame, r) -> np.ndarray:
     return r.copy()
 
 
-def solve_key_equation(s, t: int):
-    """Locator/evaluator pair (sigma, omega) from the syndromes.
+def solve_key_equation(s, t: int) -> np.ndarray:
+    """Locator sigma from the syndromes.
 
     Runs the extended Euclid division algorithm on (z^N, S1[z]) with
     S1[z] = sum_j s_j z**(j-1), stopping at the first remainder of
     degree <= t - 1; sigma is the Bezout multiplier of S1 at that
-    step, normalized so sigma(0) = 1, and omega the remainder.  For
-    syndromes of a representation of weight w <= t this yields
-    deg sigma = w, deg omega <= w - 1 and omega = S1 * sigma
-    (mod z^N) to working precision.
+    step, normalized so sigma(0) = 1.  For syndromes of a
+    representation of weight w <= t this yields deg sigma = w, and
+    S1 * sigma (mod z^N) has degree <= w - 1 to working precision.
+    A caller's evaluator is S1 * sigma mod z^w of each candidate's own
+    locator, as _values forms it for forney_values.
 
-    All-zero syndromes return (1, 0), signaling the zero
-    representation.  Raises NumericBreakdown when no stable normalized
-    solution exists (constant term of the multiplier vanishes).
+    All-zero syndromes return 1, signaling the zero representation.
+    Raises NumericBreakdown when no stable normalized solution exists
+    (constant term of the multiplier vanishes).
     """
     s = np.asarray(s, dtype=complex).ravel()
     n = s.size
@@ -139,7 +140,7 @@ def solve_key_equation(s, t: int):
         raise ValueError("t must lie in 0..N")
     one = np.array([1.0], dtype=complex)
     if _max(np.abs(s)) == 0.0:
-        return one, s[:0]
+        return one
 
     r_prev = np.zeros(n + 1, dtype=complex)
     r_prev[n] = 1.0                                # z^N
@@ -166,9 +167,7 @@ def solve_key_equation(s, t: int):
 
     if abs(v_cur[0]) <= 1e-12 * _max(np.abs(v_cur)):
         raise NumericBreakdown("locator constant term vanished")
-    sigma = poly_trim(v_cur / v_cur[0])
-    omega = poly_trim(r_cur / v_cur[0])
-    return sigma, omega
+    return poly_trim(v_cur / v_cur[0])
 
 
 def find_error_locations(sigma, frame: Frame) -> list[int]:
@@ -201,7 +200,9 @@ def forney_values(omega, locations, frame: Frame) -> np.ndarray:
 
     Uses the explicit product form
         Y_j = omega(1/X_j) / prod_{i != j} (1 - X_i / X_j)
-    with X_j the located nodes (the empty product is 1).
+    with X_j the located nodes (the empty product is 1).  omega is
+    S1 * sigma mod z^w for their locator sigma = prod_j (1 - X_j z), as
+    _values forms it.
     """
     x = frame.nodes[np.asarray(locations, dtype=int) - 1]
     if x.size == 0:
@@ -390,7 +391,7 @@ def decode(frame: Frame, r, tol: float = RESIDUAL_TOL) -> DecodeOutcome:
         best = ((), s[:0], 0.0)                    # the zero signal, exactly
     else:
         try:
-            sigma, _ = solve_key_equation(s, frame.n // 2)
+            sigma = solve_key_equation(s, frame.n // 2)
         except VframeError:
             pass
         # The gate: the first candidate at machine-level residual ends the

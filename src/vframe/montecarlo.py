@@ -19,8 +19,8 @@ in blocks of B = _GEMM_ENERGIES // (16*L*N) = 2**16 // (L*N) (twice that
 at most on the orbit path below): weights at most 2 MiB (N^2 * B * 8, or
 L * N * B * 16 stacked), dropped once scored, and GEMMs of
 _GEMM_ENERGIES // B rows (_GEMM_ENERGIES // (L*B) stacked), so at most
-_GEMM_ENERGIES energies per GEMM.  So memory does not grow with C(M, L);
-the budget on C(M, L) bounds the time.  The samples are lifted once per
+_GEMM_ENERGIES energies per GEMM, written into one buffer.  So memory
+does not grow with C(M, L); the budget on C(M, L) bounds the time.  The samples are lifted once per
 chunk of _chunk_rows rows, the most whole sample blocks whose lift (or,
 stacked, whose complex rows) fits _CHUNK_ENTRIES complex entries (4 MiB),
 and every block is scored against that lift.
@@ -142,21 +142,6 @@ def sample_rng(seed, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence((_seed(seed), index))))
 
 
-def sample_uniform_sphere(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform draw from the complex unit sphere in C^n.
-
-    Normalizes a standard complex Gaussian vector; unitary invariance
-    of the Gaussian makes the direction uniform.
-    """
-    if n < 1:
-        raise DomainError("need n >= 1")
-    while True:
-        z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        norm = np.linalg.norm(z)
-        if norm > 1e-300:
-            return z / norm
-
-
 def sample_sphere_batch(n: int, n_samples: int, seed, start: int = 0) -> np.ndarray:
     """(n_samples, n) array of samples start .. start + n_samples - 1 of
     stream seed: sample i is row i % _BLOCK of block i // _BLOCK, so a
@@ -186,18 +171,11 @@ def sample_sphere_batch(n: int, n_samples: int, seed, start: int = 0) -> np.ndar
 
 # -- projections and exact SMDD ---------------------------------------------
 
-def _span_basis(rows: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the span of the non-empty (k, n) rows: the vh
-    rows of their SVD whose singular values exceed SINGULAR_REL_TOL times the largest."""
-    _, s, vh = np.linalg.svd(rows, full_matrices=False)
-    return vh[: int(np.count_nonzero(s > SINGULAR_REL_TOL * s[0]))]
-
-
 def projection_residual(rows, x) -> float:
     """Squared distance from x to the span of the given frame rows.
 
-    The span is orthonormalized by _span_basis, so rank-deficient
-    subsets project onto their actual span.  An empty subset returns
+    The span is orthonormalized by _bases, so rank-deficient subsets
+    project onto their actual span.  An empty subset returns
     ||x||^2.  Raises ValueError on a non-finite x.
     """
     x = np.asarray(x, dtype=complex).ravel()
@@ -209,7 +187,7 @@ def projection_residual(rows, x) -> float:
         return norm_sq
     if rows.ndim != 2 or rows.shape[1] != x.size:
         raise ValueError("rows must be a (k, n) array matching x")
-    coeffs = _span_basis(rows).conj() @ x
+    coeffs = _bases(rows[None])[0] @ x
     return max(norm_sq - float(np.vdot(coeffs, coeffs).real), 0.0)
 
 
@@ -263,11 +241,11 @@ def _real_features(xs: np.ndarray, pairs) -> np.ndarray:
                           axis=1)
 
 
-def _bases(matrix: np.ndarray, supports: np.ndarray) -> np.ndarray:
-    """(B, l, N) rank-masked orthonormal bases of the (B, l) supports, one
-    SVD each: the conjugated rows of vh whose singular values exceed
-    SINGULAR_REL_TOL times the largest, the others zero."""
-    _, s, vh = np.linalg.svd(matrix[supports], full_matrices=False)
+def _bases(rows: np.ndarray) -> np.ndarray:
+    """(B, l, N) rank-masked orthonormal bases of the spans of the (B, l, N)
+    stacked rows, one SVD each: the conjugated rows of vh whose singular
+    values exceed SINGULAR_REL_TOL times the largest, the others zero."""
+    _, s, vh = np.linalg.svd(rows, full_matrices=False)
     return (vh * (s > SINGULAR_REL_TOL * s[:, :1])[:, :, None]).conj()
 
 
@@ -284,7 +262,7 @@ def _block_weights(matrix: np.ndarray, supports: np.ndarray, pairs) -> np.ndarra
     bases: column j*B + k holds basis vector j of support k.
     """
     n, l = matrix.shape[1], supports.shape[1]
-    v = _bases(matrix, supports)                                       # (B, l, n)
+    v = _bases(matrix[supports])                                       # (B, l, n)
     if n > 4 * l:
         return v.transpose(1, 0, 2).reshape(-1, n).T
     g = v.conj().transpose(0, 2, 1) @ v                                # (B, n, n)
@@ -330,7 +308,7 @@ def _orbit_blocks(matrix: np.ndarray, reps: np.ndarray, flip: np.ndarray, width:
     for start in range(0, len(reps), step):
         block, f = reps[start:start + step], flip[start:start + step]
         signed = np.concatenate([block, -block[f]])
-        v = _bases(matrix, block)                                      # (r, l, n)
+        v = _bases(matrix[block])                                      # (r, l, n)
         if n > 4 * l:
             v = np.concatenate([v, v[f].conj()])
             weights = (v.transpose(2, 1, 0)[:, :, None, :] * phase).reshape(n, -1)
@@ -377,7 +355,8 @@ def _energies(frame: Frame, X: np.ndarray, l: int, budget: int):
 
     Yields (rows, supports, energy): a slice of X, a function that maps
     columns of the block to their (len(cols), l) supports, each sorted,
-    and the (len(rows), B) energies of those rows on the block.  X is
+    and the (len(rows), B) energies of those rows on the block, valid only
+    until the next step: real weights write them into one buffer.  X is
     lifted once, for all blocks.  When _orbit_path holds, the blocks come
     from _orbit_blocks: the weights of each shift and reflection are made
     from its representative's, so the energies may differ from a
@@ -404,19 +383,23 @@ def _energies(frame: Frame, X: np.ndarray, l: int, budget: int):
         lift = _gram_features
     if n <= 4 * l:
         X = lift(X, pairs)
+    # Fresh GEMM outputs of unequal sizes left heap holes that raised an
+    # estimate's peak RSS by 8 MiB.  A block holds at most 2 * max(width, m)
+    # supports, so one row of any block fits.
+    out = np.empty(max(_GEMM_ENERGIES, 2 * m))
     for supports, weights in blocks:
         chunk = max(1, _GEMM_ENERGIES // weights.shape[1])
         for start in range(0, len(X), chunk):
             rows = slice(start, start + chunk)
-            yield rows, supports, _chunk_energies(X[rows], weights, l)
+            yield rows, supports, _chunk_energies(X[rows], weights, l, out)
 
 
-def _chunk_energies(xs: np.ndarray, weights: np.ndarray, l: int) -> np.ndarray:
+def _chunk_energies(xs: np.ndarray, weights: np.ndarray, l: int, out: np.ndarray) -> np.ndarray:
     """(s, B) projection energies of the samples xs, lifted to match real
     weights or complex (s, N) for stacked bases, on the B supports of one
-    block."""
+    block; real weights write them into the front of the flat buffer out."""
     if weights.dtype != complex:
-        return xs @ weights
+        return np.matmul(xs, weights, out=out[:len(xs) * weights.shape[1]].reshape(len(xs), -1))
     proj = (xs @ weights).reshape(len(xs), l, -1)
     energy = np.zeros((len(xs), proj.shape[2]))
     for j in range(l):
@@ -514,9 +497,7 @@ def _residuals(frame: Frame, X: np.ndarray, norms: np.ndarray, l: int, budget: i
     for start in range(0, len(X), chunk):
         best = top[start:start + chunk]
         for rows, _, energy in _energies(frame, X[start:start + chunk], l, budget):
-            # Rebinding drops the chunk's energies before the next is scored.
-            energy = energy.max(axis=1)
-            best[rows] = np.maximum(best[rows], energy)
+            best[rows] = np.maximum(best[rows], energy.max(axis=1))
     return np.maximum(norms - top, 0.0)
 
 
@@ -543,9 +524,9 @@ def smdd_greedy(frame: Frame, x, l: int) -> SmddResult:
         chosen.append(best)
         # One basis of the chosen rows gives both the residual that drives
         # the next pick and its squared norm (as in projection_residual).
-        basis = _span_basis(frame.matrix[chosen])
-        coeffs = basis.conj() @ x
-        residual = x - basis.T @ coeffs
+        basis = _bases(frame.matrix[chosen][None])[0]
+        coeffs = basis @ x
+        residual = x - basis.conj().T @ coeffs
         resid_sq = max(norm_sq - float(np.vdot(coeffs, coeffs).real), 0.0)
         if resid_sq <= 1e-28:
             break

@@ -18,32 +18,10 @@ def roots_frame(n, m):
 
 # -- sphere sampling ------------------------------------------------------------
 
-def test_sphere_samples_are_unit_norm():
-    rng = vf.sample_rng(1, 0)
-    for n in (1, 2, 5, 16):
-        for _ in range(50):
-            x = vf.sample_uniform_sphere(n, rng)
-            assert abs(np.linalg.norm(x) - 1.0) <= 1e-12
-
-
 def test_sphere_phase_uniform_in_dim_one():
-    rng = vf.sample_rng(2, 0)
-    phases = np.array(
-        [np.angle(vf.sample_uniform_sphere(1, rng)[0]) for _ in range(10_000)]
-    )
+    phases = np.angle(vf.sample_sphere_batch(1, 10_000, seed=2)[:, 0])
     ks = stats.kstest(phases, stats.uniform(loc=-np.pi, scale=2 * np.pi).cdf)
     assert ks.pvalue > 0.01
-
-
-def test_sphere_coordinate_energy():
-    # E|w_1|^2 = 1/N by symmetry
-    n = 4
-    rng = vf.sample_rng(3, 0)
-    vals = np.empty(100_000)
-    for i in range(vals.size):
-        vals[i] = abs(vf.sample_uniform_sphere(n, rng)[0]) ** 2
-    stderr = vals.std(ddof=1) / math.sqrt(vals.size)
-    assert abs(vals.mean() - 1.0 / n) <= 3 * stderr
 
 
 def test_sample_batch_derives_per_index_streams():
@@ -136,8 +114,8 @@ def test_blocks_are_keyed_apart_from_the_per_sample_streams(seed):
     # stream of encode's and roundtrip's first trial.  The spawn key does not.
     n = 4
     first = vf.sample_sphere_batch(n, 1, seed)[0]
-    per_sample = vf.sample_uniform_sphere(n, vf.sample_rng(seed, 0))
-    assert not np.allclose(first, per_sample)
+    g = vf.sample_rng(seed, 0).standard_normal(2 * n)
+    assert not np.allclose(first * np.linalg.norm(g), g[:n] + 1j * g[n:])
     # Trailing zeros pad SeedSequence's pool, so s and (s, 0) name one stream.
     flat = seed if isinstance(seed, tuple) else (seed,)
     assert vf.sample_sphere_batch(n, 3, flat + (0,)).tobytes() == \
@@ -193,10 +171,7 @@ def test_projection_residual_beta_law():
     n, l = 4, 2
     rng = vf.sample_rng(7, 0)
     plane = rng.standard_normal((l, n)) + 1j * rng.standard_normal((l, n))
-    res = [
-        vf.projection_residual(plane, vf.sample_uniform_sphere(n, rng))
-        for _ in range(10_000)
-    ]
+    res = [vf.projection_residual(plane, x) for x in vf.sample_sphere_batch(n, 10_000, seed=7)]
     cdf = lambda a: np.array([vf.cap_area_ratio(float(v), n, l) for v in np.atleast_1d(a)])
     assert stats.kstest(res, cdf).statistic <= 0.02
 
@@ -205,7 +180,7 @@ def test_projection_residual_beta_law():
 
 def test_smdd_zero_weight():
     frame = roots_frame(3, 6)
-    x = vf.sample_uniform_sphere(3, vf.sample_rng(4, 0))
+    x = vf.sample_sphere_batch(3, 1, seed=4)[0]
     res = vf.smdd_exact(frame, x, 0)
     assert res.support == ()
     assert res.residual_sq == pytest.approx(1.0, abs=1e-12)
@@ -213,7 +188,7 @@ def test_smdd_zero_weight():
 
 def test_smdd_spanning_weight():
     frame = roots_frame(3, 6)
-    x = vf.sample_uniform_sphere(3, vf.sample_rng(4, 1))
+    x = vf.sample_sphere_batch(3, 2, seed=4)[1]
     assert vf.smdd_exact(frame, x, 3).residual_sq <= 1e-10
 
 
@@ -227,7 +202,7 @@ def test_smdd_single_atom_signal():
 
 def test_smdd_matches_naive_enumeration():
     frame = vf.make_gaussian_frame(7, 3, seed=13)
-    x = vf.sample_uniform_sphere(3, vf.sample_rng(5, 0))
+    x = vf.sample_sphere_batch(3, 1, seed=5)[0]
     for l in (1, 2, 3):
         naive = min(
             vf.projection_residual(frame.matrix[list(c)], x)
@@ -294,7 +269,7 @@ def test_exact_search_checks_shape_and_weight():
 
 def test_smdd_monotone_in_weight():
     frame = vf.make_gaussian_frame(10, 5, seed=29)
-    x = vf.sample_uniform_sphere(5, vf.sample_rng(6, 0))
+    x = vf.sample_sphere_batch(5, 1, seed=6)[0]
     res = [vf.smdd_exact(frame, x, l).residual_sq for l in range(0, 6)]
     assert all(b <= a + 1e-12 for a, b in zip(res, res[1:]))
 
@@ -325,14 +300,33 @@ def spy_bases(monkeypatch):
     calls = []
     bases = montecarlo._bases
     monkeypatch.setattr(montecarlo, "_bases",
-                        lambda matrix, supports: calls.append(len(supports))
-                        or bases(matrix, supports))
+                        lambda rows: calls.append(len(rows)) or bases(rows))
     return calls
 
 
+def energy_blocks(frame, X, l):
+    """Every step of _energies, each with a copy of its energies, which are
+    valid only until the next step."""
+    steps = montecarlo._energies(frame, X, l, montecarlo.DEFAULT_BUDGET)
+    return [(rows, supports, energy.copy()) for rows, supports, energy in steps]
+
+
 def block_supports(blocks):
-    """The supports of every column of _energies' blocks, in column order."""
+    """The supports of every column of energy_blocks, in column order."""
     return np.concatenate([supports(np.arange(energy.shape[1])) for _, supports, energy in blocks])
+
+
+def test_energies_of_one_search_share_one_buffer():
+    # On the mc-enum cell each real-weight GEMM writes its energies into one
+    # buffer: fresh outputs of slightly different sizes left heap holes that
+    # moved an estimate's peak RSS by 8 MiB.
+    frame = roots_frame(8, 32)
+    X = vf.sample_sphere_batch(8, 1000, seed=(1, 5))
+    steps = montecarlo._energies(frame, X, 4, montecarlo.DEFAULT_BUDGET)
+    first = next(steps)[2]
+    second = next(steps)[2]
+    assert first.dtype == second.dtype == float
+    assert np.shares_memory(first, second)
 
 
 @pytest.mark.parametrize("m,n", [(9, 3), (12, 10)])
@@ -345,7 +339,7 @@ def test_support_energies_match_projection_residual(m, n, kind, monkeypatch):
     lifts = spy_lifts(monkeypatch)
     for l in (1, 2, 3):
         lifts.clear()
-        blocks = list(montecarlo._energies(frame, X, l, montecarlo.DEFAULT_BUDGET))
+        blocks = energy_blocks(frame, X, l)
         assert lifts == ([("gram", len(X))] if n <= 4 * l else [])
         assert all(len(X[rows]) == len(X) for rows, _, _ in blocks)
         energies = np.concatenate([energy for _, _, energy in blocks], axis=1)
@@ -359,29 +353,29 @@ def test_support_energies_match_projection_residual(m, n, kind, monkeypatch):
 
 
 def test_kernel_matches_stacked_reference_on_mc_enum_cell(monkeypatch):
-    # Values of the complex stacked-basis kernel (the only one before the
-    # Gram weights) on the N=8, M=32, L=4 cell, per-sample streams (1, 1).
+    # Values of the complex stacked-basis kernel (one SVD per support, the
+    # only kernel before the Gram weights) on the N=8, M=32, L=4 cell, for
+    # the block stream (1, 1) that the estimate draws.
     frame = roots_frame(8, 32)
-    X = np.array([vf.sample_uniform_sphere(8, vf.sample_rng((1, 1), i)) for i in range(1000)])
+    X = vf.sample_sphere_batch(8, 1000, seed=(1, 1))
     lifts = spy_lifts(monkeypatch)
     res = vf.smdd_residuals(frame, X, 4)
     assert lifts == [("real", 1000)]
     reference = [float.fromhex(h) for h in (
-        "0x1.01863b0854510p-5", "0x1.9e7c34d2bd310p-5", "0x1.453a233f23c60p-5",
-        "0x1.fe9c2150d94e0p-6", "0x1.dbe99fc37f080p-5", "0x1.03d145fe7b240p-4")]
+        "0x1.37c398a451440p-5", "0x1.212ecc13d7340p-6", "0x1.8c0dbe21174d8p-4",
+        "0x1.325d6e3f60a50p-4", "0x1.228034d27a4c0p-4", "0x1.7a5f4e8eaa8d0p-5")]
     np.testing.assert_allclose(res[:6], reference, rtol=0, atol=2e-15)
-    np.testing.assert_allclose(res[[270, 999]], [0.1836232351621241, 0.09143799905813721],
+    np.testing.assert_allclose(res[[270, 999]], [0.05343325395646059, 0.010298947830877037],
                                rtol=0, atol=2e-15)
-    assert abs(float(res.mean()) - 0.07130588313606415) <= 1e-15
-    # The estimate draws the block stream (1, 1) instead.
+    assert abs(float(res.mean()) - 0.0691724900575891) <= 1e-15
     est = vf.estimate_distortion(frame, 4, 1000, seed=(1, 1))
     assert abs(est.mean - 0.06917249005758919) <= 1e-15
     expected = [
-        ((1, 13, 18, 28), 0.03143607644836732),
-        ((11, 17, 18, 20), 0.05059633557349308),
-        ((5, 6, 11, 18), 0.039700573769658076),
-        ((3, 17, 24, 28), 0.031165154013611196),
-        ((2, 13, 14, 28), 0.05809479907836235),
+        ((11, 20, 21, 24), 0.03805713475097905),
+        ((1, 8, 15, 29), 0.01765031747287371),
+        ((4, 11, 24, 28), 0.0966927935528078),
+        ((6, 14, 16, 28), 0.07479613366562288),
+        ((7, 14, 28, 32), 0.07092304834044949),
     ]
     for x, (support, residual_sq) in zip(X, expected):
         got = vf.smdd_exact(frame, x, 4)
@@ -441,7 +435,7 @@ def test_real_symmetric_form_holds_on_unit_nodes_alone(n):
     for radius in (1.0, rng.uniform(0.5, 2.0, n)):
         # A random support of three unit (or scaled) nodes.
         frame = vf.make_vandermonde_frame(radius * np.exp(2j * np.pi * rng.random(n)), n)
-        v = montecarlo._bases(frame.matrix, np.arange(3)[None])[0]
+        v = montecarlo._bases(frame.matrix[None, :3])[0]
         g = v.conj().T @ v
         h = g.real - g.imag[::-1]
         real = montecarlo._real_features(X, pairs) @ h[i, j]
@@ -465,7 +459,7 @@ def test_orbit_energies_match_projection_residual(n, m, weights, monkeypatch):
     for l in weights:
         lifts.clear()
         svd_calls.clear()
-        blocks = list(montecarlo._energies(frame, X, l, montecarlo.DEFAULT_BUDGET))
+        blocks = energy_blocks(frame, X, l)
         reps, flip = montecarlo._orbit_representatives(m, l)
         assert sum(svd_calls) == len(reps)
         assert lifts == ([("real", len(X))] if n <= 4 * l else [])
@@ -611,9 +605,9 @@ def assert_flat_peak(make_frame):
 
 def test_exact_search_keeps_one_chunk_of_energies_at_a_time():
     # A GEMM makes at most montecarlo._GEMM_ENERGIES = 2**20 energies (8 MiB
-    # here); each chunk is reduced and dropped before the next is scored, so
-    # the peak stays under two.  The bound is a number, not the constant, so
-    # that raising the constant fails here.
+    # here), all into one buffer, and each chunk is reduced before the next
+    # is scored, so the peak stays under two.  The bound is a number, not
+    # the constant, so that raising the constant fails here.
     frame = roots_frame(8, 32)
     X = vf.sample_sphere_batch(8, 1000, seed=(1, 3))
     tracemalloc.start()
@@ -663,7 +657,7 @@ def test_exact_search_keeps_no_support_table():
     # every call scores its supports block by block (a whole Gram table
     # would take N^2 * C(M, L) * 8 = 583 kB here) and keeps none of them;
     # bds_decode bisects through L = 3, 1 and 2
-    x = vf.sample_uniform_sphere(6, vf.sample_rng(14, 0))
+    x = vf.sample_sphere_batch(6, 1, seed=14)[0]
     assert vf.bds_decode(roots_frame(6, 24), x, 0.3)[0] == 2
     tracemalloc.start()
     try:
@@ -686,14 +680,14 @@ def test_exact_search_keeps_no_support_table():
 
 def test_bds_delta_one():
     frame = roots_frame(3, 6)
-    x = vf.sample_uniform_sphere(3, vf.sample_rng(8, 0))
+    x = vf.sample_sphere_batch(3, 1, seed=8)[0]
     l, res = vf.bds_decode(frame, x, 1.0)
     assert l == 0 and res.support == ()
 
 
 def test_bds_delta_zero_generic():
     frame = roots_frame(3, 6)
-    x = vf.sample_uniform_sphere(3, vf.sample_rng(8, 1))
+    x = vf.sample_sphere_batch(3, 2, seed=8)[1]
     l, res = vf.bds_decode(frame, x, 0.0)
     assert l == 3
     assert res.residual_sq <= 1e-12
@@ -708,8 +702,7 @@ def test_bds_single_atom():
 
 def test_bds_matches_linear_scan():
     frame = vf.make_gaussian_frame(8, 4, seed=31)
-    for i in range(8):
-        x = vf.sample_uniform_sphere(4, vf.sample_rng(9, i))
+    for i, x in enumerate(vf.sample_sphere_batch(4, 8, seed=9)):
         delta = float(vf.sample_rng(10, i).uniform(0.0, 0.5))
         thr = delta * 1.0 + 1e-12
         scan = next(
@@ -722,8 +715,7 @@ def test_bds_enumerates_only_the_weights_it_bisects():
     # bisection over [0, 4] probes L = 2 and L = 1 only: C(8, 3) and
     # C(8, 4) lie over the budget and must never be enumerated
     frame = vf.make_gaussian_frame(8, 4, seed=31)
-    for i in range(8):
-        x = vf.sample_uniform_sphere(4, vf.sample_rng(9, i))
+    for x in vf.sample_sphere_batch(4, 8, seed=9):
         scan = next(l for l in range(0, 5) if vf.smdd_exact(frame, x, l).residual_sq <= 0.5 + 1e-12)
         assert scan <= 2
         l, res = vf.bds_decode(frame, x, 0.5, budget=math.comb(8, 2))
@@ -1000,8 +992,7 @@ def test_estimate_memory_grows_by_its_ratios_alone():
 
 def test_greedy_upper_bounds_exact():
     frame = roots_frame(5, 10)
-    for i in range(10):
-        x = vf.sample_uniform_sphere(5, vf.sample_rng(12, i))
+    for x in vf.sample_sphere_batch(5, 10, seed=12):
         for l in (1, 2, 3):
             g = vf.smdd_greedy(frame, x, l)
             e = vf.smdd_exact(frame, x, l)
