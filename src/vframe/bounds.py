@@ -32,14 +32,6 @@ from .errors import BranchError, DomainError
 
 _LN2 = math.log(2.0)
 
-# cephes lgam constants: log(sqrt(2 pi)), the argument past which the
-# result overflows, and the Stirling correction polynomial A in 1/x^2.
-_LS2PI = 0.91893853320467274178
-_MAXLGM = 2.556348e305
-_STIRLING_A = (8.11614167470508450300e-4, -5.95061904284301438324e-4,
-               7.93650340457716943945e-4, -2.77777777730099687205e-3,
-               8.33333333333331927722e-2)
-
 BRANCH_L0 = "L0"
 BRANCH_MID = "mid"
 BRANCH_LNM1 = "LNminus1"
@@ -61,34 +53,15 @@ def binary_entropy(p: float) -> float:
     return -(p * math.log2(p) + (1.0 - p) * math.log2(1.0 - p))
 
 
-def _log_gamma(k: int) -> float:
-    """log Gamma(k) for an integer k >= 1, bit for bit what
-    scipy.special.gammaln returns: a port of cephes lgam's branches for
-    positive integers.  (math.lgamma rounds differently on about half of
-    the integers below 20,000.)"""
-    if k < 13:
-        return math.log(math.factorial(k - 1))
-    x = float(k)
-    if x > _MAXLGM:
-        return math.inf
-    q = (x - 0.5) * math.log(x) - x + _LS2PI
-    if x > 1.0e8:
-        return q
-    p = 1.0 / (x * x)
-    if x >= 1000.0:
-        return q + ((7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p
-                    + 0.0833333333333333333333) / x
-    poly = 0.0
-    for coef in _STIRLING_A:
-        poly = poly * p + coef
-    return q + poly / x
-
-
 def log_binomial(m: int, l: int) -> float:
-    """Natural log of C(m, l) via log-gamma."""
+    """Natural log of C(m, l) via log-gamma.  Raises DomainError where
+    log Gamma(m + 1) overflows a double (m past about 2.5e305)."""
     if l < 0 or m < 0 or l > m:
         raise DomainError(f"C({m}, {l}) undefined")
-    return _log_gamma(m + 1) - _log_gamma(l + 1) - _log_gamma(m - l + 1)
+    try:
+        return math.lgamma(m + 1) - math.lgamma(l + 1) - math.lgamma(m - l + 1)
+    except OverflowError:
+        raise DomainError(f"log C({m}, {l}) is past the range of log-gamma") from None
 
 
 @dataclass(frozen=True)

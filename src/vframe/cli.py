@@ -348,7 +348,8 @@ def cmd_sweep(args):
     header = list(BOUND_HEADER)
     if args.samples > 0:
         header += ["est_mean", "est_stderr", "margin", "passed"]
-    # Refuse the whole grid up front, an invalid cell or one over budget,
+    # Refuse the whole grid up front, an invalid cell, one past the
+    # log-gamma range or one whose search (1 <= L < N) is over budget,
     # rather than after the cells before it have been written.
     cells = [
         bnd.BoundInput(n, factor * n, l)
@@ -358,7 +359,8 @@ def cmd_sweep(args):
         if (n, factor * n, l) not in done
     ]
     for inp in cells:
-        if args.samples > 0 and inp.l > 0:
+        bnd.log_binomial(inp.m, inp.l)
+        if args.samples > 0 and 0 < inp.l < inp.n:
             try:
                 frames._over_budget(inp.m, inp.l, args.budget)
             except BudgetExceeded as exc:

@@ -27,7 +27,7 @@ and every block is scored against that lift.
 
 Where the weights come from: on most frames, one SVD per support, C(M, L)
 in all.  On the default frame, whose nodes z_j are the M-th roots of
-unity (default_nodes), two symmetries cut that, for L < N:
+unity (default_nodes), two symmetries cut that, at every L:
 - Rotation: shifting a support by s multiplies its rows by the phases
   D_s = diag(z_s^k), the frame's row s, so G_{S+s} = D_s G_S D_s^H.
 - Reflection: node -j is conj(z_j), so G_{-S} = conj(G_S).
@@ -41,13 +41,13 @@ x^H G x = (a^T H a + b^T H b) / 2 with a + ib = x + i Jx and
 H_ij = Re G_ij - Im G_(N-1-i)j real and symmetric (G is centro-Hermitian:
 A. Lee, "Centrohermitian and skew-centrohermitian matrices", Linear
 Algebra Appl. 29, 1980).  A pair there costs N(N+1)/2 multiply-adds,
-36 against 64 at N = 8.  The frame and L alone choose the path, and
-both searches read its energies as they come: a residual there differs
-from the per-support one by a few ulp (at most 2.4e-15 measured, on the
-N=8, M=32, L=4 cell).  At L >= N some
-support spans C^N, so smdd_residuals returns exact zeros without a
-search, as the bound's L = N branch does; smdd_exact, which names the
-support, enumerates them on the per-support path.
+36 against 64 at N = 8.  The frame alone chooses the path, and both
+searches read its energies as they come: a residual there differs from
+the per-support one by a few ulp (at most 2.4e-15 measured, on the
+N=8, M=32, L=4 cell).  At L >= N some support spans C^N, so
+smdd_residuals and estimate_distortion return exact zeros without a
+search, as the bound's L = N branch does, and count no supports against
+the budget; smdd_exact, which names the support, enumerates them.
 
 Distortion is accumulated per sample as the *relative* squared
 residual ||x - proj||^2 / ||x||^2.  On the unit sphere the two agree
@@ -326,11 +326,11 @@ def _orbit_blocks(matrix: np.ndarray, reps: np.ndarray, flip: np.ndarray, width:
         yield supports, weights
 
 
-def _orbit_path(frame: Frame, l: int) -> bool:
-    """Whether the exact search of weight l scores frame's supports as
-    rotations and reflections of orbit representatives: l < N and the
-    nodes are default_nodes(M)."""
-    return l < frame.n and np.array_equal(frame.nodes, default_nodes(frame.m))
+def _orbit_path(frame: Frame) -> bool:
+    """Whether the exact search scores frame's supports as rotations and
+    reflections of orbit representatives: its nodes are default_nodes(M).
+    The symmetries hold at every weight."""
+    return np.array_equal(frame.nodes, default_nodes(frame.m))
 
 
 def _chunk_rows(frame: Frame, l: int) -> int:
@@ -342,7 +342,7 @@ def _chunk_rows(frame: Frame, l: int) -> int:
     n = frame.n
     if n > 4 * l:
         row = 16 * n
-    elif _orbit_path(frame, l):
+    elif _orbit_path(frame):
         row = 4 * n * (n + 1)
     else:
         row = 8 * n * n
@@ -373,7 +373,7 @@ def _energies(frame: Frame, X: np.ndarray, l: int, budget: int):
     # A block's weights (N*N <= 4*l*N floats, or l*N complex, per support)
     # then take at most a quarter of a GEMM's energies.
     width = max(1, _GEMM_ENERGIES // (16 * l * n))
-    if _orbit_path(frame, l):
+    if _orbit_path(frame):
         blocks = _orbit_blocks(frame.matrix, *_orbit_representatives(m, l), width, pairs)
         lift = _real_features
     else:
@@ -480,7 +480,8 @@ def smdd_residuals(frame: Frame, X, l: int, budget: int = DEFAULT_BUDGET) -> np.
     maximum while they are scored block by block, _chunk_rows rows at a
     time.  At l >= N it is 0 without a search: every frame spans C^N, so
     some size-l support does (the bound's L = N branch).  Raises
-    BudgetExceeded when C(M, l) exceeds the subset budget, at every l >= 1."""
+    BudgetExceeded when C(M, l) exceeds the subset budget at 1 <= l < N,
+    where supports are scored."""
     return _residuals(frame, *_signals(frame, X, l), l, budget)
 
 
@@ -489,9 +490,9 @@ def _residuals(frame: Frame, X: np.ndarray, norms: np.ndarray, l: int, budget: i
     row norms it returned."""
     if l == 0:
         return norms
-    _over_budget(frame.m, l, budget)
     if l >= frame.n:
         return np.zeros(len(X))
+    _over_budget(frame.m, l, budget)
     top = np.full(X.shape[0], -np.inf)
     chunk = _chunk_rows(frame, l)
     for start in range(0, len(X), chunk):
@@ -623,11 +624,11 @@ def estimate_distortion(
     least one), and reduced in index order.  Only the
     ratios are kept, so memory grows by 8 bytes per sample.  The seed and
     the arguments are checked before any sample is drawn: DomainError on
-    bad arguments.  When C(M, l) exceeds the budget, either raises
-    BudgetExceeded or, with fallback_greedy, substitutes the greedy search
-    and labels the estimate approximate.  No sample is drawn where the
-    exact search reads none: at l = 0 every ratio is 1, at l >= N every
-    ratio is 0.
+    bad arguments.  When C(M, l) exceeds the budget at 1 <= l < N, either
+    raises BudgetExceeded or, with fallback_greedy, substitutes the greedy
+    search and labels the estimate approximate.  No sample is drawn and no
+    support counted where the exact search reads none: at l = 0 every
+    ratio is 1, at l >= N every ratio is 0.
 
     Each chunk is read through draw(n, rows, seed, start), which must
     return sample_sphere_batch(n, rows, seed, start), the default (looked
@@ -639,8 +640,8 @@ def estimate_distortion(
         raise DomainError("need n_samples >= 1")
     if not 0 <= l <= frame.m:
         raise DomainError(f"need 0 <= L <= M, got L={l}")
-    approximate = l > 0 and _over_budget(frame.m, l, budget, refuse=not fallback_greedy)
-    if l == 0 or l >= frame.n and not approximate:
+    approximate = 0 < l < frame.n and _over_budget(frame.m, l, budget, refuse=not fallback_greedy)
+    if l == 0 or l >= frame.n:
         ratios = np.ones(n_samples) if l == 0 else np.zeros(n_samples)
     else:
         draw = draw or sample_sphere_batch

@@ -46,8 +46,6 @@ def poly_trim(p) -> np.ndarray:
     if mags[-1] > floor:
         return p
     keep = (mags > floor).nonzero()[0]
-    if keep.size == 0:
-        return p[:0]
     return p[: keep[-1] + 1]
 
 

@@ -5,7 +5,7 @@ import pytest
 from scipy import integrate, special, stats
 
 import vframe as vf
-from vframe.bounds import BoundInput, _log_gamma
+from vframe.bounds import BoundInput
 from vframe.errors import BranchError, DomainError
 
 
@@ -66,20 +66,23 @@ def test_log_binomial_domain():
         vf.log_binomial(3, 5)
 
 
-def test_log_gamma_is_bit_equal_to_scipy_gammaln():
-    ks = list(range(1, 100_001)) + [10**6, 10**8, 10**8 + 1, 10**9]
-    ours = np.array([_log_gamma(k) for k in ks])
-    assert np.array_equal(ours, special.gammaln(np.array(ks, dtype=float)))
+def test_log_binomial_is_exact_on_the_sweep_grid():
+    # every (M, L) of the sweep grid N <= 64, M = f*N, f in {1, 2, 3, 4, 8},
+    # against the log of the integer binomial
+    for n in range(1, 65):
+        for m in (n, 2 * n, 3 * n, 4 * n, 8 * n):
+            for l in range(n + 1):
+                assert abs(vf.log_binomial(m, l) - math.log(math.comb(m, l))) <= 2e-12
 
 
-def test_log_binomial_is_bit_equal_to_the_gammaln_formula():
-    # every (M, L) of the sweep grid N <= 64, M = f*N, f in {1, 2, 3, 4, 8}
-    pairs = np.array([(f * n, l) for n in range(1, 65) for f in (1, 2, 3, 4, 8)
-                      for l in range(n + 1)], dtype=float)
-    m, l = pairs.T
-    expected = special.gammaln(m + 1) - special.gammaln(l + 1) - special.gammaln(m - l + 1)
-    ours = np.array([vf.log_binomial(int(a), int(b)) for a, b in pairs])
-    assert np.array_equal(ours, expected)
+def test_log_binomial_refuses_past_the_log_gamma_range():
+    # log Gamma(M + 1) overflows a double past M ~ 2.5e305, and so does M
+    # itself past 1.8e308; inf - inf would make the bound NaN.
+    for m in (3 * 10**305, 10**309):
+        with pytest.raises(DomainError, match="past the range of log-gamma"):
+            vf.log_binomial(m, 1)
+        with pytest.raises(DomainError):
+            vf.distortion_lower_bound(BoundInput(10, m, 1))
 
 
 # -- cap area -------------------------------------------------------------------
@@ -161,6 +164,20 @@ def test_kappa_c_branch_errors():
         vf.kappa_c(BoundInput(6, 12, 0))
     with pytest.raises(BranchError):
         vf.kappa_c(BoundInput(6, 12, 5))
+
+
+@pytest.mark.parametrize("call,error", [
+    (lambda: vf.rho_0(BoundInput(6, 12, 0)), BranchError),
+    (lambda: vf.rho_0(BoundInput(6, 12, 6)), BranchError),
+    (lambda: vf.lambda_bound(-0.1, BoundInput(6, 12, 2)), DomainError),
+    (lambda: vf.lambda_bound(1.1, BoundInput(6, 12, 2)), DomainError),
+    (lambda: vf.lambda_bound(0.5, BoundInput(6, 12, 0)), BranchError),
+    (lambda: vf.lambda_bound(0.5, BoundInput(6, 12, 5)), BranchError),
+], ids=["rho0-l-0", "rho0-l-n", "lambda-rho-below-0", "lambda-rho-above-1",
+        "lambda-l-0", "lambda-l-n-1"])
+def test_input_checks_raise(call, error):
+    with pytest.raises(error):
+        call()
 
 
 def test_rho_0_reference_values():

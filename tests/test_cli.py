@@ -523,17 +523,41 @@ def test_sweep_checks_every_budget_before_writing(tmp_path, capsys):
     assert not out_path.exists()
 
 
-def test_sweep_refuses_a_spanning_weight_over_budget(tmp_path, capsys):
-    # At L = N no support is scored, but C(8, 4) = 70 is over --budget 69.
+def test_sweep_charges_only_searched_cells_to_the_budget(tmp_path, capsys):
+    # At L = N no support is scored, so C(8, 4) = 70 over --budget 69 is not
+    # refused, in the sweep as in simulate: the estimate is an exact 0.
     out_path = tmp_path / "sweep.csv"
     code, _, err = run(
         capsys,
-        ["sweep", "--n-list", "4", "--m-factors", "2", "--l", "4", "--samples", "50",
+        ["sweep", "--n-list", "4", "--m-factors", "2", "--l", "1,4", "--samples", "50",
          "--budget", "69", "--seed", "1", "--out", str(out_path)],
     )
-    assert code == 1
-    assert "(N,M,L)=(4,8,4)" in err and "--budget 69" in err
-    assert not out_path.exists()
+    assert code == 0, err
+    rows = parse_csv(out_path.read_text())
+    assert [r["L"] for r in rows] == ["1", "4"]
+    assert rows[1]["est_mean"] == "0.0" and rows[1]["passed"] == "True"
+    for greedy in ([], ["--greedy"]):
+        code, out, err = run(capsys, ["simulate", "--n", "4", "--m", "8", "--l", "4",
+                                      "--samples", "10", "--budget", "69", "--seed", "1",
+                                      *greedy])
+        assert code == 0, err
+        payload = json.loads(out)
+        assert payload["estimate"]["mean"] == 0.0
+        assert payload["estimate"]["approximate"] is False
+        assert payload["verdict"]["passed"]
+
+
+# M = 3e305 is past the range of log-gamma; the sweep's second cell has it.
+@pytest.mark.parametrize("argv", [
+    ["encode", "--n", "4", "--m", "8", "--seed", "1"],
+    ["bound", "--n", "10", "--m", str(3 * 10**305), "--l", "1"],
+    ["sweep", "--n-list", "10", "--m-factors", f"1,{3 * 10**304}", "--l", "1"],
+], ids=["encode-without-rep-or-weight", "bound-past-log-gamma", "sweep-past-log-gamma"])
+def test_refused_input_exits_1_and_writes_nothing(argv, tmp_path, capsys):
+    out_path = tmp_path / "out"
+    code, out, err = run(capsys, argv + ["--out", str(out_path)])
+    assert code == 1 and err.startswith("error: ")
+    assert out == "" and not out_path.exists()
 
 
 def test_sweep_checks_every_cell_before_writing(tmp_path, capsys):

@@ -209,6 +209,42 @@ def test_minimum_annihilator_weight(n, m):
         assert vf.null_vector_on_support(frame, rows).weight == n + 1
 
 
+# -- input checks -------------------------------------------------------------
+
+LINE_FRAME = [[1, 0], [2, 0], [3, 0], [0, 1]]
+
+
+@pytest.mark.parametrize("call,error", [
+    (lambda: vf.Frame(np.ones(3)), ValueError),
+    (lambda: vf.Frame(np.ones((2, 3))), TooFewNodes),
+    (lambda: vf.Frame([[1, np.nan], [1, 2]]), ValueError),
+    (lambda: vf.Frame([[1, 0], [0, 0], [0, 1]]), ValueError),
+    (lambda: vf.Frame(np.ones((3, 1)), kind="vandermonde"), ValueError),
+    (lambda: vf.Frame(np.ones((3, 1)), kind="vandermonde", nodes=[1, 2]), ValueError),
+    (lambda: vf.Frame([[1, 1], [2, 2], [3, 3]]), ValueError),
+    (lambda: vf.Frame(np.eye(2), kind="circulant"), ValueError),
+    (lambda: vf.make_vandermonde_frame([1, 2], 0), ValueError),
+    (lambda: vf.make_vandermonde_frame([1, np.inf], 1), ValueError),
+    (lambda: vf.default_nodes(0), ValueError),
+    (lambda: vf.SparseRep(4, (1, 2), np.array([1.0])), ValueError),
+    (lambda: vf.SparseRep(4, (1,), np.array([np.nan])), ValueError),
+    (lambda: vf.random_sparse_rep(4, 5, np.random.default_rng(0)), ValueError),
+    (lambda: vf.random_sparse_rep(4, -1, np.random.default_rng(0)), ValueError),
+    (lambda: vf.null_vector_on_support(vf.make_general_frame(LINE_FRAME), [1, 2]), ValueError),
+    (lambda: vf.null_vector_on_support(vf.make_general_frame(LINE_FRAME), [1, 2, 5]), ValueError),
+    (lambda: vf.null_vector_on_support(vf.make_general_frame(LINE_FRAME), [1, 2, 3]),
+     DegenerateSupport),
+    (lambda: vf.frame_from_json({"kind": "circulant"}), ValueError),
+], ids=["1-d-matrix", "m-below-n", "non-finite", "zero-row", "vandermonde-no-nodes",
+        "vandermonde-node-count", "non-spanning", "unknown-kind", "vandermonde-n-0",
+        "non-finite-node", "default-nodes-0", "rep-length", "rep-non-finite",
+        "weight-above-m", "weight-below-0", "null-row-count", "null-row-range",
+        "null-rows-on-a-line", "json-unknown-kind"])
+def test_input_checks_raise(call, error):
+    with pytest.raises(error):
+        call()
+
+
 # -- serialization ------------------------------------------------------------
 
 def test_frame_json_roundtrip_vandermonde():

@@ -176,6 +176,13 @@ def test_projection_residual_beta_law():
     assert stats.kstest(res, cdf).statistic <= 0.02
 
 
+@pytest.mark.parametrize("rows", [np.ones((2, 3)), np.ones(4), np.ones((1, 2, 4))],
+                         ids=["wrong-width", "one-d", "three-d"])
+def test_projection_residual_rejects_rows_of_the_wrong_shape(rows):
+    with pytest.raises(ValueError, match="rows must be a"):
+        vf.projection_residual(rows, [1, 0, 0, 0])
+
+
 # -- exact SMDD -------------------------------------------------------------------
 
 def test_smdd_zero_weight():
@@ -529,11 +536,12 @@ def test_orbit_search_svds_only_the_representatives(monkeypatch):
     (roots_frame(6, 12), 2, 66, True),      # S >= C(12, 2)
     (roots_frame(6, 12), 2, 60, True),      # S + R = C(12, 2) with R = 6 orbits
     (roots_frame(6, 12), 2, 59, True),
-    (roots_frame(4, 8), 4, 2, False),       # L = N: every support spans and ties
+    (roots_frame(4, 8), 4, 2, True),        # L = N: every support spans and ties
 ], ids=["gaussian", "other-nodes", "S>=C", "S+R=C", "S+R<C", "L=N"])
 def test_orbit_path_runs_only_where_it_svds_fewer_supports(frame, l, samples, rotated, monkeypatch):
-    # The frame's nodes and L choose the path, whatever the batch size.  At
-    # L = N smdd_residuals needs no search: its residuals are exact zeros.
+    # The frame's nodes alone choose the path, whatever L and the batch
+    # size.  At L = N smdd_residuals needs no search: its residuals are exact
+    # zeros; smdd_exact, which names the support, SVDs the 8 representatives.
     X = vf.sample_sphere_batch(frame.n, samples, seed=(19, samples))
     calls = spy_bases(monkeypatch)
     expected = len(montecarlo._orbit_representatives(frame.m, l)[0]) if rotated else math.comb(frame.m, l)
@@ -785,7 +793,7 @@ def test_estimate_checks_before_drawing(monkeypatch):
     monkeypatch.setattr(montecarlo, "sample_sphere_batch", None)
     frame = roots_frame(4, 24)
     with pytest.raises(BudgetExceeded):
-        vf.estimate_distortion(frame, 12, 10, seed=1, budget=1000)
+        vf.estimate_distortion(frame, 3, 10, seed=1, budget=1000)
     with pytest.raises(DomainError):
         vf.estimate_distortion(frame, 25, 10, seed=1)
     with pytest.raises(DomainError):
@@ -843,31 +851,34 @@ def test_searches_take_one_squared_norm(n, m):
 def test_budget_is_refused_in_one_message():
     frame = roots_frame(4, 8)
     X = vf.sample_sphere_batch(4, 3, seed=1)
-    message = re.escape("C(8,4) = 70 exceeds budget 69")
-    with pytest.raises(BudgetExceeded, match=message):
+    with pytest.raises(BudgetExceeded, match=re.escape("C(8,4) = 70 exceeds budget 69")):
         vf.check_condition_I(frame, budget=69)
+    message = re.escape("C(8,3) = 56 exceeds budget 55")
     with pytest.raises(BudgetExceeded, match=message):
-        vf.smdd_residuals(frame, X, 4, budget=69)
+        vf.smdd_residuals(frame, X, 3, budget=55)
     with pytest.raises(BudgetExceeded, match=message):
-        vf.estimate_distortion(frame, 4, 3, seed=1, budget=69)
+        vf.estimate_distortion(frame, 3, 3, seed=1, budget=55)
+    with pytest.raises(BudgetExceeded, match=message):
+        vf.smdd_exact(frame, X[0], 3, budget=55)
 
 
-def test_search_at_or_past_n_keeps_its_budget():
-    # No support is scored at L >= N, but C(M, L) over the budget is refused
-    # as at every other L >= 1; the greedy fallback still draws and labels.
+def test_search_at_or_past_n_is_not_charged_to_the_budget():
+    # No support is scored at L >= N, so C(M, L) is not counted there: the
+    # residuals are exact zeros and the estimate is exact, never the greedy
+    # fallback.  smdd_exact and bds_decode enumerate, so they still count.
     frame = roots_frame(3, 9)
     X = vf.sample_sphere_batch(3, 5, seed=2)
     for l in (3, 4):
         budget = math.comb(9, l) - 1
+        assert vf.smdd_residuals(frame, X, l, budget=budget).tobytes() == np.zeros(5).tobytes()
+        for greedy in (False, True):
+            est = vf.estimate_distortion(frame, l, 5, seed=2, budget=budget,
+                                         fallback_greedy=greedy)
+            assert not est.approximate and est.ratios.tobytes() == np.zeros(5).tobytes()
         with pytest.raises(BudgetExceeded):
-            vf.smdd_residuals(frame, X, l, budget=budget)
-        with pytest.raises(BudgetExceeded):
-            vf.estimate_distortion(frame, l, 5, seed=2, budget=budget)
-        assert not vf.smdd_residuals(frame, X, l, budget=budget + 1).any()
-        est = vf.estimate_distortion(frame, l, 5, seed=2, budget=budget, fallback_greedy=True)
-        greedy = [vf.smdd_greedy(frame, x, l).residual_sq for x in X]
-        assert est.approximate
-        assert est.ratios.tobytes() == (greedy / vf.smdd_residuals(frame, X, 0)).tobytes()
+            vf.smdd_exact(frame, X[0], l, budget=budget)
+    with pytest.raises(BudgetExceeded):
+        vf.bds_decode(frame, X[0], 0.0, budget=math.comb(9, 3) - 1)
 
 
 def test_estimate_agrees_with_per_sample_smdd():

@@ -28,6 +28,11 @@ def test_trim_drops_trailing_dust_only():
     assert t[0] == 1e-15
 
 
+def test_trim_refuses_two_dimensional_coefficients():
+    with pytest.raises(ValueError, match="one-dimensional"):
+        poly.poly_trim(np.ones((2, 2)))
+
+
 def test_divide_by_zero_poly():
     with pytest.raises(DivideByZeroPoly):
         poly.poly_divmod([1, 2, 3], [0.0, 0.0])
