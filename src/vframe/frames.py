@@ -121,10 +121,18 @@ def make_vandermonde_frame(nodes, n: int) -> Frame:
     if scale == 0.0 or np.any(np.abs(z) <= NODE_DISTINCT_REL_TOL * scale):
         bad = int(np.argmin(np.abs(z))) + 1
         raise ZeroNode(f"node {bad} is zero (or negligible at this scale)")
-    diff = np.abs(z[:, None] - z[None, :])
-    diff[np.diag_indices(m)] = np.inf
-    i, j = np.unravel_index(np.argmin(diff), diff.shape)
-    if diff[i, j] <= NODE_DISTINCT_REL_TOL * scale:
+    # The closest pair, the first in row-major order, from rows of about
+    # 2**20 differences at a time, so memory does not grow as M^2.
+    closest, i, j = np.inf, 0, 0
+    step = max(1, 2**20 // m)
+    for start in range(0, m, step):
+        diff = np.abs(z[start:start + step, None] - z[None, :])
+        rows = np.arange(len(diff))
+        diff[rows, start + rows] = np.inf
+        k = int(np.argmin(diff))
+        if diff.flat[k] < closest:
+            closest, i, j = diff.flat[k], start + k // m, k % m
+    if closest <= NODE_DISTINCT_REL_TOL * scale:
         raise DuplicateNode(f"nodes {min(i, j) + 1} and {max(i, j) + 1} coincide")
     matrix = np.vander(z, n, increasing=True)
     return Frame(matrix=matrix, kind=VANDERMONDE, nodes=z)

@@ -20,10 +20,11 @@ at most on the orbit path below): weights at most 2 MiB (N^2 * B * 8, or
 L * N * B * 16 stacked), dropped once scored, and GEMMs of
 _GEMM_ENERGIES // B rows (_GEMM_ENERGIES // (L*B) stacked), so at most
 _GEMM_ENERGIES energies per GEMM, written into one buffer.  So memory
-does not grow with C(M, L); the budget on C(M, L) bounds the time.  The samples are lifted once per
-chunk of _chunk_rows rows, the most whole sample blocks whose lift (or,
-stacked, whose complex rows) fits _CHUNK_ENTRIES complex entries (4 MiB),
-and every block is scored against that lift.
+grows with C(M, L) only through smdd_exact's ties; the budget on C(M, L)
+bounds the time.  The samples are lifted once per chunk of _chunk_rows
+rows, the most whole sample blocks whose lift (or, stacked, whose
+complex rows) fits _CHUNK_ENTRIES complex entries (4 MiB), and every
+block is scored against that lift.
 
 Where the weights come from: on most frames, one SVD per support, C(M, L)
 in all.  On the default frame, whose nodes z_j are the M-th roots of
@@ -47,7 +48,8 @@ the per-support one by a few ulp (at most 2.4e-15 measured, on the
 N=8, M=32, L=4 cell).  At L >= N some support spans C^N, so
 smdd_residuals and estimate_distortion return exact zeros without a
 search, as the bound's L = N branch does, and count no supports against
-the budget; smdd_exact, which names the support, enumerates them.
+the budget; so does smdd_exact on a Vandermonde frame, where every
+support spans and (1, ..., L) wins.
 
 Distortion is accumulated per sample as the *relative* squared
 residual ||x - proj||^2 / ||x||^2.  On the unit sphere the two agree
@@ -86,8 +88,8 @@ import numpy as np
 
 from .bounds import BoundReport
 from .errors import ConfigMismatch, DomainError
-from .frames import (SINGULAR_REL_TOL, Frame, _over_budget, default_nodes, frame_id,
-                     support_blocks)
+from .frames import (SINGULAR_REL_TOL, VANDERMONDE, Frame, _over_budget, default_nodes,
+                     frame_id, support_blocks)
 
 # Residuals within this of the minimum count as ties (broken toward the
 # lexicographically smallest support).
@@ -413,9 +415,9 @@ def _signals(frame: Frame, X, l: int) -> tuple[np.ndarray, np.ndarray]:
     the tests' reference, keeps its own).  Raises ValueError on another
     shape or a non-finite entry, DomainError unless 0 <= l <= M.
 
-    The norms are taken over chunks of _CHUNK_ENTRIES entries, so the
-    conjugate is never a copy of the whole batch; a row's norm does not
-    depend on the rows beside it, and an estimate's chunk is one call."""
+    The norms sum the squares of X.real and of X.imag, views of X, so no
+    copy of the batch is made, and a row's norm does not depend on the
+    rows beside it."""
     X = np.asarray(X, dtype=complex)
     if X.ndim != 2 or X.shape[1] != frame.n:
         raise ValueError(f"signals have shape {X.shape}, expected (S, {frame.n})")
@@ -423,12 +425,9 @@ def _signals(frame: Frame, X, l: int) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("signals must be finite")
     if not 0 <= l <= frame.m:
         raise DomainError(f"need 0 <= L <= M, got L={l}")
-    norms = np.empty(X.shape[0], dtype=complex)
-    step = max(1, _CHUNK_ENTRIES // frame.n)
-    for start in range(0, X.shape[0], step):
-        chunk = X[start:start + step]
-        np.einsum("sn,sn->s", chunk, chunk.conj(), out=norms[start:start + step])
-    return X, norms.real
+    norms = np.einsum("sn,sn->s", X.real, X.real)
+    norms += np.einsum("sn,sn->s", X.imag, X.imag)
+    return X, norms
 
 
 @dataclass(frozen=True)
@@ -446,26 +445,28 @@ def smdd_exact(frame: Frame, x, l: int, budget: int = DEFAULT_BUDGET) -> SmddRes
 
     Minimizes ||x - proj||^2 over all size-l supports; ties within TIE_TOL
     of the minimum are broken toward the lexicographically smallest
-    support.  Raises BudgetExceeded when C(M, l) exceeds the subset budget.
+    support.  At l >= N on a Vandermonde frame every support spans C^N,
+    so the answer is (1, ..., l) at residual 0, tied unless l = M, with no
+    search and no charge to the budget; otherwise raises BudgetExceeded
+    when C(M, l) exceeds the subset budget.
     """
     xs, norms = _signals(frame, np.ravel(x)[None, :], l)
     if l == 0:
         return SmddResult((), float(norms[0]), False)
-    # Ties are judged against the global minimum, so every support within
-    # TIE_TOL of the running minimum is kept; supports are built for those
-    # columns alone.
-    res, supports = np.empty(0), np.empty((0, l), dtype=np.intp)
+    if l >= frame.n and frame.kind == VANDERMONDE:
+        return SmddResult(tuple(range(1, l + 1)), 0.0, l < frame.m)
+    # Ties are judged against the global minimum: each block keeps the
+    # supports within TIE_TOL of the running one, decided after the last.
+    best, res, supports = np.inf, [], []
     for _, support_of, energy in _energies(frame, xs, l, budget):
         block = np.maximum(norms[0] - energy[0], 0.0)
-        best = min(block.min(), res.min(initial=np.inf))
+        best = min(best, block.min())
         cols = np.flatnonzero(block <= best + TIE_TOL)
-        res = np.concatenate([res, block[cols]])
-        supports = np.concatenate([supports, support_of(cols)])
-        near = res <= best + TIE_TOL
-        res, supports = res[near], supports[near]
-    # Orbit blocks repeat the supports their shifts fix and come in shift
-    # order: np.unique keeps each support's first residual and sorts them
-    # lexicographically (a no-op on the lexicographic per-support blocks).
+        res.append(block[cols])
+        supports.append(support_of(cols))
+    # Orbit blocks repeat the supports their shifts fix, in shift order:
+    # np.unique keeps each one's first residual, sorted lexicographically.
+    res, supports = np.concatenate(res), np.concatenate(supports)
     supports, first = np.unique(supports, axis=0, return_index=True)
     res = res[first]
     cand = np.flatnonzero(res <= res.min() + TIE_TOL)
@@ -540,33 +541,27 @@ def bds_decode(frame: Frame, x, delta: float, budget: int = DEFAULT_BUDGET):
 
     Binary search over L in [0, N], valid because the SMDD residual is
     non-increasing in L and reaches 0 at L = N (every frame spans C^N),
-    so L = N is enumerated only when the search ends there.
+    so L = N, never probed, is searched only when the search ends there.
     Comparisons carry a 1e-12 relative slack so exactly-representable
     signals at delta = 0 resolve correctly.
     Returns (l_min, smdd_exact result at l_min).
     """
     if not 0.0 <= delta <= 1.0:
         raise DomainError(f"delta {delta} outside [0, 1]")
-    results: dict[int, SmddResult] = {}
-
-    def result(l: int) -> SmddResult:
-        if l not in results:
-            results[l] = smdd_exact(frame, x, l, budget=budget)
-        return results[l]
-
-    # The L = 0 residual is ||x||^2 itself.
-    norm_sq = result(0).residual_sq
+    found = smdd_exact(frame, x, 0, budget=budget)     # residual ||x||^2
+    norm_sq = found.residual_sq
     thr = delta * norm_sq + 1e-12 * norm_sq
     if norm_sq <= thr:
-        return 0, results[0]
+        return 0, found
     lo, hi = 0, frame.n
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if result(mid).residual_sq <= thr:
-            hi = mid
+        probe = smdd_exact(frame, x, mid, budget=budget)
+        if probe.residual_sq <= thr:
+            hi, found = mid, probe
         else:
             lo = mid
-    return hi, result(hi)
+    return hi, found if hi < frame.n else smdd_exact(frame, x, hi, budget=budget)
 
 
 # -- distortion estimation ---------------------------------------------------

@@ -75,14 +75,26 @@ def test_log_binomial_is_exact_on_the_sweep_grid():
                 assert abs(vf.log_binomial(m, l) - math.log(math.comb(m, l))) <= 2e-12
 
 
-def test_log_binomial_refuses_past_the_log_gamma_range():
-    # log Gamma(M + 1) overflows a double past M ~ 2.5e305, and so does M
-    # itself past 1.8e308; inf - inf would make the bound NaN.
-    for m in (3 * 10**305, 10**309):
-        with pytest.raises(DomainError, match="past the range of log-gamma"):
-            vf.log_binomial(m, 1)
-        with pytest.raises(DomainError):
-            vf.distortion_lower_bound(BoundInput(10, m, 1))
+def test_log_binomial_is_accurate_for_large_m():
+    # Past m = 4096 the ratio Gamma(m + 1) / Gamma(m - k + 1) is taken by
+    # Stirling's series: three log-gamma values would cancel to the bits
+    # left over (log C(10**15, 1) would be 32.0 against 34.54).
+    for i in range(10, 150):
+        m = math.floor(1.37**i)
+        for l in (1, 2, 3, 5, 17, 100, 1000, 5000, m // 2, m - 1):
+            if 0 <= l <= m and min(l, m - l) <= 6000:
+                exact = math.log(math.comb(m, l))
+                assert abs(vf.log_binomial(m, l) - exact) <= 5e-13 * exact
+    assert vf.log_binomial(3 * 10**305, 1) == math.log(3 * 10**305)
+    assert vf.log_binomial(3 * 10**305, 0) == 0.0
+
+
+def test_log_binomial_refuses_m_past_a_double():
+    # Past 1.8e308 M itself is no double: a typed error, not OverflowError.
+    with pytest.raises(DomainError, match="past the range of a double"):
+        vf.log_binomial(10**309, 1)
+    with pytest.raises(DomainError):
+        vf.distortion_lower_bound(BoundInput(10, 10**309, 1))
 
 
 # -- cap area -------------------------------------------------------------------
@@ -189,6 +201,12 @@ def test_rho_0_reference_values():
 
 def test_lambda_zero_at_zero():
     assert vf.lambda_bound(0.0, BoundInput(6, 12, 2)) == 0.0
+
+
+@pytest.mark.parametrize("rho", [0.5, 1.0])
+def test_lambda_is_inf_past_log_700(rho):
+    # log Lambda is about 2,060 at (10, 1e300, 3): exp would overflow.
+    assert vf.lambda_bound(rho, BoundInput(10, 10**300, 3)) == math.inf
 
 
 def test_lambda_equals_one_at_rho0():

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 
 import numpy as np
 import pytest
@@ -243,6 +244,14 @@ def test_bound_csv_row(tmp_path, capsys):
     assert float(row["lower_bound"]) == pytest.approx(expect, rel=1e-15)
     cfg = config_line(out)
     assert cfg["subcommand"] == "bound" and cfg["format"] == "csv"
+
+
+def test_bound_at_large_m(capsys):
+    # log C(1e17, 1) = log(1e17): three log-gamma values near M log M
+    # would leave 0.0 of it.
+    code, out, _ = run(capsys, ["bound", "--n", "10", "--m", str(10**17), "--l", "1"])
+    assert code == 0
+    assert float(parse_csv(out)[0]["T_log2"]) == pytest.approx(17 * math.log2(10), rel=1e-15)
 
 
 def test_bound_asymptotic(capsys):
@@ -547,12 +556,12 @@ def test_sweep_charges_only_searched_cells_to_the_budget(tmp_path, capsys):
         assert payload["verdict"]["passed"]
 
 
-# M = 3e305 is past the range of log-gamma; the sweep's second cell has it.
+# M = 1e309 is past a double; the sweep's second cell has it.
 @pytest.mark.parametrize("argv", [
     ["encode", "--n", "4", "--m", "8", "--seed", "1"],
-    ["bound", "--n", "10", "--m", str(3 * 10**305), "--l", "1"],
-    ["sweep", "--n-list", "10", "--m-factors", f"1,{3 * 10**304}", "--l", "1"],
-], ids=["encode-without-rep-or-weight", "bound-past-log-gamma", "sweep-past-log-gamma"])
+    ["bound", "--n", "10", "--m", str(10**309), "--l", "1"],
+    ["sweep", "--n-list", "10", "--m-factors", f"1,{10**308}", "--l", "1"],
+], ids=["encode-without-rep-or-weight", "bound-past-a-double", "sweep-past-a-double"])
 def test_refused_input_exits_1_and_writes_nothing(argv, tmp_path, capsys):
     out_path = tmp_path / "out"
     code, out, err = run(capsys, argv + ["--out", str(out_path)])

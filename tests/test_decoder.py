@@ -135,6 +135,17 @@ def test_locations_requires_normalization():
         find_error_locations(np.array([2.0, 2.0]), frame)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: solve_key_equation(np.zeros(0), 0),
+    lambda: solve_key_equation(np.ones(4), -1),
+    lambda: solve_key_equation(np.ones(4), 5),
+    lambda: find_error_locations(np.array([1.0, 1.0]), vf.make_gaussian_frame(4, 2, seed=1)),
+], ids=["no-syndromes", "t-below-0", "t-above-n", "locations-on-a-general-frame"])
+def test_input_checks_raise(call):
+    with pytest.raises(ValueError):
+        call()
+
+
 # -- Forney --------------------------------------------------------------------
 
 def test_forney_single_location_constant_omega():

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,6 +33,28 @@ def test_vandermonde_rows_quartic_nodes():
 def test_duplicate_node_rejected():
     with pytest.raises(DuplicateNode):
         vf.make_vandermonde_frame([1.0, 1.0], 1)
+    # The closest pair, first in row-major order, is named whichever chunk
+    # of rows holds it: row 4000 is in the last of 16 chunks, and of two
+    # exact duplicates (6, 3001) comes first.
+    nodes = vf.default_nodes(4096)
+    nodes[4090] = nodes[4000]
+    with pytest.raises(DuplicateNode, match="nodes 4001 and 4091 coincide"):
+        vf.make_vandermonde_frame(nodes, 4)
+    nodes[3000] = nodes[5]
+    nodes[200] = nodes[100] * (1 + 1e-13)
+    with pytest.raises(DuplicateNode, match="nodes 6 and 3001 coincide"):
+        vf.make_vandermonde_frame(nodes, 4)
+
+
+def test_distinct_node_check_takes_no_m_by_m_array():
+    # One M x M complex difference array would be 268 MB at M = 4096.
+    tracemalloc.start()
+    try:
+        vf.make_vandermonde_frame(vf.default_nodes(4096), 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 10**6
 
 
 def test_zero_node_rejected():
@@ -82,6 +105,13 @@ def test_sparse_rep_validation():
     rep = vf.SparseRep(4, (1, 3), np.array([1.0, 2.0]))
     assert rep.weight == 2
     assert np.allclose(rep.to_dense(), [1.0, 0.0, 2.0, 0.0])
+
+
+@pytest.mark.parametrize("value", [3, 2.5, 1 - 2j, np.complex128(1j)])
+def test_sparse_rep_takes_a_scalar_value_for_one_atom(value):
+    rep = vf.SparseRep(4, (2,), value)
+    assert rep.values.shape == (1,) and rep.values[0] == value
+    assert np.array_equal(rep.to_dense(), [0, value, 0, 0])
 
 
 def test_from_dense_threshold():

@@ -236,9 +236,12 @@ def test_smdd_tie_breaks_lexicographic():
 
 
 def test_smdd_budget():
-    frame = roots_frame(4, 24)
     with pytest.raises(BudgetExceeded):
-        vf.smdd_exact(frame, np.zeros(4), 12, budget=1000)
+        vf.smdd_exact(roots_frame(4, 24), np.zeros(4), 3, budget=math.comb(24, 3) - 1)
+    # Past N a general frame still enumerates: a rank-deficient support
+    # may fit x too.
+    with pytest.raises(BudgetExceeded):
+        vf.smdd_exact(vf.make_gaussian_frame(24, 4, seed=1), np.ones(4), 12, budget=1000)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
@@ -540,16 +543,19 @@ def test_orbit_search_svds_only_the_representatives(monkeypatch):
 ], ids=["gaussian", "other-nodes", "S>=C", "S+R=C", "S+R<C", "L=N"])
 def test_orbit_path_runs_only_where_it_svds_fewer_supports(frame, l, samples, rotated, monkeypatch):
     # The frame's nodes alone choose the path, whatever L and the batch
-    # size.  At L = N smdd_residuals needs no search: its residuals are exact
-    # zeros; smdd_exact, which names the support, SVDs the 8 representatives.
+    # size.  At L = N neither search SVDs a support: the residuals are exact
+    # zeros, and on a Vandermonde frame every support spans, so smdd_exact
+    # answers (1, ..., N).
     X = vf.sample_sphere_batch(frame.n, samples, seed=(19, samples))
     calls = spy_bases(monkeypatch)
     expected = len(montecarlo._orbit_representatives(frame.m, l)[0]) if rotated else math.comb(frame.m, l)
     residuals = vf.smdd_residuals(frame, X, l)
     if l == frame.n:
         assert sum(calls) == 0 and residuals.tobytes() == np.zeros(samples).tobytes()
-    else:
-        assert sum(calls) == expected
+        assert vf.smdd_exact(frame, X[0], l) == vf.SmddResult(tuple(range(1, l + 1)), 0.0, True)
+        assert sum(calls) == 0
+        return
+    assert sum(calls) == expected
     calls.clear()
     vf.smdd_exact(frame, X[0], l)
     assert sum(calls) == expected
@@ -647,8 +653,9 @@ def test_exact_search_lifts_a_batch_one_chunk_at_a_time(monkeypatch):
 
 
 def test_squared_norms_take_no_copy_of_the_batch():
-    # 200,000 rows at N = 8 are 25.6 MB; the norms conjugate them one
-    # chunk (4 MiB) at a time, and equal the whole-batch einsum bit for bit.
+    # 200,000 rows at N = 8 are 25.6 MB; the norms read the real and
+    # imaginary parts as views, and a row's norm is the same whether taken
+    # with the batch or alone.
     frame = roots_frame(8, 12)
     X = vf.sample_sphere_batch(8, 200_000, seed=(1, 4))
     tracemalloc.start()
@@ -658,7 +665,9 @@ def test_squared_norms_take_no_copy_of_the_batch():
     finally:
         tracemalloc.stop()
     assert peak < 10 * 10**6
-    assert np.array_equal(norms, np.einsum("sn,sn->s", X, X.conj()).real)
+    for i in (0, 1, 99_999, 199_999):
+        assert norms[i] == montecarlo._signals(frame, X[i:i + 1], 2)[1][0]
+    np.testing.assert_allclose(norms, np.einsum("sn,sn->s", X, X.conj()).real, rtol=1e-15)
 
 
 def test_exact_search_keeps_no_support_table():
@@ -865,8 +874,10 @@ def test_budget_is_refused_in_one_message():
 def test_search_at_or_past_n_is_not_charged_to_the_budget():
     # No support is scored at L >= N, so C(M, L) is not counted there: the
     # residuals are exact zeros and the estimate is exact, never the greedy
-    # fallback.  smdd_exact and bds_decode enumerate, so they still count.
-    frame = roots_frame(3, 9)
+    # fallback.  On a Vandermonde frame every support spans, so smdd_exact
+    # and bds_decode answer (1, ..., L) without a search; on a general frame
+    # they enumerate, so they still count.
+    frame, general = roots_frame(3, 9), vf.make_gaussian_frame(9, 3, seed=2)
     X = vf.sample_sphere_batch(3, 5, seed=2)
     for l in (3, 4):
         budget = math.comb(9, l) - 1
@@ -875,10 +886,15 @@ def test_search_at_or_past_n_is_not_charged_to_the_budget():
             est = vf.estimate_distortion(frame, l, 5, seed=2, budget=budget,
                                          fallback_greedy=greedy)
             assert not est.approximate and est.ratios.tobytes() == np.zeros(5).tobytes()
+        expected = vf.SmddResult(tuple(range(1, l + 1)), 0.0, True)
+        assert vf.smdd_exact(frame, X[0], l, budget=budget) == expected
+        assert vf.smdd_residuals(general, X, l, budget=budget).tobytes() == np.zeros(5).tobytes()
         with pytest.raises(BudgetExceeded):
-            vf.smdd_exact(frame, X[0], l, budget=budget)
+            vf.smdd_exact(general, X[0], l, budget=budget)
+    expected = vf.SmddResult((1, 2, 3), 0.0, True)
+    assert vf.bds_decode(frame, X[0], 0.0, budget=math.comb(9, 3) - 1) == (3, expected)
     with pytest.raises(BudgetExceeded):
-        vf.bds_decode(frame, X[0], 0.0, budget=math.comb(9, 3) - 1)
+        vf.bds_decode(general, X[0], 0.0, budget=math.comb(9, 3) - 1)
 
 
 def test_estimate_agrees_with_per_sample_smdd():
@@ -1009,6 +1025,16 @@ def test_greedy_upper_bounds_exact():
             e = vf.smdd_exact(frame, x, l)
             assert g.residual_sq >= e.residual_sq - 1e-12
             assert len(g.support) <= l
+
+
+@pytest.mark.parametrize("frame,x,support", [
+    (roots_frame(4, 8), np.zeros(4), ()),
+    (vf.make_general_frame(np.eye(3)), np.array([0.0, 1.0, 0.0]), (2,)),
+], ids=["zero-signal", "row-of-an-orthonormal-frame"])
+def test_greedy_stops_once_nothing_is_left(frame, x, support):
+    # Nothing aligns with a zero residual: no row is picked past it.
+    res = vf.smdd_greedy(frame, x, 3)
+    assert res.support == support and res.residual_sq == 0.0
 
 
 def test_greedy_fallback_labels_estimate():
