@@ -34,7 +34,6 @@ from .decoder import (
     DecodeOutcome,
     decode,
     find_error_locations,
-    forney_values,
     outcome_to_json,
     solve_key_equation,
     syndromes,
@@ -43,7 +42,6 @@ from .errors import (
     BranchError,
     BudgetExceeded,
     ConfigMismatch,
-    DegenerateDenominator,
     DegenerateSupport,
     DivideByZeroPoly,
     DomainError,

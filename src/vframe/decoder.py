@@ -4,49 +4,53 @@ A signal r in C^N synthesized from a coefficient vector of weight
 w <= floor(N/2) is recovered exactly: in that regime the minimal-weight
 representation is unique, and the classical algebraic decoding
 pipeline, run in complex floating point, finds it.  decode reads one
-lazily generated stream of candidate supports, minimal weight first,
-and judges each with one gate:
+lazily generated stream of candidate supports, the Euclid roots first
+and then the subspace candidates, lightest first, and judges each with
+one gate:
 
     1. syndromes  -- the coordinates of r, read off verbatim;
     2. Euclid     -- extended Euclid division on (z^N, S1[z]) yields the
                      locator sigma; its roots among the inverse nodes,
                      when they number its degree, are the first candidate;
-    3. recurrence -- one QR of the syndromes' Hankel rows gives the
-                     recurrence misfit of every weight <= floor(N/2);
-                     each passing weight, lightest first, yields a
-                     least-squares locator, and the w inverse nodes
-                     where a weight-w locator is smallest in modulus
-                     are the next candidates;
-    4. values     -- Forney's formula and one least-squares refinement on
-                     a candidate's rows; near-zero phantom values drop
-                     their locations, until none is left;
-    5. gate       -- a candidate that re-synthesizes r to machine level
-                     ends the stream; otherwise the lowest relative
-                     residual wins, and it is "ok" within the tolerance.
+    3. subspace   -- one QR of the syndromes' Hankel rows and one SVD of
+                     its R give the rank test of every weight
+                     <= floor(N/2); for each passing weight w, lightest
+                     first, the w nodes where the null vectors' polynomials
+                     are smallest are the next candidate;
+    4. values     -- least squares on a candidate's rows, refined by one
+                     step; near-zero phantom values drop their locations,
+                     until none is left;
+    5. gate       -- among candidates that re-synthesize r to machine
+                     level (strict), the lightest wins; without one the
+                     lowest relative residual wins.  It is "ok" within
+                     the tolerance.
 
-The recurrence candidates exist for numerical stability.  The Euclid
+The subspace candidates exist for numerical stability.  The Euclid
 recursion is exact-arithmetic math; in doubles its remainder sequence
 degrades as the weight approaches floor(N/2) for N beyond ~16 (leading
-remainder coefficients suffer heavy cancellation).  The recurrence QR
-stacks the conjugate-reversed syndromes when the nodes are
-unit-modulus, which doubles the data and tames clustered supports.
+remainder coefficients suffer heavy cancellation).  The subspace step
+forms no polynomial coefficients: it scores the nodes with the null
+space of the Hankel stack (MUSIC on the node grid), and it stacks the
+conjugate-reversed syndromes when the nodes are unit-modulus, which
+doubles the data and tames clustered supports.
 
-"ok" certifies the residual only: near the decoding radius, and for
-clustered supports inside it, another support can meet the tolerance
-too (README, "Decoding accuracy").
+"ok" promises a representation of weight <= floor(N/2) within the
+tolerance, with no lighter strict candidate found; it does not promise
+the generating one: near the decoding radius, and for clustered supports
+inside it, another support can meet the tolerance too (README, "Decoding
+accuracy").
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
-    DegenerateDenominator,
     DomainError,
     LengthMismatch,
     NumericBreakdown,
@@ -63,12 +67,14 @@ ROOT_ACCEPT_TOL = 1e-6
 # Default relative residual accepted by decode().
 RESIDUAL_TOL = 1e-6
 
-# A candidate decodes "exactly" below this residual; the candidate scan
-# stops early there, otherwise it keeps looking for a better fit.
+# A candidate at or below this residual is strict: the lightest strict
+# candidate wins, and one ends the candidate scan once no lighter weight
+# is left; without one the scan looks on for a better fit.
 STRICT_RESIDUAL = 1e-9
 
-# A candidate weight enters the fallback scan when its syndrome
-# recurrence misfit is below this (relative, per sqrt-row).
+# A weight w enters the fallback scan when singular value w of the
+# syndromes' Hankel stack is at or below this (relative to the largest
+# syndrome, per sqrt-row).
 RECURRENCE_TOL = 1e-6
 
 STATUS_OK = "ok"
@@ -91,7 +97,10 @@ class DecodeOutcome:
     weight <= floor(N/2) survived), residual the relative synthesis
     error of rep, locator_degree the degree of the accepted locator
     (-1 when the key equation already failed).  status "ok" guarantees
-    residual <= tolerance and locator_degree == rep.weight.
+    a representation of weight <= floor(N/2) with residual <= tolerance
+    and locator_degree == rep.weight, and that decode found no lighter
+    candidate at the strict residual; it does not guarantee that rep is
+    the representation r was synthesized from.
     """
 
     rep: SparseRep
@@ -125,8 +134,6 @@ def solve_key_equation(s, t: int) -> np.ndarray:
     step, normalized so sigma(0) = 1.  For syndromes of a
     representation of weight w <= t this yields deg sigma = w, and
     S1 * sigma (mod z^N) has degree <= w - 1 to working precision.
-    A caller's evaluator is S1 * sigma mod z^w of each candidate's own
-    locator, as _values forms it for forney_values.
 
     All-zero syndromes return 1, signaling the zero representation.
     Raises NumericBreakdown when no stable normalized solution exists
@@ -195,29 +202,6 @@ def find_error_locations(sigma, frame: Frame) -> list[int]:
     return (hits + 1).tolist()
 
 
-def forney_values(omega, locations, frame: Frame) -> np.ndarray:
-    """Coefficient values at the located indices.
-
-    Uses the explicit product form
-        Y_j = omega(1/X_j) / prod_{i != j} (1 - X_i / X_j)
-    with X_j the located nodes (the empty product is 1).  omega is
-    S1 * sigma mod z^w for their locator sigma = prod_j (1 - X_j z), as
-    _values forms it.
-    """
-    x = frame.nodes[np.asarray(locations, dtype=int) - 1]
-    if x.size == 0:
-        return np.zeros(0, dtype=complex)
-    xinv = 1.0 / x
-    factors = 1.0 - x[:, None] * xinv          # [i, j] = 1 - X_i / X_j
-    factors.reshape(-1)[:: x.size + 1] = 1.0   # empty product over i == j
-    dens = factors.prod(axis=0)
-    small = np.abs(dens) <= 1e-12
-    if small.any():
-        j = int(np.nonzero(small)[0][0])
-        raise DegenerateDenominator(f"denominator vanished at location {locations[j]}")
-    return poly_eval(omega, xinv) / dens
-
-
 # -- decode internals ---------------------------------------------------------
 
 # scipy.linalg.lstsq's default rank cutoff for complex128 gelsy.
@@ -252,131 +236,83 @@ def _lstsq(a, b):
 
 
 def _values(frame, s, support):
-    """Forney values on a support, from the truncated evaluator
-    S1 * sigma mod z^w of its exact product locator sigma, refined by one
-    least-squares step; returned with the support's frame rows, or None
-    when a Forney denominator vanishes."""
-    idx = np.asarray(support, dtype=int) - 1
-    factors = np.empty((idx.size, 2), dtype=complex)  # row j: 1 - X_j z
-    factors[:, 0] = 1.0
-    np.negative(frame.nodes[idx], out=factors[:, 1])
-    sigma = np.array([1.0], dtype=complex)
-    for factor in factors:
-        sigma = np.convolve(sigma, factor)
-    omega = poly_trim(np.convolve(s, sigma)[: idx.size]) if idx.size else s[:0]
-    try:
-        values = forney_values(omega, support, frame)
-    except DegenerateDenominator:
-        return None
-    rows = frame.matrix[idx]
-    return values + _lstsq(rows.T, s - values @ rows), rows
+    """Least-squares values on a support, refined by one step on their
+    residual; returned with the support's frame rows."""
+    rows = frame.matrix[np.asarray(support, dtype=int) - 1]
+    values = _lstsq(rows.T, s)
+    values += _lstsq(rows.T, s - values @ rows)
+    return values, rows
 
 
 def _candidate(frame, s, support, norm_s):
-    """(support, values, residual) for a candidate support, or None when
-    a Forney denominator vanishes.  A superset of the true support carries
-    near-zero phantom values: locations whose values fall below the dense
-    zero threshold are dropped and the rest valued afresh, until every
-    value passes it.  Each round drops a location, so the rounds end."""
-    fit = _values(frame, s, support)
-    while fit is not None and support:
-        mags = np.abs(fit[0])
+    """(support, values, residual) for a candidate support.  A superset of
+    the true support carries near-zero phantom values: locations whose
+    values fall below the dense zero threshold are dropped and the rest
+    valued afresh, until every value passes it.  Each round drops a
+    location, so the rounds end."""
+    values, rows = _values(frame, s, support)
+    while support:
+        mags = np.abs(values)
         keep = mags > ZERO_REL_TOL * _max(mags)
         if keep.all():
             break
         support = tuple(loc for loc, k in zip(support, keep) if k)
-        fit = _values(frame, s, support)
-    if fit is None:
-        return None
-    values, rows = fit
+        values, rows = _values(frame, s, support)
     return support, values, _norm(s - values @ rows) / norm_s
 
 
-def _recurrence_locators(s, nodes):
-    """Locators fitted to the syndrome recurrence, of every weight
-    w <= t = floor(N/2) whose misfit passes RECURRENCE_TOL, lightest
-    first; none when weight t fails.  nodes decide whether the
-    conjugate-reversed syndromes, which obey the same recurrence when the
-    nodes are unit-modulus, are stacked too.
+def _subspace_supports(frame, s):
+    """Candidate supports from the null space of the syndromes' Hankel
+    stack, of every weight w <= t = floor(N/2) that passes the rank test,
+    lightest first.
 
-    One QR serves every weight.  Row i of a sequence is (s_i, ..., s_{i+t}),
-    so the first w columns of the stack H predict column w through
-    s_{i+w} = -sum_k sigma_k s_{i+w-k}; with H = QR, |R_ww| is the
-    least-squares misfit of that fit and R[:w, :w] x = -R[:w, w] gives
-    its tail (sigma_w, ..., sigma_1).  Past the minimal order the block
-    R[:w, :w] is near-singular, and the minimum-norm solution is an
-    overshot locator whose phantom roots carry near-zero values; the
-    candidate step collapses them.  A non-unit frame at even N has t
-    rows for t + 1 columns: weight t then fits exactly, and its missing
-    diagonal entry counts as 0.
+    Row i of a sequence is (s_i, ..., s_{i+t}); when the nodes are
+    unit-modulus, the conjugate-reversed syndromes obey the same
+    recurrence and their rows are stacked too.  For a weight-w
+    representation the stack H has rank w, and every vector v of its null
+    space, read as the polynomial sum_k v_k z**k, vanishes at the
+    support's nodes.  One QR, H = QR, and one SVD of R give the spectrum:
+    weight w passes when singular value w (0-based, 0 past the last) is
+    at most RECURRENCE_TOL relative to the largest syndrome, per
+    sqrt-row.  The right singular vectors v_w, ..., v_t then span the
+    null space, and the weight-w candidate is the w nodes where
+    sum_{k>=w} |v_k(z_j)|**2 is smallest: MUSIC on the node grid.  Since
+    the singular values fall, the passing weights run from the lightest
+    one up to t.
     """
     t = s.size // 2
-    seqs = [s]
-    if np.all(np.abs(np.abs(nodes) - 1.0) <= 1e-9):   # unit-modulus nodes
-        seqs.append(np.conj(s[::-1]))
-    h = np.concatenate([sliding_window_view(seq, t + 1) for seq in seqs])
-    r = np.linalg.qr(h, mode="r")
-    misfit = np.zeros(t + 1)
-    misfit[: min(r.shape)] = np.abs(np.diagonal(r))
+    seq, starts = s, np.arange(s.size - t)
+    if np.all(np.abs(np.abs(frame.nodes) - 1.0) <= 1e-9):   # unit-modulus nodes
+        seq = np.concatenate((s, np.conj(s[::-1])))
+        starts = np.concatenate((starts, starts + s.size))
+    h = seq[starts[:, None] + np.arange(t + 1)]
+    sing, vh = np.linalg.svd(np.linalg.qr(h, mode="r"))[1:]
     # Relative, per sqrt-row, as RECURRENCE_TOL is stated.
-    passing = misfit <= RECURRENCE_TOL * np.abs(s).max() * math.sqrt(h.shape[0])
-    if not passing[t]:
+    cut = RECURRENCE_TOL * np.abs(s).max() * math.sqrt(h.shape[0])
+    first = max(1, int(np.count_nonzero(sing > cut)))
+    if first > t:
         return
-    for w in range(1, t + 1):
-        if passing[w]:
-            x = _lstsq(r[:w, :w], -r[:w, w])
-            yield np.concatenate((np.ones(1, dtype=complex), x[::-1]))
-
-
-def _smallest_at_nodes(sigma, nodes):
-    """Support of the w inverse nodes where |sigma| is smallest, with
-    w = deg sigma >= 1 (_recurrence_locators offers no weight 0); None
-    when sigma does not evaluate to finite values.
-
-    A soft Chien search: the locator of a weight-w representation
-    vanishes at its w inverse nodes.  Unlike find_error_locations it
-    applies no threshold, so a locator fitted slightly off the nodes
-    still names its support, and a wrong pick is caught by the
-    synthesis-residual gate.  One Horner pass over the M nodes costs
-    O(M w), against O(w^3) for the roots of sigma.
-    """
-    w = sigma.size - 1
-    vals = np.abs(poly_eval(sigma, 1.0 / nodes))
-    if not np.all(np.isfinite(vals)):
-        return None
-    idx = np.argpartition(vals, w - 1)[:w]
-    return tuple(sorted(int(i) + 1 for i in idx))
-
-
-def _supports(frame, s, sigma):
-    """Candidate supports, minimal weight first: the roots of the Euclid
-    locator sigma (None when the key equation broke down) when its
-    degree is at most floor(N/2) and they number it, then the support of
-    each recurrence locator."""
-    if sigma is not None and sigma.size - 1 <= frame.n // 2:   # sigma comes back trimmed
-        try:
-            roots = find_error_locations(sigma, frame)
-        except RootCountMismatch:
-            pass
-        else:
-            yield tuple(roots)
-    for locator in _recurrence_locators(s, frame.nodes):
-        support = _smallest_at_nodes(locator, frame.nodes)
-        if support is not None:
-            yield support
+    # tail[j, w - first] = sum_{k >= w} |v_k(z_j)|**2
+    vals = frame.matrix[:, : t + 1] @ vh[first:].conj().T
+    tail = np.cumsum((vals.real ** 2 + vals.imag ** 2)[:, ::-1], axis=1)[:, ::-1]
+    for w in range(first, t + 1):
+        idx = np.argpartition(tail[:, w - first], w - 1)[:w]
+        yield tuple(sorted(int(i) + 1 for i in idx))
 
 
 def decode(frame: Frame, r, tol: float = RESIDUAL_TOL) -> DecodeOutcome:
     """Recover the unique representation of weight <= floor(N/2), if any.
 
-    Returns status "ok" with the exact sparsest representation when
-    one of weight <= floor(N/2) exists; otherwise
-    "weight_exceeds_half_n" (no admissible locator was found) or
-    "residual_too_large" (best candidate misses r by more than tol in
-    relative error).  Failures are reported as data, never raised; a
-    signal of the wrong length (LengthMismatch) or with a non-finite
-    entry or norm (ValueError) is refused, and so is a tol that is not
-    finite with 0 < tol < 1 (DomainError).
+    Returns status "ok" with a representation of weight <= floor(N/2)
+    that re-synthesizes r within tol in relative error, when decode found
+    no lighter candidate at the strict residual; for clustered supports
+    it need not be the one r was synthesized from (README, "Decoding
+    accuracy").  Otherwise it returns "weight_exceeds_half_n" (no
+    candidate support was found) or "residual_too_large" (the best
+    candidate misses r by more than tol).  Failures are reported as
+    data, never raised; a signal of the wrong length (LengthMismatch) or
+    with a non-finite entry or norm (ValueError) is refused, and so is a
+    tol that is not finite with 0 < tol < 1 (DomainError).
     """
     _check_tol(tol)
     # The syndromes are r's coordinates, so they serve as the signal too.
@@ -394,16 +330,31 @@ def decode(frame: Frame, r, tol: float = RESIDUAL_TOL) -> DecodeOutcome:
             sigma = solve_key_equation(s, frame.n // 2)
         except VframeError:
             pass
-        # The gate: the first candidate at machine-level residual ends the
-        # scan; otherwise the lowest residual wins, the earlier on a tie.
+        euclid = []
+        if sigma is not None and sigma.size - 1 <= frame.n // 2:   # sigma comes back trimmed
+            try:
+                euclid.append(tuple(find_error_locations(sigma, frame)))
+            except RootCountMismatch:
+                pass
+        # The gate: the Euclid roots, then the subspace candidates, lightest
+        # first.  The lightest strict candidate wins: one ends the scan once
+        # no lighter weight is left, and one of weight <= N/4 at once, so a
+        # light Euclid answer never computes the spectrum.  Without a strict
+        # candidate the lowest residual wins, the earlier on a tie.
         strict = min(tol, STRICT_RESIDUAL)
-        best = None
-        for support in _supports(frame, s, sigma):
+        best = lightest = None
+        for support in itertools.chain(euclid, _subspace_supports(frame, s)):
+            if lightest is not None and len(support) >= len(lightest[0]):
+                break
             cand = _candidate(frame, s, support, norm_s)
-            if cand is not None and (best is None or cand[2] < best[2]):
+            if best is None or cand[2] < best[2]:
                 best = cand
-                if best[2] <= strict:
+            if cand[2] <= strict:
+                lightest = cand
+                if len(cand[0]) <= frame.n // 4:
                     break
+        if lightest is not None:
+            best = lightest
     if best is None:
         degree = -1 if sigma is None else sigma.size - 1
         return DecodeOutcome(SparseRep(frame.m, (), s[:0]), 1.0, degree, STATUS_WEIGHT)

@@ -41,10 +41,6 @@ class RootCountMismatch(VframeError):
     """Accepted locator roots do not match the locator degree."""
 
 
-class DegenerateDenominator(VframeError):
-    """A Forney denominator product vanished (near-coincident nodes)."""
-
-
 class DomainError(VframeError):
     """Scalar argument outside its mathematical domain."""
 

@@ -448,12 +448,16 @@ def smdd_exact(frame: Frame, x, l: int, budget: int = DEFAULT_BUDGET) -> SmddRes
     support.  At l >= N on a Vandermonde frame every support spans C^N,
     so the answer is (1, ..., l) at residual 0, tied unless l = M, with no
     search and no charge to the budget; otherwise raises BudgetExceeded
-    when C(M, l) exceeds the subset budget.
+    when C(M, l) exceeds the subset budget.  Every support fits the zero
+    signal, so within the budget it gets that answer too, without a search.
     """
     xs, norms = _signals(frame, np.ravel(x)[None, :], l)
     if l == 0:
         return SmddResult((), float(norms[0]), False)
     if l >= frame.n and frame.kind == VANDERMONDE:
+        return SmddResult(tuple(range(1, l + 1)), 0.0, l < frame.m)
+    if norms[0] == 0.0:
+        _over_budget(frame.m, l, budget)
         return SmddResult(tuple(range(1, l + 1)), 0.0, l < frame.m)
     # Ties are judged against the global minimum: each block keeps the
     # supports within TIE_TOL of the running one, decided after the last.

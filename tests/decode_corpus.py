@@ -2,7 +2,7 @@
 
     PYTHONPATH=src python tests/decode_corpus.py --seed S [--out FILE] [--against FILE]
 
-The corpus is seeded by S and has two groups:
+The corpus is seeded by S and has three groups:
 
     sparse  3,000 signals like the decode-sparse benchmark: N = 64,
             M = 256, weights cycling through 1..8, values of magnitude
@@ -12,7 +12,10 @@ The corpus is seeded by S and has two groups:
             contiguous (a run of adjacent nodes at a random start) and
             half-clustered (half of the support a contiguous run, the
             rest random); then unit values on nodes 1..w for every
-            w in 1..N//2.
+            w in 1..N//2;
+    large   for N = 128, 256 and 512, M in (2N, 4N) and weights N//8
+            and N//4, five random supports with the sparse group's
+            values.
 
 Every input lies inside the decoding radius.  The script prints one
 sha256 over each outcome's status, support, value bytes, repr of the
@@ -21,12 +24,17 @@ outcomes by class: exact (ok with the true support), superset, subset,
 other (ok with another support) and rejected (any status but ok), per
 group and per shape of the true support (random, contiguous, half or
 unit, the last for unit values on nodes 1..w; sparse inputs are random).
+It also counts, per group, the classes of the inputs whose true support
+is well conditioned: 1/cond of its frame rows at least WELL_CONDITIONED.
 --out writes one line per input (group, index, class, outcome digest,
-shape, residual); --against reads such a file from another run on the
-same seed (only its first four fields) and counts the inputs whose
-outcome changed, by group, shape, class before -> after and the band of
-the new residual: strict (<= STRICT_RESIDUAL), tol (<= RESIDUAL_TOL) or
-over.
+shape, residual, 1/cond of the true support's rows), so that a failure
+can be told apart from an ill-posed input; --against reads such a file
+from another run on the same seed (only its first four fields) and
+counts the inputs of both files whose outcome changed, by group, shape,
+class before -> after and the band of the new residual: strict
+(<= STRICT_RESIDUAL), tol (<= RESIDUAL_TOL) or over.  Inputs that only
+one of the two files holds (a group the other run lacks) are counted
+apart.
 
 The file is a script, not a test module: pytest does not collect it.
 """
@@ -47,6 +55,8 @@ from vframe.decoder import RESIDUAL_TOL, STRICT_RESIDUAL
 CLASSES = ("exact", "superset", "subset", "other", "rejected")
 SPARSE_COUNT = 3000
 HARD_REPEATS = 3
+LARGE_REPEATS = 5
+WELL_CONDITIONED = 1e-2
 
 
 def _values(rng, w):
@@ -82,9 +92,20 @@ def _hard(seed):
                 yield frame, np.arange(w), np.ones(w, dtype=complex), "unit"
 
 
+def _large(seed):
+    rng = np.random.default_rng([seed, 2])
+    for n in (128, 256, 512):
+        for m in (2 * n, 4 * n):
+            frame = vf.make_vandermonde_frame(vf.default_nodes(m), n)
+            for w, _ in itertools.product((n // 8, n // 4), range(LARGE_REPEATS)):
+                yield (frame, np.sort(rng.choice(m, size=w, replace=False)), _values(rng, w),
+                       "random")
+
+
 def corpus(seed):
     """(group, shape, frame, true support, signal) for every input, in order."""
-    for group, inputs in (("sparse", _sparse(seed)), ("hard", _hard(seed))):
+    for group, inputs in (("sparse", _sparse(seed)), ("hard", _hard(seed)),
+                          ("large", _large(seed))):
         for frame, idx, values, shape in inputs:
             yield (group, shape, frame, tuple(int(j) + 1 for j in idx),
                    values @ frame.matrix[idx])
@@ -108,6 +129,13 @@ def classify(out, support) -> str:
     return "other"
 
 
+def inverse_condition(frame, support) -> float:
+    """1/cond of the frame rows on a support: its smallest singular value
+    over its largest."""
+    sing = np.linalg.svd(frame.matrix[np.asarray(support) - 1], compute_uv=False)
+    return float(sing[-1] / sing[0])
+
+
 def band(residual) -> str:
     if residual <= STRICT_RESIDUAL:
         return "strict"
@@ -129,6 +157,7 @@ def main(argv=None) -> int:
     digests = {}
     counts: dict[str, Counter] = {}
     by_shape: dict[tuple[str, str], Counter] = {}
+    conditioned: dict[str, Counter] = {}
     lines = []
     for group, shape, frame, support, signal in corpus(args.seed):
         out = vf.decode(frame, signal)
@@ -138,31 +167,40 @@ def main(argv=None) -> int:
         cls = classify(out, support)
         counts.setdefault(group, Counter())[cls] += 1
         by_shape.setdefault((group, shape), Counter())[cls] += 1
+        inv_cond = inverse_condition(frame, support)
+        if inv_cond >= WELL_CONDITIONED:
+            conditioned.setdefault(group, Counter())[cls] += 1
         lines.append(f"{group}\t{len(lines)}\t{cls}\t{hashlib.sha256(data).hexdigest()}"
-                     f"\t{shape}\t{out.residual!r}")
+                     f"\t{shape}\t{out.residual!r}\t{inv_cond!r}")
 
     for group, digest in digests.items():
         print(f"{group}\t{sum(counts[group].values())} inputs\t{digest.hexdigest()}"
               f"\t{_table(counts[group])}")
     for (group, shape), counter in by_shape.items():
         print(f"shape\t{group}\t{shape}\t{sum(counter.values())} inputs\t{_table(counter)}")
+    for group, counter in conditioned.items():
+        print(f"conditioned\t{group}\t{sum(counter.values())} inputs with 1/cond >= "
+              f"{WELL_CONDITIONED:g}\t{_table(counter)}")
     print(f"all\t{len(lines)} inputs\t{total.hexdigest()}")
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + "\n")
     if args.against:
         with open(args.against, encoding="utf-8") as fh:
-            before = [line.split("\t") for line in fh.read().splitlines()]
-        if len(before) != len(lines):
-            raise SystemExit(f"error: {args.against} has {len(before)} inputs, "
-                             f"this run {len(lines)}")
-        moved = Counter()
-        for old, new in zip(before, (line.split("\t") for line in lines)):
+            rows = (line.split("\t") for line in fh.read().splitlines())
+            before = {tuple(f[:2]): f for f in rows}
+        moved, shared = Counter(), 0
+        for new in (line.split("\t") for line in lines):
+            old = before.pop(tuple(new[:2]), None)
+            if old is None:
+                continue
+            shared += 1
             if old[3] != new[3]:
                 moved[(new[0], new[4], f"{old[2]} -> {new[2]}", band(float(new[5])))] += 1
         for (group, shape, change, where), count in sorted(moved.items()):
             print(f"changed\t{group}\t{shape}\t{change}\t{where}\t{count}")
-        print(f"changed\tall\t{sum(moved.values())} of {len(lines)} inputs")
+        print(f"changed\tall\t{sum(moved.values())} of {shared} inputs in both runs; "
+              f"{len(lines) - shared} only in this run, {len(before)} only in {args.against}")
     return 0
 
 

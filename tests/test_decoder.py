@@ -11,7 +11,6 @@ from vframe.decoder import (
     _candidate,
     _lstsq,
     find_error_locations,
-    forney_values,
     outcome_to_json,
     solve_key_equation,
     syndromes,
@@ -21,22 +20,6 @@ from vframe.errors import DomainError, LengthMismatch, RootCountMismatch
 
 def roots_frame(n, m):
     return vf.make_vandermonde_frame(vf.default_nodes(m), n)
-
-
-def locator_from_values(nodes_at, values):
-    """Oracle: sigma = prod (1 - X_i z) and
-    omega = sum_i Y_i prod_{j != i} (1 - X_j z), straight from the definitions."""
-    sigma = np.ones(1, dtype=complex)
-    for x in nodes_at:
-        sigma = np.convolve(sigma, [1.0, -x])
-    omega = np.zeros(max(len(nodes_at), 1), dtype=complex)
-    for i, y in enumerate(values):
-        term = np.array([y], dtype=complex)
-        for j, xj in enumerate(nodes_at):
-            if j != i:
-                term = np.convolve(term, [1.0, -xj])
-        omega[: term.size] += term
-    return sigma, omega[: max(len(nodes_at), 1)]
 
 
 # -- syndromes ----------------------------------------------------------------
@@ -146,25 +129,6 @@ def test_input_checks_raise(call):
         call()
 
 
-# -- Forney --------------------------------------------------------------------
-
-def test_forney_single_location_constant_omega():
-    frame = roots_frame(2, 4)
-    vals = forney_values(np.array([2.0 + 0j]), [3], frame)
-    assert np.allclose(vals, [2.0])
-
-
-def test_forney_two_errors_from_definitions():
-    # nodes {1, i}, e1 = 1 at z=1, e2 = i at z=i; oracle builds sigma
-    # and omega from their product/sum definitions
-    frame = vf.make_vandermonde_frame([1.0, 1j], 2)
-    x = [1.0 + 0j, 1j]
-    y = [1.0 + 0j, 1j]
-    _, omega = locator_from_values(x, y)
-    vals = forney_values(omega, [1, 2], frame)
-    assert np.allclose(vals, y, atol=1e-12)
-
-
 # -- decode ---------------------------------------------------------------------
 
 def test_decode_zero_signal():
@@ -213,7 +177,7 @@ def test_decode_rejects_weight_above_half_n():
 
 @pytest.mark.parametrize("n,m,r,status,degree", [
     (2, 4, [0, 1], STATUS_WEIGHT, -1),              # the key equation breaks down
-    (4, 8, [1, 0, 0, 0], STATUS_RESIDUAL, 0),       # one candidate, of weight 0
+    (4, 8, [1, 1, 0, 0], STATUS_RESIDUAL, 0),       # one candidate, of weight 0
 ], ids=["breakdown", "weight-0"])
 def test_decode_reports_its_exit_without_an_ok_candidate(n, m, r, status, degree):
     out = vf.decode(roots_frame(n, m), r)
@@ -268,9 +232,10 @@ def _full_weight_case(trial):
 
 
 def test_decode_fallback_names_support_of_off_node_locator():
-    # Euclid fails here and the fitted weight-32 locator's roots sit off
-    # the nodes, close enough that two map to one nearest node; the
-    # smallest locator values at the nodes still name the true support.
+    # Euclid fails here, and a locator fitted to the syndromes has roots
+    # off the nodes, close enough that two map to one nearest node; the
+    # subspace fallback scores the nodes themselves and names the true
+    # support.
     frame, rep, r = _full_weight_case(221)
     out = vf.decode(frame, r)
     assert out.status == STATUS_OK
@@ -314,23 +279,23 @@ def test_candidate_collapses_a_superset_to_the_true_support():
 
 
 def _clustered_decode(monkeypatch, w):
-    """decode of unit values on nodes 1..w of roots(48, 96), and the
-    support size forney_values saw on each call."""
+    """decode of unit values on nodes 1..w of roots(48, 96), and the size
+    of the support offered to _candidate on each call."""
     seen = []
 
-    def recording(omega, locations, frame):
-        seen.append(len(locations))
-        return forney_values(omega, locations, frame)
+    def recording(frame, s, support, norm_s):
+        seen.append(len(support))
+        return _candidate(frame, s, support, norm_s)
 
-    monkeypatch.setattr(decoder, "forney_values", recording)
+    monkeypatch.setattr(decoder, "_candidate", recording)
     frame = roots_frame(48, 96)
     rep = vf.SparseRep(96, tuple(range(1, w + 1)), np.ones(w, dtype=complex))
     return vf.decode(frame, vf.synthesize(frame, rep)), seen
 
 
 def test_decode_collapses_an_overshot_fallback_locator(monkeypatch):
-    # The recurrence QR offers the weight-22 locator itself, whose
-    # roots are the true support; no heavier locator is valued.
+    # The subspace fallback offers the true weight-22 support itself;
+    # no heavier support is valued.
     out, seen = _clustered_decode(monkeypatch, 22)
     assert out.status == STATUS_OK
     assert out.rep.support == tuple(range(1, 23))
@@ -338,8 +303,8 @@ def test_decode_collapses_an_overshot_fallback_locator(monkeypatch):
 
 
 def test_decode_of_a_clustered_support_inside_the_radius_is_not_a_wrong_ok(monkeypatch):
-    # The recurrence QR offers the weight-20 locator itself, whose
-    # roots are the true support; no heavier locator is valued.
+    # The subspace fallback offers the true weight-20 support itself;
+    # no heavier support is valued.
     out, seen = _clustered_decode(monkeypatch, 20)
     assert out.status == STATUS_OK
     assert out.rep.support == tuple(range(1, 21))
@@ -349,7 +314,7 @@ def test_decode_of_a_clustered_support_inside_the_radius_is_not_a_wrong_ok(monke
 @pytest.mark.parametrize("w", [16, 32])
 def test_decode_past_n_64_recovers_what_the_euclid_locator_misses(w):
     # Past N = 64 the Euclid locator's root count often misses in
-    # doubles; the recurrence fallback must still decode those inputs.
+    # doubles; the subspace fallback must still decode those inputs.
     frame = roots_frame(128, 512)
     missed = 0
     for trial in range(16):
@@ -367,11 +332,34 @@ def test_decode_past_n_64_recovers_what_the_euclid_locator_misses(w):
     assert missed >= 3
 
 
+def test_decode_of_thirteen_adjacent_unit_values_is_exact():
+    # The smallest Forney denominator of nodes 1..13 of roots(52, 208) is
+    # 3e-13; least-squares values keep the true support, which wins.
+    frame = roots_frame(52, 208)
+    rep = vf.SparseRep(208, tuple(range(1, 14)), np.ones(13, dtype=complex))
+    out = vf.decode(frame, vf.synthesize(frame, rep))
+    assert out.status == STATUS_OK
+    assert out.rep.support == rep.support
+    assert out.residual <= 1e-14
+
+
+def test_decode_at_n_512_and_weight_n_over_4_is_exact():
+    # Coefficient-form locators of degree 128 break down on the unit
+    # circle; the subspace fallback needs none.
+    frame = roots_frame(512, 2048)
+    rep = vf.random_sparse_rep(2048, 128, vf.sample_rng(11, 0))
+    out = vf.decode(frame, vf.synthesize(frame, rep))
+    assert out.status == STATUS_OK
+    assert out.rep.support == rep.support
+    assert np.linalg.norm(out.rep.values - rep.values) <= 1e-9 * np.linalg.norm(rep.values)
+
+
 def test_fallback_on_non_unit_nodes_at_even_n_fits_weight_t_exactly(monkeypatch):
     # Without the conjugate-reversed syndromes an even N stacks t rows
-    # for t + 1 columns: weight t always fits, and every weight from the
-    # true one up to t is offered.  With Euclid's roots refused, the
-    # fallback alone must decode every weight up to t.
+    # for t + 1 columns: weight t always passes the rank test, and every
+    # weight from the true one up to t is offered, the true support
+    # first.  With Euclid's roots refused, the fallback alone must decode
+    # every weight up to t.
     n, m = 8, 16
     frame = vf.make_vandermonde_frame(0.9 * vf.default_nodes(m), n)
 
@@ -382,8 +370,9 @@ def test_fallback_on_non_unit_nodes_at_even_n_fits_weight_t_exactly(monkeypatch)
     for w in range(1, n // 2 + 1):
         rep = vf.random_sparse_rep(m, w, np.random.default_rng([n, w]))
         r = vf.synthesize(frame, rep)
-        locators = decoder._recurrence_locators(r, frame.nodes)
-        assert [sigma.size - 1 for sigma in locators] == list(range(w, n // 2 + 1))
+        supports = list(decoder._subspace_supports(frame, r))
+        assert [len(support) for support in supports] == list(range(w, n // 2 + 1))
+        assert supports[0] == rep.support
         out = vf.decode(frame, r)
         assert out.status == STATUS_OK
         assert out.rep.support == rep.support

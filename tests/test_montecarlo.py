@@ -244,6 +244,25 @@ def test_smdd_budget():
         vf.smdd_exact(vf.make_gaussian_frame(24, 4, seed=1), np.ones(4), 12, budget=1000)
 
 
+@pytest.mark.parametrize("frame,l", [
+    (roots_frame(6, 12), 1), (roots_frame(6, 12), 3), (roots_frame(6, 12), 5),
+    (roots_frame(6, 12), 6), (roots_frame(6, 12), 12), (roots_frame(4, 4), 4),
+    (vf.make_gaussian_frame(10, 4, seed=1), 3), (vf.make_gaussian_frame(10, 4, seed=1), 6),
+])
+def test_smdd_answers_the_zero_signal_without_a_search(frame, l, monkeypatch):
+    # Every support fits the zero signal at residual 0, so the answer is
+    # the one a search gives, bit for bit: the lexicographically first
+    # support, tied unless L = M.  Only the budget is still charged, where
+    # a search would be.
+    monkeypatch.setattr(montecarlo, "_energies", None)   # no search runs
+    got = vf.smdd_exact(frame, np.zeros(frame.n), l)
+    assert got == vf.SmddResult(tuple(range(1, l + 1)), 0.0, l < frame.m)
+    assert repr(got.residual_sq) == "0.0"
+    if l < frame.n or frame.kind != frames.VANDERMONDE:
+        with pytest.raises(BudgetExceeded):
+            vf.smdd_exact(frame, np.zeros(frame.n), l, budget=math.comb(frame.m, l) - 1)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
 def test_exact_search_rejects_non_finite_signals(bad):
     frame = roots_frame(4, 8)
