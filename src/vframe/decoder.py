@@ -17,9 +17,9 @@ one gate:
                      <= floor(N/2); for each passing weight w, lightest
                      first, the w nodes where the null vectors' polynomials
                      are smallest are the next candidate;
-    4. values     -- least squares on a candidate's rows, refined by one
-                     step; near-zero phantom values drop their locations,
-                     until none is left;
+    4. values     -- least squares from one SVD of a candidate's rows,
+                     reused by one refinement step; near-zero phantom
+                     values drop their locations, until none is left;
     5. gate       -- among candidates that re-synthesize r to machine
                      level (strict), the lightest wins; without one the
                      lowest relative residual wins.  It is "ok" within
@@ -43,7 +43,6 @@ accuracy").
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -204,43 +203,18 @@ def find_error_locations(sigma, frame: Frame) -> list[int]:
 
 # -- decode internals ---------------------------------------------------------
 
-# scipy.linalg.lstsq's default rank cutoff for complex128 gelsy.
-_GELSY_COND = float(np.finfo(np.complex128).eps)
-
-
-@functools.cache
-def _gelsy():
-    """LAPACK zgelsy and its workspace query.  scipy is imported here, on
-    the first least-squares solve, so importing vframe does not load it."""
-    from scipy.linalg.lapack import get_lapack_funcs
-
-    return get_lapack_funcs(("gelsy", "gelsy_lwork"), dtype=np.complex128)
-
-
-def _lstsq(a, b):
-    """Least-squares solution of the complex system a x = b, b a vector,
-    as scipy.linalg.lstsq(a, b, lapack_driver="gelsy") returns it: the
-    same LAPACK call, cutoff and workspace, without its checks.  The
-    decoder's systems have at least as many rows as columns."""
-    m, n = a.shape
-    if m == 0 or n == 0:
-        # LAPACK rejects empty systems; a weight-0 candidate has n == 0.
-        return np.zeros(n, dtype=complex)
-    gelsy, gelsy_lwork = _gelsy()
-    work, _ = gelsy_lwork(m, n, 1, _GELSY_COND)
-    _, x, _, _, info = gelsy(a, b, np.zeros((n, 1), dtype=np.int32), _GELSY_COND,
-                             int(work.real), False, False)
-    if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of gelsy")
-    return x[:n]
-
-
 def _values(frame, s, support):
     """Least-squares values on a support, refined by one step on their
-    residual; returned with the support's frame rows."""
+    residual; returned with the support's frame rows.  One SVD of the
+    rows serves both solves: singular values at or below eps times the
+    largest count as zero (gelsy's rank cut), and each solve applies U^H,
+    then 1/sigma, then V."""
     rows = frame.matrix[np.asarray(support, dtype=int) - 1]
-    values = _lstsq(rows.T, s)
-    values += _lstsq(rows.T, s - values @ rows)
+    u, sing, vh = np.linalg.svd(rows.T, full_matrices=False)
+    rank = np.count_nonzero(sing > np.finfo(float).eps * sing.max(initial=0.0))
+    u, sing, vh = u[:, :rank].conj(), sing[:rank], vh[:rank].conj()
+    values = s @ u / sing @ vh
+    values += (s - values @ rows) @ u / sing @ vh
     return values, rows
 
 

@@ -27,14 +27,18 @@ unit, the last for unit values on nodes 1..w; sparse inputs are random).
 It also counts, per group, the classes of the inputs whose true support
 is well conditioned: 1/cond of its frame rows at least WELL_CONDITIONED.
 --out writes one line per input (group, index, class, outcome digest,
-shape, residual, 1/cond of the true support's rows), so that a failure
-can be told apart from an ill-posed input; --against reads such a file
-from another run on the same seed (only its first four fields) and
-counts the inputs of both files whose outcome changed, by group, shape,
-class before -> after and the band of the new residual: strict
+shape, residual, 1/cond of the true support's rows, and the outcome's
+support and values as space-separated loc:re:im entries, re and im in
+float.hex), so that a failure can be told apart from an ill-posed
+input; --against reads such a file from another run on the same seed
+and counts the inputs of both files whose outcome changed, by group,
+shape, class before -> after and the band of the new residual: strict
 (<= STRICT_RESIDUAL), tol (<= RESIDUAL_TOL) or over.  Inputs that only
 one of the two files holds (a group the other run lacks) are counted
-apart.
+apart.  It then prints, per group, the largest relative value
+difference, max |new - old| / max |old| over an outcome's values, among
+the inputs whose class and support did not change; a file of seven
+fields, which holds no values, skips that report.
 
 The file is a script, not a test module: pytest does not collect it.
 """
@@ -136,6 +140,20 @@ def inverse_condition(frame, support) -> float:
     return float(sing[-1] / sing[0])
 
 
+def value_entries(out) -> str:
+    """The outcome's support and values as space-separated loc:re:im
+    entries, re and im in float.hex."""
+    return " ".join(f"{loc}:{float(v.real).hex()}:{float(v.imag).hex()}"
+                    for loc, v in zip(out.rep.support, out.rep.values))
+
+
+def parse_entries(field: str) -> tuple[tuple[int, ...], np.ndarray]:
+    """The support and values that value_entries wrote."""
+    entries = [e.split(":") for e in field.split()]
+    return (tuple(int(loc) for loc, _, _ in entries),
+            np.array([complex(float.fromhex(re), float.fromhex(im)) for _, re, im in entries]))
+
+
 def band(residual) -> str:
     if residual <= STRICT_RESIDUAL:
         return "strict"
@@ -171,7 +189,7 @@ def main(argv=None) -> int:
         if inv_cond >= WELL_CONDITIONED:
             conditioned.setdefault(group, Counter())[cls] += 1
         lines.append(f"{group}\t{len(lines)}\t{cls}\t{hashlib.sha256(data).hexdigest()}"
-                     f"\t{shape}\t{out.residual!r}\t{inv_cond!r}")
+                     f"\t{shape}\t{out.residual!r}\t{inv_cond!r}\t{value_entries(out)}")
 
     for group, digest in digests.items():
         print(f"{group}\t{sum(counts[group].values())} inputs\t{digest.hexdigest()}"
@@ -189,7 +207,7 @@ def main(argv=None) -> int:
         with open(args.against, encoding="utf-8") as fh:
             rows = (line.split("\t") for line in fh.read().splitlines())
             before = {tuple(f[:2]): f for f in rows}
-        moved, shared = Counter(), 0
+        moved, shared, value_diff = Counter(), 0, {}
         for new in (line.split("\t") for line in lines):
             old = before.pop(tuple(new[:2]), None)
             if old is None:
@@ -197,10 +215,20 @@ def main(argv=None) -> int:
             shared += 1
             if old[3] != new[3]:
                 moved[(new[0], new[4], f"{old[2]} -> {new[2]}", band(float(new[5])))] += 1
+            if len(old) < 8 or old[2] != new[2]:
+                continue
+            (old_support, old_values), (new_support, new_values) = map(parse_entries,
+                                                                       (old[7], new[7]))
+            if old_support == new_support and old_values.size:
+                diff = np.abs(new_values - old_values).max() / np.abs(old_values).max()
+                value_diff[new[0]] = max(value_diff.get(new[0], (-1.0, "")), (diff, new[1]))
         for (group, shape, change, where), count in sorted(moved.items()):
             print(f"changed\t{group}\t{shape}\t{change}\t{where}\t{count}")
         print(f"changed\tall\t{sum(moved.values())} of {shared} inputs in both runs; "
               f"{len(lines) - shared} only in this run, {len(before)} only in {args.against}")
+        for group, (diff, index) in value_diff.items():
+            print(f"values\t{group}\tlargest relative difference {diff:.3g} at input {index}, "
+                  f"over inputs whose class and support did not change")
     return 0
 
 
