@@ -43,7 +43,6 @@ from .errors import (
     BudgetExceeded,
     ConfigMismatch,
     DegenerateSupport,
-    DivideByZeroPoly,
     DomainError,
     DuplicateNode,
     LengthMismatch,
@@ -84,12 +83,6 @@ from .montecarlo import (
     smdd_exact,
     smdd_greedy,
     smdd_residuals,
-)
-from .poly import (
-    poly_degree,
-    poly_divmod,
-    poly_eval,
-    poly_trim,
 )
 
 __version__ = "0.1.0"

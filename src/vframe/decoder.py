@@ -49,13 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    LengthMismatch,
-    NumericBreakdown,
-    RootCountMismatch,
-    VframeError,
-)
+from .errors import DomainError, LengthMismatch, NumericBreakdown, RootCountMismatch, VframeError
 from .frames import VANDERMONDE, ZERO_REL_TOL, Frame, SparseRep, complex_to_pairs
 from .poly import _max, poly_degree, poly_divmod, poly_eval, poly_trim
 
@@ -93,18 +87,16 @@ class DecodeOutcome:
     """Result of a decode attempt.
 
     rep is the recovered representation (empty when no candidate of
-    weight <= floor(N/2) survived), residual the relative synthesis
-    error of rep, locator_degree the degree of the accepted locator
-    (-1 when the key equation already failed).  status "ok" guarantees
-    a representation of weight <= floor(N/2) with residual <= tolerance
-    and locator_degree == rep.weight, and that decode found no lighter
-    candidate at the strict residual; it does not guarantee that rep is
-    the representation r was synthesized from.
+    weight <= floor(N/2) was found), residual the relative synthesis
+    error of rep (1.0 when none was found).  status "ok" guarantees a
+    representation of weight <= floor(N/2) with residual <= tolerance,
+    and that decode found no lighter candidate at the strict residual;
+    it does not guarantee that rep is the representation r was
+    synthesized from.
     """
 
     rep: SparseRep
     residual: float
-    locator_degree: int
     status: str
 
 
@@ -283,8 +275,9 @@ def decode(frame: Frame, r, tol: float = RESIDUAL_TOL) -> DecodeOutcome:
     it need not be the one r was synthesized from (README, "Decoding
     accuracy").  Otherwise it returns "weight_exceeds_half_n" (no
     candidate support was found) or "residual_too_large" (the best
-    candidate misses r by more than tol).  Failures are reported as
-    data, never raised; a signal of the wrong length (LengthMismatch) or
+    candidate misses r by more than tol), each with the representation
+    and its residual, as DecodeOutcome.  Failures are reported as data,
+    never raised; a signal of the wrong length (LengthMismatch) or
     with a non-finite entry or norm (ValueError) is refused, and so is a
     tol that is not finite with 0 < tol < 1 (DomainError).
     """
@@ -296,45 +289,39 @@ def decode(frame: Frame, r, tol: float = RESIDUAL_TOL) -> DecodeOutcome:
     # finite signal whose norm overflows; neither can be decoded.
     if not math.isfinite(norm_s):
         raise ValueError("signal must be finite, with a finite norm")
-    sigma = None
-    if norm_s == 0.0:
-        best = ((), s[:0], 0.0)                    # the zero signal, exactly
-    else:
-        try:
-            sigma = solve_key_equation(s, frame.n // 2)
-        except VframeError:
-            pass
-        euclid = []
-        if sigma is not None and sigma.size - 1 <= frame.n // 2:   # sigma comes back trimmed
-            try:
-                euclid.append(tuple(find_error_locations(sigma, frame)))
-            except RootCountMismatch:
-                pass
-        # The gate: the Euclid roots, then the subspace candidates, lightest
-        # first.  The lightest strict candidate wins: one ends the scan once
-        # no lighter weight is left, and one of weight <= N/4 at once, so a
-        # light Euclid answer never computes the spectrum.  Without a strict
-        # candidate the lowest residual wins, the earlier on a tie.
-        strict = min(tol, STRICT_RESIDUAL)
-        best = lightest = None
-        for support in itertools.chain(euclid, _subspace_supports(frame, s)):
-            if lightest is not None and len(support) >= len(lightest[0]):
+    if norm_s == 0.0:                              # the zero signal, exactly
+        return DecodeOutcome(SparseRep(frame.m, (), s[:0]), 0.0, STATUS_OK)
+    euclid = []
+    try:
+        sigma = solve_key_equation(s, frame.n // 2)
+        if sigma.size - 1 <= frame.n // 2:         # sigma comes back trimmed
+            euclid.append(tuple(find_error_locations(sigma, frame)))
+    except VframeError:
+        pass
+    # The gate: the Euclid roots, then the subspace candidates, lightest
+    # first.  The lightest strict candidate wins: one ends the scan once no
+    # lighter weight is left, and one of weight <= N/4 at once, so a light
+    # Euclid answer never computes the spectrum.  Without a strict
+    # candidate the lowest residual wins, the earlier on a tie.
+    strict = min(tol, STRICT_RESIDUAL)
+    best = lightest = None
+    for support in itertools.chain(euclid, _subspace_supports(frame, s)):
+        if lightest is not None and len(support) >= len(lightest[0]):
+            break
+        cand = _candidate(frame, s, support, norm_s)
+        if best is None or cand[2] < best[2]:
+            best = cand
+        if cand[2] <= strict:
+            lightest = cand
+            if len(cand[0]) <= frame.n // 4:
                 break
-            cand = _candidate(frame, s, support, norm_s)
-            if best is None or cand[2] < best[2]:
-                best = cand
-            if cand[2] <= strict:
-                lightest = cand
-                if len(cand[0]) <= frame.n // 4:
-                    break
-        if lightest is not None:
-            best = lightest
+    if lightest is not None:
+        best = lightest
     if best is None:
-        degree = -1 if sigma is None else sigma.size - 1
-        return DecodeOutcome(SparseRep(frame.m, (), s[:0]), 1.0, degree, STATUS_WEIGHT)
+        return DecodeOutcome(SparseRep(frame.m, (), s[:0]), 1.0, STATUS_WEIGHT)
     support, values, residual = best
     status = STATUS_OK if residual <= tol else STATUS_RESIDUAL
-    return DecodeOutcome(SparseRep(frame.m, support, values), residual, len(support), status)
+    return DecodeOutcome(SparseRep(frame.m, support, values), residual, status)
 
 
 def _check_tol(tol: float) -> None:
@@ -351,5 +338,4 @@ def outcome_to_json(outcome: DecodeOutcome) -> dict:
         "support": list(outcome.rep.support),
         "values": complex_to_pairs(outcome.rep.values),
         "residual": outcome.residual,
-        "locator_degree": outcome.locator_degree,
     }

@@ -91,8 +91,8 @@ from .errors import ConfigMismatch, DomainError
 from .frames import (SINGULAR_REL_TOL, VANDERMONDE, Frame, _over_budget, default_nodes,
                      frame_id, support_blocks)
 
-# Residuals within this of the minimum count as ties (broken toward the
-# lexicographically smallest support).
+# Squared residuals within this times ||x||^2 of the minimum count as ties
+# (broken toward the lexicographically smallest support).
 TIE_TOL = 1e-12
 
 DEFAULT_BUDGET = 10**6
@@ -255,13 +255,15 @@ def _block_weights(matrix: np.ndarray, supports: np.ndarray, pairs) -> np.ndarra
     """Weights that score samples against the (B, l) block of supports in
     one GEMM, from their _bases.
 
-    x^H G x costs N*N real multiply-adds per (sample, support) and the
-    stacked bases 4*l*N, so for N <= 4l they are the (N*N, B) real
-    projectors G = V^H V, one column per support: G_aa, then Re G_ab and
-    -Im G_ab for the pairs a < b, so _gram_features(x) @ weights =
-    x^H G x.  Otherwise (past N = 4l the Gram weights would also take
-    N/(2l) > 2 times the memory) they are the complex (N, l*B) stacked
-    bases: column j*B + k holds basis vector j of support k.
+    For N <= 4l they are the (N*N, B) real projectors G = V^H V, one
+    column per support: G_aa, then Re G_ab and -Im G_ab for the pairs
+    a < b, so _gram_features(x) @ weights = x^H G x.  Otherwise (past
+    N = 4l the Gram weights would take N/(2l) > 2 times the memory) they
+    are the complex (N, l*B) stacked bases: column j*B + k holds basis
+    vector j of support k.  Past N = 4l the stacked bases take fewer
+    multiply-adds a pair (4*l*N against N*N), yet they write l complex
+    projections a pair and square them after, and are slower on most
+    such cells (README, "Exact-search kernel").
     """
     n, l = matrix.shape[1], supports.shape[1]
     v = _bases(matrix[supports])                                       # (B, l, n)
@@ -433,7 +435,7 @@ def _signals(frame: Frame, X, l: int) -> tuple[np.ndarray, np.ndarray]:
 @dataclass(frozen=True)
 class SmddResult:
     """Best size-<=L support for one signal: 1-based support, squared
-    residual, and whether other supports tied within TIE_TOL."""
+    residual, and whether other supports tied within TIE_TOL ||x||^2."""
 
     support: tuple[int, ...]
     residual_sq: float
@@ -443,13 +445,14 @@ class SmddResult:
 def smdd_exact(frame: Frame, x, l: int, budget: int = DEFAULT_BUDGET) -> SmddResult:
     """Exact sparsity-constrained minimum distortion by full enumeration.
 
-    Minimizes ||x - proj||^2 over all size-l supports; ties within TIE_TOL
-    of the minimum are broken toward the lexicographically smallest
-    support.  At l >= N on a Vandermonde frame every support spans C^N,
-    so the answer is (1, ..., l) at residual 0, tied unless l = M, with no
-    search and no charge to the budget; otherwise raises BudgetExceeded
-    when C(M, l) exceeds the subset budget.  Every support fits the zero
-    signal, so within the budget it gets that answer too, without a search.
+    Minimizes ||x - proj||^2 over all size-l supports; ties within
+    TIE_TOL * ||x||^2 of the minimum, a margin that scales with x, are
+    broken toward the lexicographically smallest support.  At l >= N on
+    a Vandermonde frame every support spans C^N, so the answer is
+    (1, ..., l) at residual 0, tied unless l = M, with no search and no
+    charge to the budget; otherwise raises BudgetExceeded when C(M, l)
+    exceeds the subset budget.  Every support fits the zero signal, so
+    within the budget it gets that answer too, without a search.
     """
     xs, norms = _signals(frame, np.ravel(x)[None, :], l)
     if l == 0:
@@ -460,12 +463,12 @@ def smdd_exact(frame: Frame, x, l: int, budget: int = DEFAULT_BUDGET) -> SmddRes
         _over_budget(frame.m, l, budget)
         return SmddResult(tuple(range(1, l + 1)), 0.0, l < frame.m)
     # Ties are judged against the global minimum: each block keeps the
-    # supports within TIE_TOL of the running one, decided after the last.
-    best, res, supports = np.inf, [], []
+    # supports within the margin of the running one, decided after the last.
+    best, res, supports, margin = np.inf, [], [], TIE_TOL * norms[0]
     for _, support_of, energy in _energies(frame, xs, l, budget):
         block = np.maximum(norms[0] - energy[0], 0.0)
         best = min(best, block.min())
-        cols = np.flatnonzero(block <= best + TIE_TOL)
+        cols = np.flatnonzero(block <= best + margin)
         res.append(block[cols])
         supports.append(support_of(cols))
     # Orbit blocks repeat the supports their shifts fix, in shift order:
@@ -473,7 +476,7 @@ def smdd_exact(frame: Frame, x, l: int, budget: int = DEFAULT_BUDGET) -> SmddRes
     res, supports = np.concatenate(res), np.concatenate(supports)
     supports, first = np.unique(supports, axis=0, return_index=True)
     res = res[first]
-    cand = np.flatnonzero(res <= res.min() + TIE_TOL)
+    cand = np.flatnonzero(res <= res.min() + margin)
     pick = int(cand[0])
     return SmddResult(tuple(int(i) + 1 for i in supports[pick]), float(res[pick]),
                       bool(cand.size > 1))
@@ -511,7 +514,9 @@ def smdd_greedy(frame: Frame, x, l: int) -> SmddResult:
     """Greedy (matching-pursuit style) approximation of smdd_exact.
 
     Picks the row best aligned with the running residual l times,
-    re-projecting x onto the chosen span after each pick.  The result
+    re-projecting x onto the chosen span after each pick, until the best
+    normalized correlation falls to 1e-14 ||x|| or the squared residual
+    to 1e-28 ||x||^2.  The result
     upper-bounds the exact minimum and is labeled approximate wherever
     it is surfaced; it never feeds bound-comparison verdicts.
     """
@@ -525,7 +530,7 @@ def smdd_greedy(frame: Frame, x, l: int) -> SmddResult:
         scores = np.abs(frame.matrix.conj() @ residual) / row_norms
         scores[chosen] = -1.0
         best = int(np.argmax(scores))
-        if scores[best] <= 1e-14:
+        if scores[best] <= 1e-14 * math.sqrt(norm_sq):
             break
         chosen.append(best)
         # One basis of the chosen rows gives both the residual that drives
@@ -534,7 +539,7 @@ def smdd_greedy(frame: Frame, x, l: int) -> SmddResult:
         coeffs = basis @ x
         residual = x - basis.conj().T @ coeffs
         resid_sq = max(norm_sq - float(np.vdot(coeffs, coeffs).real), 0.0)
-        if resid_sq <= 1e-28:
+        if resid_sq <= 1e-28 * norm_sq:
             break
     chosen.sort()
     return SmddResult(tuple(i + 1 for i in chosen), resid_sq, False)

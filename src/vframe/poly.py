@@ -23,7 +23,7 @@ _COMPLEX = np.dtype(complex)
 _max = np.maximum.reduce
 
 
-def as_poly(coeffs) -> np.ndarray:
+def _as_poly(coeffs) -> np.ndarray:
     """Coerce to a 1-D complex coefficient array (no trimming)."""
     if type(coeffs) is np.ndarray and coeffs.dtype == _COMPLEX and coeffs.ndim == 1:
         return coeffs                              # hot path: already one
@@ -35,7 +35,7 @@ def as_poly(coeffs) -> np.ndarray:
 
 def poly_trim(p) -> np.ndarray:
     """Drop trailing coefficients below DEGREE_REL_TOL times the max magnitude."""
-    p = as_poly(p)
+    p = _as_poly(p)
     if p.size == 0:
         return p
     mags = np.abs(p)
@@ -62,7 +62,7 @@ def poly_eval(p, z):
     own operand: numpy 2.4 rounds a one-element complex product taken in
     place differently from the same product taken out of place.
     """
-    p = as_poly(p)
+    p = _as_poly(p)
     z = np.asarray(z, dtype=complex)
     out = np.zeros(z.shape, dtype=complex)
     zout = np.empty_like(out)
@@ -80,7 +80,7 @@ def poly_divmod(p, q):
     near-zero leading quotient terms).  Raises DivideByZeroPoly when q
     trims to the zero polynomial.
     """
-    p = as_poly(p)
+    p = _as_poly(p)
     q = poly_trim(q)
     if q.size == 0:
         raise DivideByZeroPoly("division by the zero polynomial")

@@ -18,9 +18,9 @@ The corpus is seeded by S and has three groups:
             values.
 
 Every input lies inside the decoding radius.  The script prints one
-sha256 over each outcome's status, support, value bytes, repr of the
-residual and locator degree, per group and overall, and counts the
-outcomes by class: exact (ok with the true support), superset, subset,
+sha256 over each outcome's status, support, value bytes and repr of
+the residual, per group and overall, and counts the outcomes by
+class: exact (ok with the true support), superset, subset,
 other (ok with another support) and rejected (any status but ok), per
 group and per shape of the true support (random, contiguous, half or
 unit, the last for unit values on nodes 1..w; sparse inputs are random).
@@ -117,7 +117,7 @@ def corpus(seed):
 
 def outcome_bytes(out) -> bytes:
     return repr((out.status, out.rep.support, out.rep.values.tobytes(),
-                 repr(out.residual), out.locator_degree)).encode()
+                 repr(out.residual))).encode()
 
 
 def classify(out, support) -> str:

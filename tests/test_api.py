@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import vframe
 from vframe import bounds, cli, decoder, frames, montecarlo, poly
 
 MODULES = (poly, frames, bounds, decoder, montecarlo, cli)
@@ -95,3 +96,31 @@ def test_no_function_keeps_a_cache_across_calls():
                     isinstance(node, ast.Name) and node.id in imported:
                 found.add(f"{path.stem}.{owner.get(id(node), node.lineno)}")
     assert found == set()
+
+
+THRESHOLD_ROW = re.compile(r"^\s*\| `(\w+)\.([A-Z_]+)` \| `([^`]+)` \|", re.MULTILINE)
+
+
+def test_readme_threshold_table_matches_the_code():
+    # README "Numerical notes" lists every public float constant of the
+    # package with its value; a row per constant, each value as the code has it.
+    root = Path(__file__).resolve().parent.parent
+    rows = THRESHOLD_ROW.findall((root / "README.md").read_text(encoding="utf-8"))
+    modules = {mod.__name__.rsplit(".", 1)[-1]: mod for mod in MODULES}
+    for module, name, value in rows:
+        assert getattr(modules[module], name) == float(value), f"{module}.{name}"
+    # Assigned a float literal at module level; a re-imported name is not counted.
+    assigned = {(path.stem, target.id)
+                for path in sorted((root / "src" / "vframe").glob("*.py"))
+                for node in ast.parse(path.read_text(encoding="utf-8")).body
+                if isinstance(node, ast.Assign) and isinstance(node.value, ast.Constant)
+                and isinstance(node.value.value, float)
+                for target in node.targets if not target.id.startswith("_")}
+    assert sorted((module, name) for module, name, _ in rows) == sorted(assigned)
+
+
+def test_the_package_does_not_reexport_the_polynomial_helpers():
+    # The polynomial layer is the decoder's internals: it is reached as
+    # vframe.poly, and its error as vframe.errors.DivideByZeroPoly.
+    for name in ("poly_degree", "poly_divmod", "poly_eval", "poly_trim", "DivideByZeroPoly"):
+        assert not hasattr(vframe, name)

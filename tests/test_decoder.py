@@ -139,7 +139,6 @@ def test_decode_zero_signal():
     assert out.status == STATUS_OK
     assert out.rep.weight == 0
     assert out.residual == 0.0
-    assert out.locator_degree == 0
 
 
 def test_decode_single_atom_worked_example():
@@ -148,7 +147,6 @@ def test_decode_single_atom_worked_example():
     assert out.status == STATUS_OK
     assert out.rep.support == (3,)
     assert np.allclose(out.rep.values, [2.0], atol=1e-10)
-    assert out.locator_degree == 1
 
 
 def test_decode_matches_brute_force_least_squares():
@@ -177,13 +175,13 @@ def test_decode_rejects_weight_above_half_n():
     assert out.status != STATUS_OK
 
 
-@pytest.mark.parametrize("n,m,r,status,degree", [
-    (2, 4, [0, 1], STATUS_WEIGHT, -1),              # the key equation breaks down
-    (4, 8, [1, 1, 0, 0], STATUS_RESIDUAL, 0),       # one candidate, of weight 0
+@pytest.mark.parametrize("n,m,r,status", [
+    (2, 4, [0, 1], STATUS_WEIGHT),                  # the key equation breaks down
+    (4, 8, [1, 1, 0, 0], STATUS_RESIDUAL),          # one candidate, of weight 0
 ], ids=["breakdown", "weight-0"])
-def test_decode_reports_its_exit_without_an_ok_candidate(n, m, r, status, degree):
+def test_decode_reports_its_exit_without_an_ok_candidate(n, m, r, status):
     out = vf.decode(roots_frame(n, m), r)
-    assert (out.status, out.locator_degree, out.rep.weight) == (status, degree, 0)
+    assert (out.status, out.rep.weight) == (status, 0)
     assert out.residual == 1.0
 
 
@@ -200,10 +198,23 @@ def test_decode_roundtrip_exact(n, m):
         out = vf.decode(frame, r)
         assert out.status == STATUS_OK
         assert out.rep.support == rep.support
-        assert out.locator_degree == out.rep.weight
         if w:
             err = np.linalg.norm(out.rep.values - rep.values) / np.linalg.norm(rep.values)
             assert err <= 1e-6
+
+
+@pytest.mark.parametrize("scale", [1e-150, 1e-12, 1e150])
+@pytest.mark.parametrize("w,status", [(5, STATUS_OK), (8, STATUS_OK), (9, STATUS_WEIGHT)])
+def test_decode_does_not_depend_on_the_signal_scale(w, status, scale):
+    # Every threshold of decode is relative to the signal, so a scaled
+    # signal gets the same answer with its values scaled.
+    frame = roots_frame(16, 64)
+    rep = vf.random_sparse_rep(64, w, np.random.default_rng(w))
+    r = vf.synthesize(frame, rep)
+    out, scaled = vf.decode(frame, r), vf.decode(frame, scale * r)
+    assert (scaled.status, scaled.rep.support) == (out.status, out.rep.support)
+    assert out.status == status and (status != STATUS_OK or out.rep.support == rep.support)
+    assert np.allclose(scaled.rep.values / scale, out.rep.values, rtol=1e-12, atol=0.0)
 
 
 def test_decode_never_wrong_mixed_weights():
@@ -219,7 +230,6 @@ def test_decode_never_wrong_mixed_weights():
         if out.status == STATUS_OK:
             count_ok += 1
             assert out.residual <= 1e-6
-            assert out.locator_degree == out.rep.weight
             if w <= 4:
                 assert out.rep.support == rep.support
     assert count_ok >= 10_000 // 2  # all decodable trials decoded
@@ -403,8 +413,8 @@ def test_outcome_json_schema():
     assert obj["status"] == "ok"
     assert obj["support"] == [3]
     assert obj["values"][0][0] == pytest.approx(2.0)
-    assert obj["locator_degree"] == 1
     assert isinstance(obj["residual"], float)
+    assert set(obj) == {"status", "support", "values", "residual"}
 
 
 def test_decode_requires_vandermonde():

@@ -765,6 +765,23 @@ def test_bds_domain():
         vf.bds_decode(frame, np.zeros(2), 1.5)
 
 
+@pytest.mark.parametrize("scale", [1e-7, 1e-14, 1e-150, 1e150])
+def test_searches_do_not_depend_on_the_signal_scale(scale):
+    # Tie and stopping thresholds are relative to ||x||^2: with absolute
+    # ones every support tied once ||x||^2 fell to about 1e-12, and the
+    # greedy search stopped before its first pick.
+    frame = vf.make_vandermonde_frame(vf.default_nodes(16), 6)
+    x = vf.sample_sphere_batch(6, 1, 3)[0]
+    # At scale 1: (2, 3, 8) untied, greedy (1, 3, 7), and L = 3 for delta 0.2.
+    scaled = vf.smdd_exact(frame, scale * x, 3)
+    assert (scaled.support, scaled.ties_broken) == ((2, 3, 8), False)
+    assert scaled.residual_sq / scale**2 == pytest.approx(vf.smdd_exact(frame, x, 3).residual_sq,
+                                                          rel=1e-12)
+    assert vf.smdd_greedy(frame, scale * x, 3).support == (1, 3, 7)
+    l, found = vf.bds_decode(frame, scale * x, 0.2)
+    assert (l, found.support) == (3, (2, 3, 8))
+
+
 # -- distortion estimation ----------------------------------------------------------
 
 def test_estimate_l0_exact_one():
