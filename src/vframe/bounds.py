@@ -102,14 +102,6 @@ class BoundInput:
     def log2_t(self) -> float:
         return self.log_t / _LN2
 
-    @property
-    def redundancy_ratio(self) -> float:
-        return self.m / self.n
-
-    @property
-    def sparsity(self) -> float:
-        return self.l / self.n
-
 
 @dataclass(frozen=True)
 class BoundReport:

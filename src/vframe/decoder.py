@@ -11,7 +11,9 @@ one gate:
     1. syndromes  -- the coordinates of r, read off verbatim;
     2. Euclid     -- extended Euclid division on (z^N, S1[z]) yields the
                      locator sigma; its roots among the inverse nodes,
-                     when they number its degree, are the first candidate;
+                     read off one product with the frame's rows, are the
+                     first candidate when they number its degree and that
+                     is at most floor(N/2);
     3. subspace   -- one QR of the syndromes' Hankel rows and one SVD of
                      its R give the rank test of every weight
                      <= floor(N/2); for each passing weight w, lightest
@@ -51,10 +53,10 @@ import numpy as np
 
 from .errors import DomainError, LengthMismatch, NumericBreakdown, RootCountMismatch, VframeError
 from .frames import VANDERMONDE, ZERO_REL_TOL, Frame, SparseRep, complex_to_pairs
-from .poly import _max, poly_degree, poly_divmod, poly_eval, poly_trim
+from .poly import _max, poly_divmod, poly_trim
 
-# Root acceptance factor: sigma(1/z_j) counts as zero below
-# ROOT_ACCEPT_TOL * (1 + max_k |sigma(1/z_k)|).
+# Root acceptance factor: sigma(1/z_j), read off the frame's rows,
+# counts as zero below ROOT_ACCEPT_TOL * (1 + max_k |sigma(1/z_k)|).
 ROOT_ACCEPT_TOL = 1e-6
 
 # Default relative residual accepted by decode().
@@ -126,9 +128,10 @@ def solve_key_equation(s, t: int) -> np.ndarray:
     representation of weight w <= t this yields deg sigma = w, and
     S1 * sigma (mod z^N) has degree <= w - 1 to working precision.
 
-    All-zero syndromes return 1, signaling the zero representation.
-    Raises NumericBreakdown when no stable normalized solution exists
-    (constant term of the multiplier vanishes).
+    All-zero syndromes trim to the zero remainder and return 1, the
+    locator of the zero representation.  Raises NumericBreakdown when no
+    stable normalized solution exists (the multiplier's constant term
+    vanishes or is not finite).
     """
     s = np.asarray(s, dtype=complex).ravel()
     n = s.size
@@ -136,15 +139,12 @@ def solve_key_equation(s, t: int) -> np.ndarray:
         raise ValueError("need at least one syndrome")
     if not 0 <= t <= n:
         raise ValueError("t must lie in 0..N")
-    one = np.array([1.0], dtype=complex)
-    if _max(np.abs(s)) == 0.0:
-        return one
 
     r_prev = np.zeros(n + 1, dtype=complex)
     r_prev[n] = 1.0                                # z^N
     r_cur = poly_trim(s)
     v_prev = s[:0]                                 # multipliers of S1
-    v_cur = one.copy()
+    v_cur = np.ones(1, dtype=complex)
     # poly_divmod returns trimmed remainders, each shorter than its
     # divisor, so r_cur.size - 1 is the degree and the loop ends.
     while r_cur.size > t:
@@ -163,7 +163,8 @@ def solve_key_equation(s, t: int) -> np.ndarray:
             r_cur /= top
             v_cur /= top
 
-    if abs(v_cur[0]) <= 1e-12 * _max(np.abs(v_cur)):
+    # Written as "not above" so that a nan multiplier breaks down too.
+    if not abs(v_cur[0]) > 1e-12 * _max(np.abs(v_cur)):
         raise NumericBreakdown("locator constant term vanished")
     return poly_trim(v_cur / v_cur[0])
 
@@ -171,21 +172,26 @@ def solve_key_equation(s, t: int) -> np.ndarray:
 def find_error_locations(sigma, frame: Frame) -> list[int]:
     """1-based indices j for which 1/z_j is a root of sigma.
 
-    Evaluates sigma at every inverse node and accepts values below
-    ROOT_ACCEPT_TOL * (1 + the largest evaluation magnitude); the
-    absolute floor keeps the test meaningful when every evaluation is
-    small.  The accepted count must equal deg sigma, otherwise the
-    weight exceeded the decoding radius (or numerics failed) and
-    RootCountMismatch is raised.
+    sigma, trimmed, has degree d; it is a locator only for d <= floor(N/2),
+    the decoding radius, and RootCountMismatch is raised past it.  The
+    frame's rows evaluate it at every inverse node in one product:
+    sigma(1/z_j) = z_j**-d * sum_k sigma_{d-k} z_j**k, and row j holds
+    z_j**k for k < N.  Values below ROOT_ACCEPT_TOL * (1 + the largest
+    magnitude) are accepted; the absolute floor keeps the test
+    meaningful when every value is small.  The accepted count must equal
+    d, otherwise the weight exceeded the decoding radius (or numerics
+    failed) and RootCountMismatch is raised.
     """
     if frame.kind != VANDERMONDE:
         raise ValueError("root location requires a vandermonde frame")
-    sigma = np.asarray(sigma, dtype=complex)
+    sigma = poly_trim(sigma)
     if sigma.size == 0 or abs(sigma[0] - 1.0) > 1e-6:
         raise ValueError("locator must be normalized with sigma(0) = 1")
-    vals = np.abs(poly_eval(sigma, 1.0 / frame.nodes))
+    deg = sigma.size - 1
+    if deg > frame.n // 2:
+        raise RootCountMismatch(f"locator degree {deg} exceeds floor(N/2) = {frame.n // 2}")
+    vals = np.abs(frame.matrix[:, : deg + 1] @ sigma[::-1]) / np.abs(frame.nodes) ** deg
     hits = np.nonzero(vals < ROOT_ACCEPT_TOL * (1.0 + _max(vals)))[0]
-    deg = poly_degree(sigma)
     if hits.size != deg:
         raise RootCountMismatch(
             f"locator degree {deg} but {hits.size} roots among inverse nodes"
@@ -291,13 +297,10 @@ def decode(frame: Frame, r, tol: float = RESIDUAL_TOL) -> DecodeOutcome:
         raise ValueError("signal must be finite, with a finite norm")
     if norm_s == 0.0:                              # the zero signal, exactly
         return DecodeOutcome(SparseRep(frame.m, (), s[:0]), 0.0, STATUS_OK)
-    euclid = []
     try:
-        sigma = solve_key_equation(s, frame.n // 2)
-        if sigma.size - 1 <= frame.n // 2:         # sigma comes back trimmed
-            euclid.append(tuple(find_error_locations(sigma, frame)))
+        euclid = [tuple(find_error_locations(solve_key_equation(s, frame.n // 2), frame))]
     except VframeError:
-        pass
+        euclid = []
     # The gate: the Euclid roots, then the subspace candidates, lightest
     # first.  The lightest strict candidate wins: one ends the scan once no
     # lighter weight is left, and one of weight <= N/4 at once, so a light

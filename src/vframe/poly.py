@@ -1,23 +1,18 @@
-"""Dense polynomial arithmetic over complex double coefficients.
+"""Trim and division of dense complex polynomials: the Euclid loop's arithmetic.
 
 Coefficient arrays run low to high: ``p[k]`` multiplies ``z**k``.  The
-zero polynomial is the empty array and has degree ``-inf``.  Degree
-decisions ignore trailing coefficients below ``DEGREE_REL_TOL`` times
-the largest coefficient magnitude, so floating-point residue does not
-inflate degrees.
+zero polynomial is the empty array.  Degree decisions ignore trailing
+coefficients below ``DEGREE_REL_TOL`` times the largest coefficient
+magnitude, so floating-point residue does not inflate degrees.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
 from .errors import DivideByZeroPoly
 
 DEGREE_REL_TOL = 1e-9
-
-NEG_INF = -math.inf
 
 _COMPLEX = np.dtype(complex)
 _max = np.maximum.reduce
@@ -34,12 +29,17 @@ def _as_poly(coeffs) -> np.ndarray:
 
 
 def poly_trim(p) -> np.ndarray:
-    """Drop trailing coefficients below DEGREE_REL_TOL times the max magnitude."""
+    """Drop trailing coefficients below DEGREE_REL_TOL times the max magnitude.
+
+    Raises ValueError on a nan or infinite coefficient.
+    """
     p = _as_poly(p)
     if p.size == 0:
         return p
     mags = np.abs(p)
     top = _max(mags)
+    if not top < np.inf:                           # nan propagates to the max
+        raise ValueError("polynomial coefficients must be finite")
     if top == 0.0:
         return p[:0]
     floor = DEGREE_REL_TOL * top
@@ -47,29 +47,6 @@ def poly_trim(p) -> np.ndarray:
         return p
     keep = (mags > floor).nonzero()[0]
     return p[: keep[-1] + 1]
-
-
-def poly_degree(p):
-    """Degree after trimming; -inf for the zero polynomial."""
-    t = poly_trim(p)
-    return NEG_INF if t.size == 0 else t.size - 1
-
-
-def poly_eval(p, z):
-    """Evaluate by Horner's scheme; z may be a scalar or an array.
-
-    The steps reuse two buffers, and the product never overwrites its
-    own operand: numpy 2.4 rounds a one-element complex product taken in
-    place differently from the same product taken out of place.
-    """
-    p = _as_poly(p)
-    z = np.asarray(z, dtype=complex)
-    out = np.zeros(z.shape, dtype=complex)
-    zout = np.empty_like(out)
-    for c in p[::-1].tolist():
-        np.multiply(out, z, out=zout)
-        np.add(zout, c, out=out)
-    return complex(out) if out.ndim == 0 else out
 
 
 def poly_divmod(p, q):

@@ -359,8 +359,6 @@ def test_bound_input_validation():
         BoundInput(4, 8, 5)
     inp = BoundInput(4, 8, 2)
     assert inp.log2_t == pytest.approx(math.log2(math.comb(8, 2)))
-    assert inp.redundancy_ratio == 2.0
-    assert inp.sparsity == 0.5
 
 
 def test_round_half_up():

@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 
 import vframe as vf
-from vframe import decoder
+from vframe import decoder, poly
 from vframe.decoder import (
     STATUS_OK,
     STATUS_RESIDUAL,
@@ -17,7 +17,7 @@ from vframe.decoder import (
     solve_key_equation,
     syndromes,
 )
-from vframe.errors import DomainError, LengthMismatch, RootCountMismatch
+from vframe.errors import DomainError, LengthMismatch, NumericBreakdown, RootCountMismatch
 
 
 def roots_frame(n, m):
@@ -103,7 +103,7 @@ def test_locations_single_root():
 
 
 def test_locations_two_roots():
-    frame = roots_frame(2, 4)
+    frame = roots_frame(4, 4)
     sigma = np.convolve([1.0, -1.0], [1.0, -1j])  # roots 1 and -i = 1/i
     assert find_error_locations(sigma, frame) == [1, 2]
 
@@ -112,6 +112,64 @@ def test_locations_count_mismatch():
     frame = roots_frame(2, 4)
     with pytest.raises(RootCountMismatch):
         find_error_locations(np.array([1.0, -0.5]), frame)  # root at 2: off-grid
+
+
+def _locator(frame, support):
+    """prod_{j in support} (1 - z_j x): its roots are the support's 1/z_j."""
+    sigma = np.ones(1, dtype=complex)
+    for j in support:
+        sigma = np.convolve(sigma, [1.0, -frame.nodes[j - 1]])
+    return sigma
+
+
+def _oracle_hits(sigma, frame):
+    # sigma evaluated at each 1/z_j directly, high-to-low
+    vals = np.abs(np.polyval(sigma[::-1], 1.0 / frame.nodes))
+    return (np.nonzero(vals < decoder.ROOT_ACCEPT_TOL * (1.0 + vals.max()))[0] + 1).tolist()
+
+
+@pytest.mark.parametrize("n", [7, 8])
+@pytest.mark.parametrize("nodes", ["inside", "outside", "unit-irregular", "spread"])
+def test_locations_off_the_roots_of_unity_match_direct_evaluation(nodes, n):
+    m = 24
+    rng = np.random.default_rng([n, len(nodes)])
+    z = {"inside": 0.9 * vf.default_nodes(m),
+         "outside": 1.1 * vf.default_nodes(m),
+         # jittered, so no node is a root of unity and none crowds another
+         "unit-irregular": np.exp(2j * np.pi * (np.arange(m) + 0.3 * rng.random(m)) / m),
+         # moduli 0.2..5: sigma(1/z_j) differs from row j's sum by |z_j|**d
+         "spread": vf.default_nodes(m) * np.exp(rng.uniform(np.log(0.2), np.log(5.0), m)),
+         }[nodes]
+    frame = vf.make_vandermonde_frame(z, n)
+    for w in [w for w in range(0, n // 2 + 1) for _ in range(5)]:
+        support = tuple(sorted(int(j) + 1 for j in rng.choice(m, w, replace=False)))
+        sigma = _locator(frame, support)
+        assert _oracle_hits(sigma, frame) == list(support)
+        assert find_error_locations(sigma, frame) == list(support)
+        if not w:
+            continue
+        # A bend of 1e-3 moves every root off its node; smaller bends cross
+        # the acceptance threshold node by node, and the answer must still
+        # follow direct evaluation.
+        noise = np.abs(sigma).max() * (rng.standard_normal(w) + 1j * rng.standard_normal(w))
+        for scale in (1e-3, 1e-5, 1e-6, 1e-7, 1e-8):
+            bent = sigma.copy()
+            bent[1:] += scale * noise
+            hits = _oracle_hits(bent, frame)
+            assert scale < 1e-3 or len(hits) != w
+            if len(hits) == w:
+                assert find_error_locations(bent, frame) == hits
+            else:
+                with pytest.raises(RootCountMismatch):
+                    find_error_locations(bent, frame)
+
+
+def test_locations_past_the_radius_raise_even_when_every_root_is_a_node():
+    # At odd N the Euclid locator can come back of degree ceil(N/2).
+    frame = roots_frame(5, 10)
+    sigma = _locator(frame, (1, 4, 7))
+    with pytest.raises(RootCountMismatch, match="exceeds"):
+        find_error_locations(sigma, frame)
 
 
 def test_locations_requires_normalization():
@@ -129,6 +187,24 @@ def test_locations_requires_normalization():
 def test_input_checks_raise(call):
     with pytest.raises(ValueError):
         call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: poly.poly_trim([1.0, np.nan]),
+    lambda: solve_key_equation(np.array([1.0, np.nan, 2.0, 1.0]), 2),
+    lambda: find_error_locations(np.array([1.0, np.nan]), roots_frame(2, 4)),
+    lambda: poly.poly_divmod([1.0, 2.0], [np.inf, 1.0]),
+], ids=["trim", "key-equation", "locations", "divmod"])
+def test_non_finite_coefficients_raise_value_error(call):
+    with pytest.raises(ValueError, match="finite"):
+        call()
+
+
+def test_key_equation_breaks_down_on_a_nan_multiplier(monkeypatch):
+    monkeypatch.setattr(decoder, "poly_divmod",
+                        lambda p, q: (np.array([np.nan], dtype=complex), p[:0]))
+    with pytest.raises(NumericBreakdown):
+        solve_key_equation(np.array([1.0, 2.0]), 0)
 
 
 # -- decode ---------------------------------------------------------------------

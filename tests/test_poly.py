@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -12,12 +10,6 @@ def test_divmod_basic():
     q, r = poly.poly_divmod([0, 0, 0, 1], [0, 1])
     assert np.allclose(q, [0, 0, 1])
     assert r.size == 0
-
-
-def test_zero_poly_degree_sentinel():
-    assert poly.poly_degree([]) == -math.inf
-    assert poly.poly_degree([0.0, 0.0]) == -math.inf
-    assert poly.poly_degree([0.0, 2.0]) == 1
 
 
 def test_trim_drops_trailing_dust_only():
@@ -38,23 +30,6 @@ def test_divide_by_zero_poly():
         poly.poly_divmod([1, 2, 3], [0.0, 0.0])
 
 
-def test_eval_matches_numpy_polyval():
-    rng = np.random.default_rng(5)
-    for _ in range(50):
-        deg = int(rng.integers(0, 9))
-        p = rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1)
-        z = complex(rng.standard_normal(), rng.standard_normal())
-        # independent oracle: numpy's high-to-low evaluation
-        expect = np.polyval(p[::-1], z)
-        assert abs(poly.poly_eval(p, z) - expect) <= 1e-12 * (1 + abs(expect))
-
-
-def test_eval_vectorized():
-    zs = np.array([1.0, 1j, -1.0])
-    out = poly.poly_eval([1, 0, 1], zs)  # 1 + z^2
-    assert np.allclose(out, [2.0, 0.0, 2.0])
-
-
 def test_divmod_reconstruction_property():
     rng = np.random.default_rng(11)
     for _ in range(200):
@@ -69,7 +44,7 @@ def test_divmod_reconstruction_property():
         pad[: r.size] += r
         pad[: a.size] -= a
         assert np.abs(pad).max() <= 1e-10 * (1 + np.abs(a).max())
-        assert poly.poly_degree(r) < poly.poly_degree(b) or r.size == 0
+        assert r.size < poly.poly_trim(b).size
 
 
 def _random_poly(rng, deg):
@@ -108,24 +83,3 @@ def test_divmod_short_dividend_returns_a_trimmed_remainder():
 def test_divmod_by_an_empty_or_zero_divisor_raises(divisor):
     with pytest.raises(DivideByZeroPoly):
         poly.poly_divmod([1.0, 2.0, 3.0], divisor)
-
-
-def test_eval_is_bit_equal_to_out_of_place_horner():
-    # Scalars and one-element arrays included: numpy can round an
-    # in-place one-element product differently.
-    rng = np.random.default_rng(29)
-    for _ in range(200):
-        p = _random_poly(rng, int(rng.integers(0, 12)))
-        size = int(rng.integers(0, 40))
-        z = rng.standard_normal(size) + 1j * rng.standard_normal(size)
-        for point in (z, z[:1]):
-            expect = np.zeros_like(point)
-            for c in p[::-1]:
-                expect = expect * point + c
-            assert np.array_equal(poly.poly_eval(p, point), expect)
-        if size:
-            z0 = np.asarray(z[0])
-            expect0 = np.zeros_like(z0)
-            for c in p[::-1]:
-                expect0 = expect0 * z0 + c
-            assert poly.poly_eval(p, z[0]) == complex(expect0)
