@@ -19,9 +19,10 @@ one gate:
                      <= floor(N/2); for each passing weight w, lightest
                      first, the w nodes where the null vectors' polynomials
                      are smallest are the next candidate;
-    4. values     -- least squares from one SVD of a candidate's rows,
-                     reused by one refinement step; near-zero phantom
-                     values drop their locations, until none is left;
+    4. values     -- least squares on a candidate's rows, then one
+                     refinement step on its residual, both by numpy's
+                     lstsq; near-zero phantom values drop their
+                     locations, until none is left;
     5. gate       -- among candidates that re-synthesize r to machine
                      level (strict), the lightest wins; without one the
                      lowest relative residual wins.  It is "ok" within
@@ -130,8 +131,9 @@ def solve_key_equation(s, t: int) -> np.ndarray:
 
     All-zero syndromes trim to the zero remainder and return 1, the
     locator of the zero representation.  Raises NumericBreakdown when no
-    stable normalized solution exists (the multiplier's constant term
-    vanishes or is not finite).
+    stable normalized solution exists (a division overflows, or the
+    multiplier's constant term vanishes or is not finite), and
+    ValueError on non-finite syndromes.
     """
     s = np.asarray(s, dtype=complex).ravel()
     n = s.size
@@ -146,22 +148,29 @@ def solve_key_equation(s, t: int) -> np.ndarray:
     v_prev = s[:0]                                 # multipliers of S1
     v_cur = np.ones(1, dtype=complex)
     # poly_divmod returns trimmed remainders, each shorter than its
-    # divisor, so r_cur.size - 1 is the degree and the loop ends.
-    while r_cur.size > t:
-        q, rem = poly_divmod(r_prev, r_cur)
-        # v_prev - q * v_cur, where q * v_cur is the longer of the two.
-        v_next = -np.convolve(q, v_cur)
-        v_next[: v_prev.size] += v_prev
-        r_prev, v_prev = r_cur, v_cur
-        r_cur, v_cur = rem, v_next
-        # Joint rescale keeps the recursion well-scaled; each (r, v)
-        # pair satisfies its own Bezout relation, so pairs may be
-        # scaled independently of one another.  Both arrays are fresh,
-        # so they are scaled in place.
-        top = _max(np.abs(r_cur)) if r_cur.size else 0.0
-        if top > 0.0:
-            r_cur /= top
-            v_cur /= top
+    # divisor, so r_cur.size - 1 is the degree and the loop ends.  A
+    # quotient that overflows leaves a non-finite remainder, which
+    # poly_divmod refuses with ValueError; a multiplier that overflows
+    # fails the constant-term check after the loop.
+    with np.errstate(over="ignore", invalid="ignore"):
+        while r_cur.size > t:
+            try:
+                q, rem = poly_divmod(r_prev, r_cur)
+            except ValueError:
+                raise NumericBreakdown("Euclid division overflowed") from None
+            # v_prev - q * v_cur, where q * v_cur is the longer of the two.
+            v_next = -np.convolve(q, v_cur)
+            v_next[: v_prev.size] += v_prev
+            r_prev, v_prev = r_cur, v_cur
+            r_cur, v_cur = rem, v_next
+            # Joint rescale keeps the recursion well-scaled; each (r, v)
+            # pair satisfies its own Bezout relation, so pairs may be
+            # scaled independently of one another.  Both arrays are
+            # fresh, so they are scaled in place.
+            top = _max(np.abs(r_cur)) if r_cur.size else 0.0
+            if top > 0.0:
+                r_cur /= top
+                v_cur /= top
 
     # Written as "not above" so that a nan multiplier breaks down too.
     if not abs(v_cur[0]) > 1e-12 * _max(np.abs(v_cur)):
@@ -203,16 +212,14 @@ def find_error_locations(sigma, frame: Frame) -> list[int]:
 
 def _values(frame, s, support):
     """Least-squares values on a support, refined by one step on their
-    residual; returned with the support's frame rows.  One SVD of the
-    rows serves both solves: singular values at or below eps times the
-    largest count as zero (gelsy's rank cut), and each solve applies U^H,
-    then 1/sigma, then V."""
+    residual; returned with the support's frame rows.  Both solves are
+    numpy's lstsq (LAPACK gelsd): singular values of the rows at or below
+    eps times the largest count as zero, as in gelsy's default cutoff.
+    Raises numpy.linalg.LinAlgError when the factorization fails."""
     rows = frame.matrix[np.asarray(support, dtype=int) - 1]
-    u, sing, vh = np.linalg.svd(rows.T, full_matrices=False)
-    rank = np.count_nonzero(sing > np.finfo(float).eps * sing.max(initial=0.0))
-    u, sing, vh = u[:, :rank].conj(), sing[:rank], vh[:rank].conj()
-    values = s @ u / sing @ vh
-    values += (s - values @ rows) @ u / sing @ vh
+    eps = np.finfo(float).eps
+    values = np.linalg.lstsq(rows.T, s, rcond=eps)[0]
+    values += np.linalg.lstsq(rows.T, s - values @ rows, rcond=eps)[0]
     return values, rows
 
 
@@ -282,10 +289,12 @@ def decode(frame: Frame, r, tol: float = RESIDUAL_TOL) -> DecodeOutcome:
     accuracy").  Otherwise it returns "weight_exceeds_half_n" (no
     candidate support was found) or "residual_too_large" (the best
     candidate misses r by more than tol), each with the representation
-    and its residual, as DecodeOutcome.  Failures are reported as data,
-    never raised; a signal of the wrong length (LengthMismatch) or
-    with a non-finite entry or norm (ValueError) is refused, and so is a
-    tol that is not finite with 0 < tol < 1 (DomainError).
+    and its residual, as DecodeOutcome.  Failures are reported as data:
+    on a signal of length N with a finite norm decode never raises, and a
+    factorization that fails ends the scan with the candidates valued so
+    far.  A signal of the wrong length (LengthMismatch) or with a
+    non-finite entry or norm (ValueError) is refused, and so is a tol
+    that is not finite with 0 < tol < 1 (DomainError).
     """
     _check_tol(tol)
     # The syndromes are r's coordinates, so they serve as the signal too.
@@ -306,18 +315,23 @@ def decode(frame: Frame, r, tol: float = RESIDUAL_TOL) -> DecodeOutcome:
     # lighter weight is left, and one of weight <= N/4 at once, so a light
     # Euclid answer never computes the spectrum.  Without a strict
     # candidate the lowest residual wins, the earlier on a tie.
+    # A factorization that fails (LinAlgError, in a candidate's values or
+    # in the spectrum) ends the scan with the candidates valued so far.
     strict = min(tol, STRICT_RESIDUAL)
     best = lightest = None
-    for support in itertools.chain(euclid, _subspace_supports(frame, s)):
-        if lightest is not None and len(support) >= len(lightest[0]):
-            break
-        cand = _candidate(frame, s, support, norm_s)
-        if best is None or cand[2] < best[2]:
-            best = cand
-        if cand[2] <= strict:
-            lightest = cand
-            if len(cand[0]) <= frame.n // 4:
+    try:
+        for support in itertools.chain(euclid, _subspace_supports(frame, s)):
+            if lightest is not None and len(support) >= len(lightest[0]):
                 break
+            cand = _candidate(frame, s, support, norm_s)
+            if best is None or cand[2] < best[2]:
+                best = cand
+            if cand[2] <= strict:
+                lightest = cand
+                if len(cand[0]) <= frame.n // 4:
+                    break
+    except np.linalg.LinAlgError:
+        pass
     if lightest is not None:
         best = lightest
     if best is None:

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -7,9 +11,11 @@ import scipy.linalg
 import vframe as vf
 from vframe import decoder, poly
 from vframe.decoder import (
+    RESIDUAL_TOL,
     STATUS_OK,
     STATUS_RESIDUAL,
     STATUS_WEIGHT,
+    STRICT_RESIDUAL,
     _candidate,
     _values,
     find_error_locations,
@@ -205,6 +211,20 @@ def test_key_equation_breaks_down_on_a_nan_multiplier(monkeypatch):
                         lambda p, q: (np.array([np.nan], dtype=complex), p[:0]))
     with pytest.raises(NumericBreakdown):
         solve_key_equation(np.array([1.0, 2.0]), 0)
+
+
+@pytest.mark.parametrize("seed", range(1, 7))
+def test_an_overflowing_euclid_division_breaks_down_instead_of_raising(seed):
+    # Entries 1..66 standard normal, entry 66 then set to 1e-8: dividing
+    # z^128 by S1 grows the quotient by about 1e8 a term until it
+    # overflows and the remainder turns nan.
+    frame = roots_frame(128, 512)
+    r = np.zeros(128, dtype=complex)
+    r[:66] = np.random.default_rng(seed).standard_normal(66)
+    r[65] = 1e-8
+    with pytest.raises(NumericBreakdown):
+        solve_key_equation(r, 64)
+    assert vf.decode(frame, r).status == STATUS_WEIGHT
 
 
 # -- decode ---------------------------------------------------------------------
@@ -536,3 +556,50 @@ def test_least_squares_values_match_scipy_gelsy():
         assert np.abs(solve(a, b) - expected).max() <= 1e-13 * np.abs(expected).max()
     # a weight-0 candidate solves an (N, 0) system
     assert solve(np.zeros((4, 0), dtype=complex), np.ones(4, dtype=complex)).shape == (0,)
+
+
+# Runs in a fresh interpreter, because OpenBLAS reads its thread count
+# when it loads: unit values on nodes 6..105 of roots(256, 512).
+ONE_THREAD_PROBE = """
+import numpy as np
+import vframe as vf
+frame = vf.make_vandermonde_frame(vf.default_nodes(512), 256)
+rep = vf.SparseRep(512, tuple(range(6, 106)), np.ones(100, dtype=complex))
+print(vf.decode(frame, vf.synthesize(frame, rep)).status)
+"""
+
+
+def test_decode_of_an_ill_posed_contiguous_support_does_not_raise_on_one_blas_thread():
+    # With one OpenBLAS thread, an SVD of this input's candidate rows
+    # once failed to converge and the LinAlgError escaped decode.
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
+    done = subprocess.run([sys.executable, "-c", ONE_THREAD_PROBE], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split()[-1] in (STATUS_OK, STATUS_RESIDUAL, STATUS_WEIGHT)
+
+
+def test_a_failed_factorization_ends_the_scan_with_the_candidates_valued_so_far(monkeypatch):
+    # The Euclid support of this noisy weight-3 signal misses the strict
+    # residual, so the scan goes on to the subspace candidates; the
+    # solve of the second candidate fails.
+    frame = roots_frame(16, 32)
+    rep = vf.random_sparse_rep(32, 3, np.random.default_rng([16, 3]))
+    r = vf.synthesize(frame, rep) + 1e-8 * np.random.default_rng(5).standard_normal(16)
+    supports = []
+
+    def failing(frame, s, support):
+        supports.append(tuple(support))
+        if len(supports) == 2:
+            raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+        return _values(frame, s, support)
+
+    monkeypatch.setattr(decoder, "_values", failing)
+    out = vf.decode(frame, r)
+    assert len(supports) == 2 and supports[0] == rep.support
+    support, values, residual = _candidate(frame, r, rep.support, float(np.linalg.norm(r)))
+    assert out.rep.support == support == rep.support
+    assert np.array_equal(out.rep.values, values)
+    assert out.residual == residual
+    assert STRICT_RESIDUAL < out.residual <= RESIDUAL_TOL and out.status == STATUS_OK
