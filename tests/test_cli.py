@@ -431,6 +431,28 @@ def test_sweep_draws_each_n_once_and_matches_per_cell_estimates(tmp_path, capsys
     assert len(draws) == 10
 
 
+def test_sweep_lifts_and_checks_each_chunk_once_per_n_and_m(tmp_path, capsys, monkeypatch):
+    # On the validate-sweep grid (N = 3..6, M = 2N, every L, 5,000 samples)
+    # one chunk holds every sample.  Each (N, M) checks and norms it once
+    # per chunk size, twice where the stacked-basis L = 1 cell (N = 5, 6)
+    # takes larger chunks, and lifts it once for all of its real-weight
+    # cells: 4 lifts and 6 checks, where an estimate per cell takes 12 and 14.
+    lifts, checks = [], []
+    for name in ("_real_features", "_gram_features"):
+        monkeypatch.setattr(montecarlo, name, lambda xs, pairs, name=name,
+                            lift=getattr(montecarlo, name):
+                            lifts.append((name, len(xs))) or lift(xs, pairs))
+    signals = montecarlo._signals
+    monkeypatch.setattr(montecarlo, "_signals", lambda frame, X, l:
+                        checks.append((frame.n, len(X))) or signals(frame, X, l))
+    code, _, err = run(capsys, ["sweep", "--n-list", "3,4,5,6", "--m-factors", "2", "--l", "all",
+                                "--samples", "5000", "--seed", "3",
+                                "--out", str(tmp_path / "sweep.csv")])
+    assert code == 0, err
+    assert lifts == [("_real_features", 5000)] * 4
+    assert checks == [(3, 5000), (4, 5000), (5, 5000), (5, 5000), (6, 5000), (6, 5000)]
+
+
 def test_sweep_reads_a_smaller_chunk_out_of_the_one_it_holds(tmp_path, capsys, monkeypatch):
     # At N = 8 an estimate scores 32 blocks of rows at once for stacked
     # bases (L = 1) but 14 for real-symmetric weights (L = 2, 3): the

@@ -358,6 +358,28 @@ def test_energies_of_one_search_share_one_buffer():
     assert np.shares_memory(first, second)
 
 
+def test_small_blocks_write_sample_contiguous_energies():
+    # roots(6, 12) at L = 3 scores one orbit block of fewer supports than
+    # the 5,000 samples, in two GEMMs of 2**20 // B rows.  Each writes its
+    # energies as (supports, samples) into the one buffer and hands out the
+    # transpose, so a sample's energies are a strided row; they equal the
+    # (samples, supports) GEMM within an ulp or so.
+    frame, l = roots_frame(6, 12), 3
+    X = vf.sample_sphere_batch(6, 5000, seed=(32, 1))
+    steps = [(rows, energy, energy.copy())
+             for rows, _, energy in montecarlo._energies(frame, X, l, montecarlo.DEFAULT_BUDGET)]
+    assert len(steps) == 2 and np.shares_memory(steps[0][1], steps[1][1])
+    pairs = np.triu_indices(6, 1)
+    (_, weights), = montecarlo._orbit_blocks(
+        frame.matrix, *montecarlo._orbit_representatives(12, l), 2**20, pairs)
+    lifted = montecarlo._real_features(X, pairs)
+    assert sum(len(X[rows]) for rows, _, _ in steps) == len(X)
+    for rows, view, energy in steps:
+        assert energy.shape[1] == weights.shape[1] < len(X[rows])
+        assert view.strides[0] == 8
+        np.testing.assert_allclose(energy, lifted[rows] @ weights, rtol=0, atol=2e-15)
+
+
 @pytest.mark.parametrize("m,n", [(9, 3), (12, 10)])
 @pytest.mark.parametrize("kind", ["gaussian", "duplicated"])
 def test_support_energies_match_projection_residual(m, n, kind, monkeypatch):
@@ -689,6 +711,25 @@ def test_squared_norms_take_no_copy_of_the_batch():
     np.testing.assert_allclose(norms, np.einsum("sn,sn->s", X, X.conj()).real, rtol=1e-15)
 
 
+def test_tied_supports_on_a_general_frame_take_no_memory_per_support():
+    # At L = N every support of a Gaussian (8, 20) frame fits x, so all
+    # C(20, 8) = 125,970 tie.  The search keeps only the supports that no
+    # lexicographically smaller one matches or beats, and the smallest
+    # residual of the others: keeping every tie until the end peaked at
+    # 44 MB here.  The 8 MiB energy buffer is most of what is left.
+    frame = vf.make_gaussian_frame(20, 8, seed=(1,))
+    x = vf.sample_sphere_batch(8, 1, (2,))[0]
+    tracemalloc.start()
+    try:
+        got = vf.smdd_exact(frame, x, 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.support == tuple(range(1, 9)) and got.ties_broken
+    assert got.residual_sq <= 1e-14
+    assert peak < 20 * 10**6
+
+
 def test_exact_search_keeps_no_support_table():
     # every call scores its supports block by block (a whole Gram table
     # would take N^2 * C(M, L) * 8 = 583 kB here) and keeps none of them;
@@ -1006,7 +1047,7 @@ def test_estimate_chunk_of_lifted_rows_is_the_whole_blocks_that_fit(frame, l, bl
     (64, 64, 1, montecarlo.DEFAULT_BUDGET, [(64, 4 * BLOCK, 5, 0), (64, 1, 5, 4 * BLOCK)]),
 ], ids=["orbit", "greedy", "two-chunks"])
 def test_estimate_through_a_reusing_draw_is_the_default_one(n, m, l, budget, chunks, monkeypatch):
-    # vframe sweep hands the chunk one cell drew to the next cell of its N.
+    # vframe sweep hands the chunk one pass drew to the next pass of its N.
     # Through a draw that keeps every chunk, read-only, an estimate is byte
     # for byte the default one, also when every chunk was drawn before.
     frame, n_samples = roots_frame(n, m), sum(rows for _, rows, _, _ in chunks)
@@ -1022,8 +1063,7 @@ def test_estimate_through_a_reusing_draw_is_the_default_one(n, m, l, budget, chu
 
     default = vf.estimate_distortion(frame, l, n_samples, 5, budget, fallback_greedy=greedy)
     for _ in range(2):
-        est = vf.estimate_distortion(frame, l, n_samples, 5, budget, fallback_greedy=greedy,
-                                     draw=draw)
+        est, = montecarlo._estimates(frame, (l,), n_samples, 5, budget, draw, greedy)
         assert est.approximate == greedy
         assert est.ratios.tobytes() == default.ratios.tobytes()
         assert (est.mean, est.stderr) == (default.mean, default.stderr)
@@ -1032,7 +1072,7 @@ def test_estimate_through_a_reusing_draw_is_the_default_one(n, m, l, budget, chu
     monkeypatch.setattr(montecarlo, "sample_sphere_batch", None)
     for weight in (0, n, n + 1):
         if weight <= m:
-            vf.estimate_distortion(frame, weight, n_samples, 5, draw=draw)
+            montecarlo._estimates(frame, (weight,), n_samples, 5, budget, draw, greedy)
     assert len(calls) == 2 * len(chunks)
 
 
