@@ -367,20 +367,17 @@ def cmd_sweep(args):
             except BudgetExceeded as exc:
                 raise BudgetExceeded(f"cell (N,M,L)=({inp.n},{inp.m},{inp.l}) is over "
                                      f"--budget {args.budget}: {exc}") from None
-    # Every cell of one N reads the same stream, in chunks whose size may
-    # differ by cell: the last chunk drawn is kept, read-only, and a later
-    # one inside it is a slice of it, so no more than one is held.  A row
-    # does not depend on the rows drawn with it, so the slice is the draw.
+    # Every cell of one N reads the same stream in the same chunks: the
+    # last chunk drawn is kept, read-only, and handed to the next pass that
+    # asks for it, so no more than one is held.
     last = {}
 
-    def draw(n, rows, seed, start):
-        first, chunk = last.get((n, seed), (0, None))
-        if chunk is None or not first <= start <= start + rows <= first + len(chunk):
+    def draw(*key):
+        if key not in last:
             last.clear()
-            first, chunk = start, montecarlo.sample_sphere_batch(n, rows, seed, start)
-            chunk.flags.writeable = False
-            last[n, seed] = first, chunk
-        return chunk[start - first:start - first + rows]
+            last[key] = montecarlo.sample_sphere_batch(*key)
+            last[key].flags.writeable = False
+        return last[key]
 
     # The cells of one (N, M) are estimated together, in one pass over
     # each chunk of samples, before their rows are written.  A group of one

@@ -9,23 +9,23 @@ mean distortion, which is then compared against the closed-form lower
 bound.
 
 Scoring kernel: a support S with rank-masked orthonormal basis V_S has
-projection energy ||P_S x||^2 = x^H G_S x, G_S = V_S^H V_S.  For N <= 4L
-samples and supports are lifted to real features and weights, so one
-real GEMM scores a chunk of samples against a block of supports: N^2
-multiply-adds per pair in the Gram form, no more than the 4*L*N of the
-stacked bases used for N > 4L.  One constant, _GEMM_ENERGIES = 2**20
-energies (8 MiB), owns the search's working set.  Supports are scored
-in blocks of B = _GEMM_ENERGIES // (16*L*N) = 2**16 // (L*N) (twice that
-at most on the orbit path below): weights at most 2 MiB (N^2 * B * 8, or
-L * N * B * 16 stacked), dropped once scored, and GEMMs of
-_GEMM_ENERGIES // B rows (_GEMM_ENERGIES // (L*B) stacked), so at most
-_GEMM_ENERGIES energies per GEMM, written into one buffer, as (supports,
-samples) when the block is the smaller side (_chunk_energies).  So memory
-grows with C(M, L) only through the ties smdd_exact keeps; the budget on
-C(M, L) bounds the time.  The samples are lifted once per chunk of
-_chunk_rows rows, the most whole sample blocks whose lift (or, stacked,
-whose complex rows) fits _CHUNK_ENTRIES complex entries (4 MiB), and
-every block is scored against that lift.
+projection energy ||P_S x||^2 = x^H G_S x, G_S = V_S^H V_S.  Samples and
+supports are lifted to real features and weights, so one real GEMM
+scores a chunk of samples against a block of supports: N^2
+multiply-adds per pair in the Gram form, fewer in the real-symmetric
+form below.  The frame alone picks the form, whatever L.  One constant,
+_GEMM_ENERGIES = 2**20 energies (8 MiB), owns the search's working set.
+Supports are scored in blocks of B = _GEMM_ENERGIES // (4*N*max(N, 4L))
+(twice that at most on the orbit path below, or one representative's M
+shifts): Gram weights at most 2 MiB (N^2 * B * 8), dropped once scored,
+and GEMMs of _GEMM_ENERGIES // B rows, so at most _GEMM_ENERGIES
+energies per GEMM, written into one buffer, as (supports, samples) when
+the block is the smaller side (_chunk_energies).  So memory grows with
+C(M, L) only through the ties smdd_exact keeps; the budget on C(M, L)
+bounds the time.  The samples are lifted once per chunk of _chunk_rows
+rows, the most whole sample blocks whose lift fits _CHUNK_ENTRIES
+complex entries (4 MiB), at least one, and every block is scored
+against that lift.
 
 Where the weights come from: on most frames, one SVD per support, C(M, L)
 in all.  On the default frame, whose nodes z_j are the M-th roots of
@@ -67,20 +67,20 @@ numbers: as easy as 1, 2, 3", SC 2011); the normals are numpy's own
 ziggurat (Marsaglia & Tsang, J. Stat. Softw. 5(8), 2000).  A row does
 not depend on how many rows are drawn with it, so estimate_distortion
 draws and scores a chunk of whole blocks at a time, its size fixed by
-the frame and L (_chunk_rows).  vframe sweep scores every L of one
-(N, M) in one pass over each chunk (_estimates).  Every cell of one
-(N, seed) reads the same stream, so the sweep keeps the last chunk drawn
-and hands later passes that chunk, or the slice of it they ask for: a
-stream that fits the largest chunk is drawn once per N.  Another chunk
-size gives the same samples; their residuals may move by an ulp, as BLAS
-rounds a GEMM by its shape (at most 7.8e-16 measured, at N = 6, M = 12,
+the frame (_chunk_rows).  vframe sweep scores every L of one (N, M) in
+one pass over each chunk (_estimates).  Every cell of one (N, seed)
+reads the same stream in the same chunks, so the sweep keeps the last
+chunk drawn and hands it to the next pass that asks for it: a stream
+that fits one chunk is drawn once per N.  Another chunk size gives the
+same samples; their residuals may move by an ulp, as BLAS rounds a GEMM
+by its shape (at most 7.8e-16 measured, at N = 6, M = 12,
 L = 3).  The layout of a small block's energies moved the sweep's
 estimates as much: by at most 1.9e-15 relative over 40 sweeps of
-N = 3..6, M = 2N, with no verdict changed.  The spawn key keeps block b apart from sample_rng(seed, b),
-the per-sample stream of encode and roundtrip, for seeds of fewer than
-four 32-bit words (every CLI seed).  SeedSequence pads its entropy pool
-with zeros, so seeds that differ only by trailing zeros, such as s and
-(s, 0), name the same stream.
+N = 3..6, M = 2N, with no verdict changed.  The spawn key keeps block b
+apart from sample_rng(seed, b), the per-sample stream of encode and
+roundtrip, for seeds of fewer than four 32-bit words (every CLI seed).
+SeedSequence pads its entropy pool with zeros, so seeds that differ
+only by trailing zeros, such as s and (s, 0), name the same stream.
 """
 
 from __future__ import annotations
@@ -101,18 +101,17 @@ TIE_TOL = 1e-12
 
 DEFAULT_BUDGET = 10**6
 
-# Energies one exact-search GEMM writes at most: 8 MiB of float64 (16 MiB
-# of complex projections for the stacked bases), the larger part of the
-# search's working set.  Blocks of supports are sized from it too
-# (_energies); blocks half as wide ran about 17% slower on the N=8, M=32,
-# L=4 cell.
+# Energies one exact-search GEMM writes at most: 8 MiB of float64, the
+# larger part of the search's working set.  Blocks of supports are sized
+# from it too (_energies); blocks half as wide ran about 17% slower on the
+# N=8, M=32, L=4 cell.
 _GEMM_ENERGIES = 2**20
 
 # Rows per sample block: sample i is row i % _BLOCK of block i // _BLOCK.
 _BLOCK = 1024
 
 # 4 MiB, as complex entries, half the size of a GEMM's energies: the
-# scoring input of the rows an exact search lifts and scores at once
+# real lift of the rows an exact search lifts and scores at once
 # (_chunk_rows) fits it, in whole blocks, at least one.
 _CHUNK_ENTRIES = _GEMM_ENERGIES // 4
 
@@ -256,23 +255,12 @@ def _bases(rows: np.ndarray) -> np.ndarray:
 
 
 def _block_weights(matrix: np.ndarray, supports: np.ndarray, pairs) -> np.ndarray:
-    """Weights that score samples against the (B, l) block of supports in
-    one GEMM, from their _bases.
-
-    For N <= 4l they are the (N*N, B) real projectors G = V^H V, one
-    column per support: G_aa, then Re G_ab and -Im G_ab for the pairs
-    a < b, so _gram_features(x) @ weights = x^H G x.  Otherwise (past
-    N = 4l the Gram weights would take N/(2l) > 2 times the memory) they
-    are the complex (N, l*B) stacked bases: column j*B + k holds basis
-    vector j of support k.  Past N = 4l the stacked bases take fewer
-    multiply-adds a pair (4*l*N against N*N), yet they write l complex
-    projections a pair and square them after, and are slower on most
-    such cells (README, "Exact-search kernel").
-    """
-    n, l = matrix.shape[1], supports.shape[1]
+    """The (N*N, B) real projectors G = V^H V of the (B, l) block of
+    supports, from their _bases, one column per support: G_aa, then
+    Re G_ab and -Im G_ab for the pairs a < b, so that
+    _gram_features(x) @ weights = x^H G x and one GEMM scores samples
+    against the block."""
     v = _bases(matrix[supports])                                       # (B, l, n)
-    if n > 4 * l:
-        return v.transpose(1, 0, 2).reshape(-1, n).T
     g = v.conj().transpose(0, 2, 1) @ v                                # (B, n, n)
     a, b = pairs
     upper = g[:, a, b].T
@@ -289,11 +277,9 @@ def _orbit_blocks(matrix: np.ndarray, reps: np.ndarray, flip: np.ndarray, width:
     at most 2 * max(width, M) supports.
 
     Shifting a support by s multiplies its rows by D_s = diag(z_s^k), the
-    frame's row s, so its basis is V D_s^H and G_ab is multiplied by
-    z_s^(a-b); node -j is conj(z_j), so the reflection -S has basis
-    conj(V) and Gram conj(G).  Only the representatives are SVD'd.  Past
-    N = 4l the weights are the stacked bases, (N, l*M*(r + f)) in
-    _block_weights' order.  Otherwise they are real-symmetric: as
+    frame's row s, so its Gram matrix G_ab is multiplied by z_s^(a-b);
+    node -j is conj(z_j), so the reflection -S has Gram conj(G).  Only the
+    representatives are SVD'd.  The weights are real-symmetric: as
     J G J = conj(G) (J reverses coordinates; J row(z) = z^(N-1) conj(row(z))
     on the unit circle), x^H G x = (a^T H a + b^T H b) / 2 with a, b the
     real and imaginary parts of x + i Jx and H_ij = Re G_ij - Im G_(N-1-i)j,
@@ -303,29 +289,21 @@ def _orbit_blocks(matrix: np.ndarray, reps: np.ndarray, flip: np.ndarray, width:
     by one batched GEMM.
     """
     m, n = matrix.shape
-    l = reps.shape[1]
-    if n > 4 * l:
-        phase = matrix.conj().T[:, None, :, None]   # multiplies basis entry k of shift s
-    else:
-        i, j = (np.concatenate([np.arange(n), p]) for p in pairs)
-        z, shift = default_nodes(m), np.arange(m)
-        p, q = z[(i - j)[:, None] * shift % m], z[(n - 1 - i - j)[:, None] * shift % m]
-        # H_ij of shift s is rotate[k, s] @ (Re, Im of G_ij, Re, Im of G_(N-1-i)j).
-        rotate = np.stack([p.real, -p.imag, -q.imag, -q.real], axis=2)     # (K, M, 4)
+    i, j = (np.concatenate([np.arange(n), p]) for p in pairs)
+    z, shift = default_nodes(m), np.arange(m)
+    p, q = z[(i - j)[:, None] * shift % m], z[(n - 1 - i - j)[:, None] * shift % m]
+    # H_ij of shift s is rotate[k, s] @ (Re, Im of G_ij, Re, Im of G_(N-1-i)j).
+    rotate = np.stack([p.real, -p.imag, -q.imag, -q.real], axis=2)         # (K, M, 4)
     step = max(1, width // m)
     for start in range(0, len(reps), step):
         block, f = reps[start:start + step], flip[start:start + step]
         signed = np.concatenate([block, -block[f]])
         v = _bases(matrix[block])                                      # (r, l, n)
-        if n > 4 * l:
-            v = np.concatenate([v, v[f].conj()])
-            weights = (v.transpose(2, 1, 0)[:, :, None, :] * phase).reshape(n, -1)
-        else:
-            g = (v.conj().transpose(0, 2, 1) @ v).transpose(1, 2, 0)   # (n, n, r)
-            g = np.stack([g[i, j], g[n - 1 - i, j]])                   # (2, K, r)
-            g = np.concatenate([g, g[:, :, f].conj()], axis=2)
-            parts = np.stack([g[0].real, g[0].imag, g[1].real, g[1].imag], axis=1)
-            weights = (rotate @ parts).reshape(len(i), -1)
+        g = (v.conj().transpose(0, 2, 1) @ v).transpose(1, 2, 0)       # (n, n, r)
+        g = np.stack([g[i, j], g[n - 1 - i, j]])                       # (2, K, r)
+        g = np.concatenate([g, g[:, :, f].conj()], axis=2)
+        parts = np.stack([g[0].real, g[0].imag, g[1].real, g[1].imag], axis=1)
+        weights = (rotate @ parts).reshape(len(i), -1)
 
         def supports(cols, signed=signed):
             return np.sort((signed[cols % len(signed)] + (cols // len(signed))[:, None]) % m,
@@ -341,32 +319,23 @@ def _orbit_path(frame: Frame) -> bool:
     return np.array_equal(frame.nodes, default_nodes(frame.m))
 
 
-def _chunk_rows(frame: Frame, l: int) -> int:
-    """Rows an exact search of weight l >= 1 lifts and scores at once, and
-    an estimate draws: the most whole sample blocks whose scoring input
-    fits _CHUNK_ENTRIES complex entries, at least one.  The input is the
-    complex rows for the stacked bases (16*N bytes a row), the real lift
-    for real-symmetric weights (4*N*(N+1)) or for Gram weights (8*N*N)."""
+def _chunk_rows(frame: Frame) -> int:
+    """Rows an exact search lifts and scores at once, and an estimate
+    draws: the most whole sample blocks whose real lift fits
+    _CHUNK_ENTRIES complex entries, at least one.  The lift takes
+    4*N*(N+1) bytes a row for real-symmetric weights and 8*N*N for Gram
+    weights (_lift)."""
     n = frame.n
-    if n > 4 * l:
-        row = 16 * n
-    elif _orbit_path(frame):
-        row = 4 * n * (n + 1)
-    else:
-        row = 8 * n * n
+    row = 4 * n * (n + 1) if _orbit_path(frame) else 8 * n * n
     return _BLOCK * max(1, 16 * _CHUNK_ENTRIES // (_BLOCK * row))
 
 
-def _lift(frame: Frame, X: np.ndarray, l: int) -> np.ndarray:
-    """The scoring input of the checked (S, N) batch X for a search of
-    weight l >= 1: X itself for the stacked bases (N > 4l), else its real
-    lift, _real_features when _orbit_path holds and _gram_features
-    otherwise."""
-    n = frame.n
-    if n > 4 * l:
-        return X
+def _lift(frame: Frame, X: np.ndarray) -> np.ndarray:
+    """The real lift of the checked (S, N) batch X that frame's weights
+    score, at every weight: _real_features when _orbit_path holds and
+    _gram_features otherwise."""
     lift = _real_features if _orbit_path(frame) else _gram_features
-    return lift(X, np.triu_indices(n, 1))
+    return lift(X, np.triu_indices(frame.n, 1))
 
 
 def _energies(frame: Frame, X: np.ndarray, l: int, budget: int):
@@ -383,17 +352,17 @@ def _energies(frame: Frame, X: np.ndarray, l: int, budget: int):
     from its representative's, so the energies may differ from a
     support's own SVD by a few ulp, and a support whose shifts fix it
     appears once per such shift.  Otherwise the blocks hold B =
-    _GEMM_ENERGIES // (16*l*N) supports each, in lexicographic order, every
-    support once, its weights from its own SVD.  Every GEMM makes at most
-    _GEMM_ENERGIES energies (or projections, for the stacked bases).
-    Raises BudgetExceeded when C(M, l) exceeds the budget.
+    _GEMM_ENERGIES // (4*N*max(N, 4*l)) supports each, in lexicographic
+    order, every support once, its weights from its own SVD.  Every GEMM
+    makes at most _GEMM_ENERGIES energies.  Raises BudgetExceeded when
+    C(M, l) exceeds the budget.
     """
     _over_budget(frame.m, l, budget)
     m, n = frame.matrix.shape
     pairs = np.triu_indices(n, 1)
-    # A block's weights (N*N <= 4*l*N floats, or l*N complex, per support)
-    # then take at most a quarter of a GEMM's energies.
-    width = max(1, _GEMM_ENERGIES // (16 * l * n))
+    # A block's Gram weights (N*N floats per support) then take at most a
+    # quarter of a GEMM's energies, 2 MiB.
+    width = max(1, _GEMM_ENERGIES // (4 * n * max(n, 4 * l)))
     if _orbit_path(frame):
         blocks = _orbit_blocks(frame.matrix, *_orbit_representatives(m, l), width, pairs)
     else:
@@ -401,7 +370,7 @@ def _energies(frame: Frame, X: np.ndarray, l: int, budget: int):
         blocks = ((s.__getitem__, _block_weights(frame.matrix, s, pairs))
                   for s in support_blocks(m, l, width))
     if X.dtype == complex:
-        X = _lift(frame, X, l)
+        X = _lift(frame, X)
     # Fresh GEMM outputs of unequal sizes left heap holes that raised an
     # estimate's peak RSS by 8 MiB.  A block holds at most 2 * max(width, m)
     # supports, so one row of any block fits.
@@ -410,28 +379,20 @@ def _energies(frame: Frame, X: np.ndarray, l: int, budget: int):
         chunk = max(1, _GEMM_ENERGIES // weights.shape[1])
         for start in range(0, len(X), chunk):
             rows = slice(start, start + chunk)
-            yield rows, supports, _chunk_energies(X[rows], weights, l, out)
+            yield rows, supports, _chunk_energies(X[rows], weights, out)
 
 
-def _chunk_energies(xs: np.ndarray, weights: np.ndarray, l: int, out: np.ndarray) -> np.ndarray:
-    """(s, B) projection energies of the samples xs, lifted to match real
-    weights or complex (s, N) for stacked bases, on the B supports of one
-    block, written into the front of the flat buffer out.  Where B < s
-    they are written (B, s) and the transpose returned, so that the row
-    maxima run along contiguous samples (an energy moves by an ulp or so,
-    at most 5.6e-16 at N = 6, M = 12, L = 3)."""
-    stacked = weights.dtype == complex
-    s, b = len(xs), weights.shape[1] // (l if stacked else 1)
+def _chunk_energies(xs: np.ndarray, weights: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """(s, B) projection energies of the lifted samples xs on the B
+    supports of one block, xs @ weights, written into the front of the
+    flat buffer out.  Where B < s they are written (B, s) and the
+    transpose returned, so that the row maxima run along contiguous
+    samples (an energy moves by an ulp or so, at most 5.6e-16 at N = 6,
+    M = 12, L = 3)."""
+    s, b = len(xs), weights.shape[1]
     flip = b < s
     energy = out[:s * b].reshape((b, s) if flip else (s, b))
-    if not stacked:
-        np.matmul(*((weights.T, xs.T) if flip else (xs, weights)), out=energy)
-    else:
-        proj = ((weights.T @ xs.T).reshape(l, b, s) if flip
-                else (xs @ weights).reshape(s, l, b).transpose(1, 0, 2))
-        energy[...] = 0.0
-        for part in proj:
-            energy += part.real ** 2 + part.imag ** 2
+    np.matmul(*((weights.T, xs.T) if flip else (xs, weights)), out=energy)
     return energy.T if flip else energy
 
 
@@ -530,7 +491,7 @@ def _residuals(frame: Frame, X: np.ndarray, norms: np.ndarray, l: int, budget: i
         return np.zeros(len(X))
     _over_budget(frame.m, l, budget)
     top = np.full(X.shape[0], -np.inf)
-    chunk = _chunk_rows(frame, l)
+    chunk = _chunk_rows(frame)
     for start in range(0, len(X), chunk):
         best = top[start:start + chunk]
         for rows, _, energy in _energies(frame, X[start:start + chunk], l, budget):
@@ -668,13 +629,11 @@ def _estimates(frame: Frame, ls, n_samples: int, seed, budget: int, draw,
                fallback_greedy: bool = False) -> list[DistortionEstimate]:
     """estimate_distortion of frame at each weight of ls, in ls order.
 
-    The weights of one chunk size (_chunk_rows) share each chunk: it is
-    read through draw(n, rows, seed, start), which must return
-    sample_sphere_batch(n, rows, seed, start), checked and normed once,
-    and lifted once per scoring form (_lift), one lift held at a time, so
-    each estimate is estimate_distortion's.  Chunk sizes run largest
-    first and no chunk is written to, so a draw that keeps its last chunk
-    can hand out the smaller ones as slices of it, as vframe sweep's does.
+    Every weight reads the samples in the same chunks (_chunk_rows).  Each
+    chunk is read through draw(n, rows, seed, start), which must return
+    sample_sphere_batch(n, rows, seed, start); it is not written to.  It
+    is checked and normed once and lifted once (_lift), and every weight
+    is scored from that lift, so each estimate is estimate_distortion's.
     The ratios of every weight are kept, 8 bytes per sample each."""
     seed = _seed(seed)
     if n_samples < 1:
@@ -686,23 +645,19 @@ def _estimates(frame: Frame, ls, n_samples: int, seed, budget: int, draw,
         approximate[l] = 0 < l < n and _over_budget(frame.m, l, budget,
                                                     refuse=not fallback_greedy)
         ratios[l] = np.ones(n_samples) if l == 0 else np.zeros(n_samples)
-    searched = {l for l in ls if 0 < l < n}
-    for chunk in sorted({_chunk_rows(frame, l) for l in searched}, reverse=True):
-        group = sorted(l for l in searched if _chunk_rows(frame, l) == chunk)
-        for start in range(0, n_samples, chunk):
-            lifted = None
-            X, norms = _signals(frame, draw(n, min(chunk, n_samples - start), seed, start),
-                                group[0])
-            for l in group:
-                if approximate[l]:
-                    mins = np.array([smdd_greedy(frame, x, l).residual_sq for x in X])
-                else:
-                    # The stacked bases (N > 4l) score X itself; the frame
-                    # has one real form for every other weight.
-                    if lifted is None and n <= 4 * l:
-                        lifted = _lift(frame, X, l)
-                    mins = _residuals(frame, X if n > 4 * l else lifted, norms, l, budget)
-                ratios[l][start:start + len(X)] = mins / norms
+    searched, chunk = [l for l in ls if 0 < l < n], _chunk_rows(frame)
+    for start in range(0, n_samples if searched else 0, chunk):
+        X, norms = _signals(frame, draw(n, min(chunk, n_samples - start), seed, start),
+                            searched[0])
+        lifted = None
+        for l in searched:
+            if approximate[l]:
+                mins = np.array([smdd_greedy(frame, x, l).residual_sq for x in X])
+            else:
+                if lifted is None:
+                    lifted = _lift(frame, X)
+                mins = _residuals(frame, lifted, norms, l, budget)
+            ratios[l][start:start + len(X)] = mins / norms
     estimates, fid = [], frame_id(frame)
     for l in ls:
         config = EstimateConfig(fid, n, frame.m, l, seed)

@@ -433,10 +433,9 @@ def test_sweep_draws_each_n_once_and_matches_per_cell_estimates(tmp_path, capsys
 
 def test_sweep_lifts_and_checks_each_chunk_once_per_n_and_m(tmp_path, capsys, monkeypatch):
     # On the validate-sweep grid (N = 3..6, M = 2N, every L, 5,000 samples)
-    # one chunk holds every sample.  Each (N, M) checks and norms it once
-    # per chunk size, twice where the stacked-basis L = 1 cell (N = 5, 6)
-    # takes larger chunks, and lifts it once for all of its real-weight
-    # cells: 4 lifts and 6 checks, where an estimate per cell takes 12 and 14.
+    # one chunk holds every sample.  Each (N, M) checks, norms and lifts it
+    # once for all of its cells: 4 lifts and 4 checks, where an estimate
+    # per cell takes 12 and 14.
     lifts, checks = [], []
     for name in ("_real_features", "_gram_features"):
         monkeypatch.setattr(montecarlo, name, lambda xs, pairs, name=name,
@@ -450,24 +449,7 @@ def test_sweep_lifts_and_checks_each_chunk_once_per_n_and_m(tmp_path, capsys, mo
                                 "--out", str(tmp_path / "sweep.csv")])
     assert code == 0, err
     assert lifts == [("_real_features", 5000)] * 4
-    assert checks == [(3, 5000), (4, 5000), (5, 5000), (5, 5000), (6, 5000), (6, 5000)]
-
-
-def test_sweep_reads_a_smaller_chunk_out_of_the_one_it_holds(tmp_path, capsys, monkeypatch):
-    # At N = 8 an estimate scores 32 blocks of rows at once for stacked
-    # bases (L = 1) but 14 for real-symmetric weights (L = 2, 3): the
-    # later cells read their two chunks out of the first cell's draw.
-    draws = count_draws(monkeypatch)
-    out_path = tmp_path / "sweep.csv"
-    samples = 14 * 1024 + 1
-    code, _, err = run(capsys, ["sweep", "--n-list", "8", "--m-factors", "2", "--l", "1,2,3",
-                                "--samples", str(samples), "--seed", "5", "--out", str(out_path)])
-    assert code == 0, err
-    assert draws == [(8, samples, 5, 0)]
-    frame = vf.make_vandermonde_frame(vf.default_nodes(16), 8)
-    for r in parse_csv(out_path.read_text()):
-        est = vf.estimate_distortion(frame, int(r["L"]), samples, 5)
-        assert (float(r["est_mean"]), float(r["est_stderr"])) == (est.mean, est.stderr)
+    assert checks == [(3, 5000), (4, 5000), (5, 5000), (6, 5000)]
 
 
 def test_sweep_csv_equals_one_drawn_per_sample(tmp_path, capsys, monkeypatch):

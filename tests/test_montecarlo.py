@@ -358,6 +358,27 @@ def test_energies_of_one_search_share_one_buffer():
     assert np.shares_memory(first, second)
 
 
+@pytest.mark.parametrize("frame,l,limit", [
+    (vf.make_gaussian_frame(64, 32, seed=(61,)), 2, 2 * 2**20),
+    (roots_frame(64, 128), 1, 2 * 2**20 * 65 // 64),
+], ids=["gram", "real-symmetric"])
+def test_block_weights_are_real_and_bounded_past_n_4l(frame, l, limit, monkeypatch):
+    # A block holds 2**20 // (4*N*max(N, 4L)) supports, so its Gram weights
+    # (N*N floats a support) take at most 2 MiB: 256 supports of Gaussian
+    # (32, 64) at L = 2.  Real-symmetric weights take N(N+1)/2 floats a
+    # support, and an orbit block holds up to twice that many supports (or
+    # one representative's M shifts): roots (64, 128) at L = 1 is one block
+    # of the 128 shifts of {0}, 2080 * 128 * 8 bytes.
+    weights = []
+    energies = montecarlo._chunk_energies
+    monkeypatch.setattr(montecarlo, "_chunk_energies",
+                        lambda xs, w, out: weights.append(w) or energies(xs, w, out))
+    vf.smdd_residuals(frame, vf.sample_sphere_batch(frame.n, 3, seed=(61, frame.n)), l)
+    assert weights
+    for w in weights:
+        assert w.dtype == float and w.nbytes <= limit
+
+
 def test_small_blocks_write_sample_contiguous_energies():
     # roots(6, 12) at L = 3 scores one orbit block of fewer supports than
     # the 5,000 samples, in two GEMMs of 2**20 // B rows.  Each writes its
@@ -383,15 +404,15 @@ def test_small_blocks_write_sample_contiguous_energies():
 @pytest.mark.parametrize("m,n", [(9, 3), (12, 10)])
 @pytest.mark.parametrize("kind", ["gaussian", "duplicated"])
 def test_support_energies_match_projection_residual(m, n, kind, monkeypatch):
-    # N <= 4L scores with Gram weights, N > 4L with stacked bases:
-    # (9, 3) is Gram at every L, (12, 10) stacked at L = 1, 2, Gram at L = 3
+    # A Gaussian frame scores Gram weights at every L, so each search lifts
+    # the batch once.
     frame = vf.make_gaussian_frame(m, n, seed=(41, m)) if kind == "gaussian" else dup_rows_frame(m, n, 43)
     X = vf.sample_sphere_batch(n, 3, seed=(45, m)) * np.array([[1.0], [0.5], [3.0]])
     lifts = spy_lifts(monkeypatch)
     for l in (1, 2, 3):
         lifts.clear()
         blocks = energy_blocks(frame, X, l)
-        assert lifts == ([("gram", len(X))] if n <= 4 * l else [])
+        assert lifts == [("gram", len(X))]
         assert all(len(X[rows]) == len(X) for rows, _, _ in blocks)
         energies = np.concatenate([energy for _, _, energy in blocks], axis=1)
         supports = [list(s) for s in itertools.combinations(range(m), l)]
@@ -502,7 +523,7 @@ def test_real_symmetric_form_holds_on_unit_nodes_alone(n):
 @pytest.mark.parametrize("n,m,weights", [(6, 12, (1, 2, 3, 4)), (8, 16, (1, 2, 3, 4)),
                                          (12, 24, (1, 2))])
 def test_orbit_energies_match_projection_residual(n, m, weights, monkeypatch):
-    # Stacked bases at (6, 12, 1), (8, 16, 1) and (12, 24, 1..2), Gram weights otherwise.
+    # A roots-of-unity frame scores real-symmetric weights at every L.
     frame = roots_frame(n, m)
     X = vf.sample_sphere_batch(n, 3, seed=(47, m)) * np.array([[1.0], [0.5], [3.0]])
     lifts = spy_lifts(monkeypatch)
@@ -513,7 +534,7 @@ def test_orbit_energies_match_projection_residual(n, m, weights, monkeypatch):
         blocks = energy_blocks(frame, X, l)
         reps, flip = montecarlo._orbit_representatives(m, l)
         assert sum(svd_calls) == len(reps)
-        assert lifts == ([("real", len(X))] if n <= 4 * l else [])
+        assert lifts == [("real", len(X))]
         assert all(len(X[rows]) == len(X) for rows, _, _ in blocks)
         supports = block_supports(blocks)
         assert len(supports) == m * (len(reps) + int(flip.sum()))
@@ -603,8 +624,8 @@ def test_orbit_path_runs_only_where_it_svds_fewer_supports(frame, l, samples, ro
 
 
 def test_ties_across_support_blocks(monkeypatch):
-    # Blocks of 4 supports instead of 2**18 // (L*N), so each pair of tied
-    # supports below falls in two blocks.  {1} (residual ~2.5e-13, block 0)
+    # Blocks of 4 supports instead of 2**20 // (4N*max(N, 4L)), so each pair
+    # of tied supports below falls in two blocks.  {1} (residual ~2.5e-13, block 0)
     # is within TIE_TOL of {6} (exactly 0, block 1) and must win; {1,4}
     # (index 2, block 0) and {2,3} (index 4, block 1) both fit exactly.
     cases = [
@@ -630,11 +651,11 @@ def test_support_blocks_enumerate_lexicographically():
 
 
 def test_exact_search_memory_does_not_grow_with_supports():
-    # N=8, L=3 scores blocks of 2**18 // 24 = 10922 supports; C(64, 3) =
-    # 41664 and C(80, 3) = 82160 span 4 and 8 of them.  A whole Gram table
-    # would take N^2 * C(M, 3) * 8 bytes: 21 MB and 42 MB.  Roots frames
-    # take the orbit path, with blocks of 10922 // M representatives times
-    # M shifts.
+    # N=8, L=3 scores blocks of 2**20 // (4*8*12) = 2730 supports; C(64, 3)
+    # = 41664 and C(80, 3) = 82160 span 16 and 31 of them.  A whole Gram
+    # table would take N^2 * C(M, 3) * 8 bytes: 21 MB and 42 MB.  Roots
+    # frames take the orbit path, with blocks of 2730 // M representatives
+    # times M shifts.
     assert_flat_peak(roots_frame)
 
 
@@ -999,8 +1020,9 @@ def spy_draws(monkeypatch):
 
 @pytest.mark.parametrize("greedy", [False, True], ids=["exact", "greedy"])
 def test_estimate_is_the_same_in_chunks_of_one_block(greedy, monkeypatch):
-    # Chunks hold whole blocks: 2**18 // (1024 * 4) = 64 at N = 4, so 3,089
-    # samples are one draw; patched down to one block they are four.  The
+    # Chunks hold whole blocks: 16 * 2**18 // (1024 * 80) = 51 of 80-byte
+    # lifted rows at N = 4, so 3,089 samples are one draw; patched down to
+    # one block they are four.  The
     # greedy fallback (C(8, 2) = 28 over the budget) runs per chunk too.
     frame, n_samples = roots_frame(4, 8), 3 * BLOCK + 17
     budget = 3 if greedy else montecarlo.DEFAULT_BUDGET
@@ -1015,14 +1037,6 @@ def test_estimate_is_the_same_in_chunks_of_one_block(greedy, monkeypatch):
     assert chunked.approximate == whole.approximate == greedy
     assert chunked.mean == whole.mean and chunked.stderr == whole.stderr
     np.testing.assert_allclose(chunked.ratios, whole.ratios, rtol=0, atol=1e-15)
-
-
-def test_estimate_chunk_is_the_whole_blocks_that_fit(monkeypatch):
-    # 2**18 // (1024 * 8) = 32 blocks at N = 8: one sample past them takes a
-    # second draw.
-    draws = spy_draws(monkeypatch)
-    vf.estimate_distortion(roots_frame(8, 16), 1, 32 * BLOCK + 1, seed=3)
-    assert draws == [(8, 32 * BLOCK, 3, 0), (8, 1, 3, 32 * BLOCK)]
 
 
 @pytest.mark.parametrize("frame,l,blocks", [
@@ -1044,7 +1058,7 @@ def test_estimate_chunk_of_lifted_rows_is_the_whole_blocks_that_fit(frame, l, bl
 @pytest.mark.parametrize("n,m,l,budget,chunks", [
     (4, 8, 2, montecarlo.DEFAULT_BUDGET, [(4, 300, 5, 0)]),
     (4, 8, 2, 3, [(4, 300, 5, 0)]),
-    (64, 64, 1, montecarlo.DEFAULT_BUDGET, [(64, 4 * BLOCK, 5, 0), (64, 1, 5, 4 * BLOCK)]),
+    (64, 64, 1, montecarlo.DEFAULT_BUDGET, [(64, BLOCK, 5, 0), (64, 1, 5, BLOCK)]),
 ], ids=["orbit", "greedy", "two-chunks"])
 def test_estimate_through_a_reusing_draw_is_the_default_one(n, m, l, budget, chunks, monkeypatch):
     # vframe sweep hands the chunk one pass drew to the next pass of its N.
