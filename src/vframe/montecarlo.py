@@ -16,16 +16,18 @@ multiply-adds per pair in the Gram form, fewer in the real-symmetric
 form below.  The frame alone picks the form, whatever L.  One constant,
 _GEMM_ENERGIES = 2**20 energies (8 MiB), owns the search's working set.
 Supports are scored in blocks of B = _GEMM_ENERGIES // (4*N*max(N, 4L))
-(twice that at most on the orbit path below, or one representative's M
-shifts): Gram weights at most 2 MiB (N^2 * B * 8), dropped once scored,
-and GEMMs of _GEMM_ENERGIES // B rows, so at most _GEMM_ENERGIES
-energies per GEMM, written into one buffer, as (supports, samples) when
-the block is the smaller side (_chunk_energies).  So memory grows with
-C(M, L) only through the ties smdd_exact keeps; the budget on C(M, L)
-bounds the time.  The samples are lifted once per chunk of _chunk_rows
-rows, the most whole sample blocks whose lift fits _CHUNK_ENTRIES
-complex entries (4 MiB), at least one, and every block is scored
-against that lift.
+(twice that at most on the orbit path below): Gram weights at most
+2 MiB (N^2 * B * 8), dropped once scored, and GEMMs of
+_GEMM_ENERGIES // B rows, so at most _GEMM_ENERGIES energies per GEMM,
+written into one buffer, as (supports, samples) when the block is the
+smaller side (_chunk_energies).  So memory grows with C(M, L) only
+through the ties smdd_exact keeps; the budget on C(M, L) bounds the
+time.  The samples are lifted once per chunk of _chunk_rows rows: the
+most whole sample blocks whose lift fits _CHUNK_ENTRIES complex entries
+(4 MiB), or, where one block's does not (N >= 32 on roots frames,
+N >= 23 on others), the most rows whose lift does.  Every block of
+supports is scored against that lift, so no part of the working set
+grows with N past a few MiB.
 
 Where the weights come from: on most frames, one SVD per support, C(M, L)
 in all.  On the default frame, whose nodes z_j are the M-th roots of
@@ -66,12 +68,12 @@ to be keyed per block, not per draw (Salmon et al., "Parallel random
 numbers: as easy as 1, 2, 3", SC 2011); the normals are numpy's own
 ziggurat (Marsaglia & Tsang, J. Stat. Softw. 5(8), 2000).  A row does
 not depend on how many rows are drawn with it, so estimate_distortion
-draws and scores a chunk of whole blocks at a time, its size fixed by
-the frame (_chunk_rows).  vframe sweep scores every L of one (N, M) in
-one pass over each chunk (_estimates).  Every cell of one (N, seed)
-reads the same stream in the same chunks, so the sweep keeps the last
-chunk drawn and hands it to the next pass that asks for it: a stream
-that fits one chunk is drawn once per N.  Another chunk size gives the
+draws and scores a chunk of whole blocks at a time, at least one, its
+size fixed by the frame (_chunk_rows).  vframe sweep scores every L of
+one (N, M) in one pass over each chunk (_estimates).  Every cell of one
+(N, seed) reads the same stream in the same chunks, so the sweep keeps
+the last chunk drawn and hands it to the next pass that asks for it: a
+stream that fits one chunk is drawn once per N.  Another chunk size gives the
 same samples; their residuals may move by an ulp, as BLAS rounds a GEMM
 by its shape (at most 7.8e-16 measured, at N = 6, M = 12,
 L = 3).  The layout of a small block's energies moved the sweep's
@@ -227,23 +229,42 @@ def _orbit_representatives(m: int, l: int) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(reps), np.concatenate(flips)
 
 
-def _gram_features(xs: np.ndarray, pairs) -> np.ndarray:
+# The lifts below write the pairs a < b in np.triu_indices order, one a
+# at a time, straight into the lift: gathering every pair at once made
+# temporaries four times the lift's size.
+
+def _gram_features(xs: np.ndarray) -> np.ndarray:
     """(s, N*N) real lift of the samples xs: |x_a|^2, then 2 Re(conj(x_a) x_b)
     and 2 Im(conj(x_a) x_b) for the pairs a < b."""
-    a, b = pairs
-    cross = 2.0 * (xs[:, a].conj() * xs[:, b])
-    return np.concatenate([xs.real**2 + xs.imag**2, cross.real, cross.imag], axis=1)
+    s, n = xs.shape
+    half = n * (n + 1) // 2
+    out = np.empty((s, n * n))
+    out[:, :n] = xs.real**2 + xs.imag**2
+    re, im = out[:, n:half], out[:, half:]
+    col = 0
+    for a in range(n - 1):
+        cross = 2.0 * (xs[:, a:a + 1].conj() * xs[:, a + 1:])
+        re[:, col:col + n - 1 - a], im[:, col:col + n - 1 - a] = cross.real, cross.imag
+        col += n - 1 - a
+    return out
 
 
-def _real_features(xs: np.ndarray, pairs) -> np.ndarray:
+def _real_features(xs: np.ndarray) -> np.ndarray:
     """(s, N(N+1)/2) real lift of the samples xs for real-symmetric weights:
     with y = x + i Jx (J reverses coordinates), a = Re y and b = Im y,
     (a_i^2 + b_i^2) / 2, then a_i a_j + b_i b_j for the pairs i < j."""
+    s, n = xs.shape
     y = xs + 1j * xs[:, ::-1]
-    a, b = pairs
     re, im = y.real, y.imag
-    return np.concatenate([0.5 * (re**2 + im**2), re[:, a] * re[:, b] + im[:, a] * im[:, b]],
-                          axis=1)
+    out = np.empty((s, n * (n + 1) // 2))
+    out[:, :n] = 0.5 * (re**2 + im**2)
+    col = n
+    for i in range(n - 1):
+        pair = out[:, col:col + n - 1 - i]
+        np.multiply(re[:, i:i + 1], re[:, i + 1:], out=pair)
+        pair += im[:, i:i + 1] * im[:, i + 1:]
+        col += n - 1 - i
+    return out
 
 
 def _bases(rows: np.ndarray) -> np.ndarray:
@@ -270,46 +291,54 @@ def _block_weights(matrix: np.ndarray, supports: np.ndarray, pairs) -> np.ndarra
 def _orbit_blocks(matrix: np.ndarray, reps: np.ndarray, flip: np.ndarray, width: int, pairs):
     """(supports, weights) blocks covering every size-l support of a
     roots-of-unity frame, from _orbit_representatives' reps and flip: a
-    slice of r representatives and their f flipped reflections, times all
-    M shifts.  Column s*(r + f) + k scores representative k (or, past r,
-    the reflection of flipped one k - r) shifted by s, and supports(cols)
-    is the (len(cols), l) array of those supports, sorted.  A block holds
-    at most 2 * max(width, M) supports.
+    slice of r representatives and their f flipped reflections, times a
+    slice of the M shifts: all M shifts of width // M representatives
+    where width >= M, else width shifts of one representative.  So a
+    block holds at most 2 * width supports at any N.  Column c*(r + f) + k
+    scores representative k (or, past r, the reflection of flipped one
+    k - r) shifted by the block's first shift plus c, and supports(cols)
+    is the (len(cols), l) array of those supports, sorted.
 
     Shifting a support by s multiplies its rows by D_s = diag(z_s^k), the
     frame's row s, so its Gram matrix G_ab is multiplied by z_s^(a-b);
     node -j is conj(z_j), so the reflection -S has Gram conj(G).  Only the
-    representatives are SVD'd.  The weights are real-symmetric: as
+    representatives are SVD'd, once per slice of shifts (one slice where
+    width >= M), and each slice's phases are made once for all of them.
+    The weights are real-symmetric: as
     J G J = conj(G) (J reverses coordinates; J row(z) = z^(N-1) conj(row(z))
     on the unit circle), x^H G x = (a^T H a + b^T H b) / 2 with a, b the
     real and imaginary parts of x + i Jx and H_ij = Re G_ij - Im G_(N-1-i)j,
-    real and symmetric.  The weights are the (N(N+1)/2, M*(r + f)) H_ii,
-    then H_ij for the pairs i < j, so _real_features(x) @ weights = x^H G x;
-    each shift's are made from G_ij z_s^(i-j) and G_(N-1-i)j z_s^(N-1-i-j)
-    by one batched GEMM.
+    real and symmetric.  The weights are the (N(N+1)/2, shifts*(r + f))
+    H_ii, then H_ij for the pairs i < j, so _real_features(x) @ weights =
+    x^H G x; each shift's are made from G_ij z_s^(i-j) and
+    G_(N-1-i)j z_s^(N-1-i-j) by one batched GEMM.
     """
     m, n = matrix.shape
     i, j = (np.concatenate([np.arange(n), p]) for p in pairs)
-    z, shift = default_nodes(m), np.arange(m)
-    p, q = z[(i - j)[:, None] * shift % m], z[(n - 1 - i - j)[:, None] * shift % m]
-    # H_ij of shift s is rotate[k, s] @ (Re, Im of G_ij, Re, Im of G_(N-1-i)j).
-    rotate = np.stack([p.real, -p.imag, -q.imag, -q.real], axis=2)         # (K, M, 4)
-    step = max(1, width // m)
-    for start in range(0, len(reps), step):
-        block, f = reps[start:start + step], flip[start:start + step]
-        signed = np.concatenate([block, -block[f]])
-        v = _bases(matrix[block])                                      # (r, l, n)
-        g = (v.conj().transpose(0, 2, 1) @ v).transpose(1, 2, 0)       # (n, n, r)
-        g = np.stack([g[i, j], g[n - 1 - i, j]])                       # (2, K, r)
-        g = np.concatenate([g, g[:, :, f].conj()], axis=2)
-        parts = np.stack([g[0].real, g[0].imag, g[1].real, g[1].imag], axis=1)
-        weights = (rotate @ parts).reshape(len(i), -1)
+    # Row d + N-1 of phase holds z_s^d, d = -(N-1) .. N-1, for each shift s
+    # of a slice: i - j and N-1-i-j both lie in that range.
+    z, d = default_nodes(m), np.arange(1 - n, n)[:, None]
+    step, span = max(1, width // m), min(width, m)
+    for first in range(0, m, span):
+        phase = z[d * np.arange(first, min(first + span, m)) % m]       # (2N-1, shifts)
+        p, q = phase[i - j + n - 1], phase[2 * n - 2 - i - j]
+        # H_ij of shift s is rotate[k, s] @ (Re, Im of G_ij, Re, Im of G_(N-1-i)j).
+        rotate = np.stack([p.real, -p.imag, -q.imag, -q.real], axis=2)  # (K, shifts, 4)
+        for start in range(0, len(reps), step):
+            block, f = reps[start:start + step], flip[start:start + step]
+            signed = np.concatenate([block, -block[f]])
+            v = _bases(matrix[block])                                  # (r, l, n)
+            g = (v.conj().transpose(0, 2, 1) @ v).transpose(1, 2, 0)   # (n, n, r)
+            g = np.stack([g[i, j], g[n - 1 - i, j]])                   # (2, K, r)
+            g = np.concatenate([g, g[:, :, f].conj()], axis=2)
+            parts = np.stack([g[0].real, g[0].imag, g[1].real, g[1].imag], axis=1)
+            weights = (rotate @ parts).reshape(len(i), -1)
 
-        def supports(cols, signed=signed):
-            return np.sort((signed[cols % len(signed)] + (cols // len(signed))[:, None]) % m,
-                           axis=1)
+            def supports(cols, signed=signed, first=first):
+                shifted = signed[cols % len(signed)] + (first + cols // len(signed))[:, None]
+                return np.sort(shifted % m, axis=1)
 
-        yield supports, weights
+            yield supports, weights
 
 
 def _orbit_path(frame: Frame) -> bool:
@@ -320,22 +349,24 @@ def _orbit_path(frame: Frame) -> bool:
 
 
 def _chunk_rows(frame: Frame) -> int:
-    """Rows an exact search lifts and scores at once, and an estimate
-    draws: the most whole sample blocks whose real lift fits
-    _CHUNK_ENTRIES complex entries, at least one.  The lift takes
+    """Rows an exact search lifts and scores at once: the most whole
+    sample blocks whose real lift fits _CHUNK_ENTRIES complex entries, or,
+    where one block's does not (from N = 32 on roots frames, N = 23 on
+    others), the most rows whose lift does, at least one.  The lift takes
     4*N*(N+1) bytes a row for real-symmetric weights and 8*N*N for Gram
-    weights (_lift)."""
+    weights (_lift).  An estimate draws the rows in chunks of
+    max(_chunk_rows, _BLOCK), whole blocks."""
     n = frame.n
     row = 4 * n * (n + 1) if _orbit_path(frame) else 8 * n * n
-    return _BLOCK * max(1, 16 * _CHUNK_ENTRIES // (_BLOCK * row))
+    rows = 16 * _CHUNK_ENTRIES // row
+    return max(1, rows) if rows < _BLOCK else rows - rows % _BLOCK
 
 
 def _lift(frame: Frame, X: np.ndarray) -> np.ndarray:
     """The real lift of the checked (S, N) batch X that frame's weights
     score, at every weight: _real_features when _orbit_path holds and
     _gram_features otherwise."""
-    lift = _real_features if _orbit_path(frame) else _gram_features
-    return lift(X, np.triu_indices(frame.n, 1))
+    return _real_features(X) if _orbit_path(frame) else _gram_features(X)
 
 
 def _energies(frame: Frame, X: np.ndarray, l: int, budget: int):
@@ -361,7 +392,10 @@ def _energies(frame: Frame, X: np.ndarray, l: int, budget: int):
     m, n = frame.matrix.shape
     pairs = np.triu_indices(n, 1)
     # A block's Gram weights (N*N floats per support) then take at most a
-    # quarter of a GEMM's energies, 2 MiB.
+    # quarter of a GEMM's energies, 2 MiB.  The 4L side sizes no weights: it
+    # is a width measured where 4L > N.  On the N=8, M=32, L=4 cell the width
+    # from N*N alone, twice as wide, was no faster and raised peak RSS from
+    # 53.7 to 55.2 MB.
     width = max(1, _GEMM_ENERGIES // (4 * n * max(n, 4 * l)))
     if _orbit_path(frame):
         blocks = _orbit_blocks(frame.matrix, *_orbit_representatives(m, l), width, pairs)
@@ -372,9 +406,9 @@ def _energies(frame: Frame, X: np.ndarray, l: int, budget: int):
     if X.dtype == complex:
         X = _lift(frame, X)
     # Fresh GEMM outputs of unequal sizes left heap holes that raised an
-    # estimate's peak RSS by 8 MiB.  A block holds at most 2 * max(width, m)
+    # estimate's peak RSS by 8 MiB.  A block holds at most 2 * width
     # supports, so one row of any block fits.
-    out = np.empty(max(_GEMM_ENERGIES, 2 * m))
+    out = np.empty(_GEMM_ENERGIES)
     for supports, weights in blocks:
         chunk = max(1, _GEMM_ENERGIES // weights.shape[1])
         for start in range(0, len(X), chunk):
@@ -611,8 +645,8 @@ def estimate_distortion(
 
     Deterministic given (frame, l, n_samples, seed): the samples are
     sample_sphere_batch(frame.n, n_samples, seed), drawn and scored a
-    chunk of whole blocks at a time, as many as _chunk_rows gives (at
-    least one), and reduced in index order.  Only the
+    chunk of whole blocks at a time, at least one (_chunk_rows), and
+    reduced in index order.  Only the
     ratios are kept, so memory grows by 8 bytes per sample.  The seed and
     the arguments are checked before any sample is drawn: DomainError on
     bad arguments.  When C(M, l) exceeds the budget at 1 <= l < N, either
@@ -629,12 +663,13 @@ def _estimates(frame: Frame, ls, n_samples: int, seed, budget: int, draw,
                fallback_greedy: bool = False) -> list[DistortionEstimate]:
     """estimate_distortion of frame at each weight of ls, in ls order.
 
-    Every weight reads the samples in the same chunks (_chunk_rows).  Each
-    chunk is read through draw(n, rows, seed, start), which must return
-    sample_sphere_batch(n, rows, seed, start); it is not written to.  It
-    is checked and normed once and lifted once (_lift), and every weight
-    is scored from that lift, so each estimate is estimate_distortion's.
-    The ratios of every weight are kept, 8 bytes per sample each."""
+    Every weight reads the samples in the same chunks of whole blocks
+    (_chunk_rows).  Each chunk is read through draw(n, rows, seed, start),
+    which must return sample_sphere_batch(n, rows, seed, start); it is not
+    written to.  It is checked and normed once and, where its lift fits
+    _chunk_rows, lifted once (_lift), and every weight is scored from that
+    lift, so each estimate is estimate_distortion's.  The ratios of every
+    weight are kept, 8 bytes per sample each."""
     seed = _seed(seed)
     if n_samples < 1:
         raise DomainError("need n_samples >= 1")
@@ -645,7 +680,8 @@ def _estimates(frame: Frame, ls, n_samples: int, seed, budget: int, draw,
         approximate[l] = 0 < l < n and _over_budget(frame.m, l, budget,
                                                     refuse=not fallback_greedy)
         ratios[l] = np.ones(n_samples) if l == 0 else np.zeros(n_samples)
-    searched, chunk = [l for l in ls if 0 < l < n], _chunk_rows(frame)
+    searched, rows = [l for l in ls if 0 < l < n], _chunk_rows(frame)
+    chunk = max(rows, _BLOCK)
     for start in range(0, n_samples if searched else 0, chunk):
         X, norms = _signals(frame, draw(n, min(chunk, n_samples - start), seed, start),
                             searched[0])
@@ -655,7 +691,9 @@ def _estimates(frame: Frame, ls, n_samples: int, seed, budget: int, draw,
                 mins = np.array([smdd_greedy(frame, x, l).residual_sq for x in X])
             else:
                 if lifted is None:
-                    lifted = _lift(frame, X)
+                    # A block too large to lift whole is lifted a piece at a
+                    # time by each weight's _residuals.
+                    lifted = X if len(X) > rows else _lift(frame, X)
                 mins = _residuals(frame, lifted, norms, l, budget)
             ratios[l][start:start + len(X)] = mins / norms
     estimates, fid = [], frame_id(frame)

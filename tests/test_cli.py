@@ -438,9 +438,9 @@ def test_sweep_lifts_and_checks_each_chunk_once_per_n_and_m(tmp_path, capsys, mo
     # per cell takes 12 and 14.
     lifts, checks = [], []
     for name in ("_real_features", "_gram_features"):
-        monkeypatch.setattr(montecarlo, name, lambda xs, pairs, name=name,
+        monkeypatch.setattr(montecarlo, name, lambda xs, name=name,
                             lift=getattr(montecarlo, name):
-                            lifts.append((name, len(xs))) or lift(xs, pairs))
+                            lifts.append((name, len(xs))) or lift(xs))
     signals = montecarlo._signals
     monkeypatch.setattr(montecarlo, "_signals", lambda frame, X, l:
                         checks.append((frame.n, len(X))) or signals(frame, X, l))

@@ -319,8 +319,8 @@ def spy_lifts(monkeypatch):
     for form in ("gram", "real"):
         name = f"_{form}_features"
         monkeypatch.setattr(montecarlo, name,
-                            lambda xs, pairs, form=form, lift=getattr(montecarlo, name):
-                            calls.append((form, len(xs))) or lift(xs, pairs))
+                            lambda xs, form=form, lift=getattr(montecarlo, name):
+                            calls.append((form, len(xs))) or lift(xs))
     return calls
 
 
@@ -358,17 +358,17 @@ def test_energies_of_one_search_share_one_buffer():
     assert np.shares_memory(first, second)
 
 
-@pytest.mark.parametrize("frame,l,limit", [
-    (vf.make_gaussian_frame(64, 32, seed=(61,)), 2, 2 * 2**20),
-    (roots_frame(64, 128), 1, 2 * 2**20 * 65 // 64),
+@pytest.mark.parametrize("frame,l", [
+    (vf.make_gaussian_frame(64, 32, seed=(61,)), 2),
+    (roots_frame(64, 128), 1),
 ], ids=["gram", "real-symmetric"])
-def test_block_weights_are_real_and_bounded_past_n_4l(frame, l, limit, monkeypatch):
+def test_block_weights_are_real_and_bounded_past_n_4l(frame, l, monkeypatch):
     # A block holds 2**20 // (4*N*max(N, 4L)) supports, so its Gram weights
     # (N*N floats a support) take at most 2 MiB: 256 supports of Gaussian
     # (32, 64) at L = 2.  Real-symmetric weights take N(N+1)/2 floats a
-    # support, and an orbit block holds up to twice that many supports (or
-    # one representative's M shifts): roots (64, 128) at L = 1 is one block
-    # of the 128 shifts of {0}, 2080 * 128 * 8 bytes.
+    # support, and an orbit block holds up to twice that many supports:
+    # roots (64, 128) at L = 1 is two blocks of 64 shifts of {0}, where one
+    # block of all 128 shifts took 2080 * 128 * 8 bytes, over 2 MiB.
     weights = []
     energies = montecarlo._chunk_energies
     monkeypatch.setattr(montecarlo, "_chunk_energies",
@@ -376,7 +376,7 @@ def test_block_weights_are_real_and_bounded_past_n_4l(frame, l, limit, monkeypat
     vf.smdd_residuals(frame, vf.sample_sphere_batch(frame.n, 3, seed=(61, frame.n)), l)
     assert weights
     for w in weights:
-        assert w.dtype == float and w.nbytes <= limit
+        assert w.dtype == float and w.nbytes <= 2 * 2**20
 
 
 def test_small_blocks_write_sample_contiguous_energies():
@@ -393,7 +393,7 @@ def test_small_blocks_write_sample_contiguous_energies():
     pairs = np.triu_indices(6, 1)
     (_, weights), = montecarlo._orbit_blocks(
         frame.matrix, *montecarlo._orbit_representatives(12, l), 2**20, pairs)
-    lifted = montecarlo._real_features(X, pairs)
+    lifted = montecarlo._real_features(X)
     assert sum(len(X[rows]) for rows, _, _ in steps) == len(X)
     for rows, view, energy in steps:
         assert energy.shape[1] == weights.shape[1] < len(X[rows])
@@ -494,6 +494,21 @@ def test_orbit_representatives_cover_every_support_once(m, l, orbits):
         assert [0, 2, 4, 6] in reps.tolist()     # a support of stabilizer {0, 2, 4, 6}
 
 
+@pytest.mark.parametrize("n", [1, 2, 5, 8])
+def test_lifts_write_the_gathered_pairs_bit_for_bit(n):
+    # The lifts fill the pairs a < b one a at a time; the reference gathers
+    # them all in np.triu_indices order, with the same products and sums.
+    X = vf.sample_sphere_batch(n, 50, seed=(57, n))[::2]
+    a, b = np.triu_indices(n, 1)
+    cross = 2.0 * (X[:, a].conj() * X[:, b])
+    gram = np.concatenate([X.real**2 + X.imag**2, cross.real, cross.imag], axis=1)
+    y = X + 1j * X[:, ::-1]
+    real = np.concatenate([0.5 * (y.real**2 + y.imag**2),
+                           y.real[:, a] * y.real[:, b] + y.imag[:, a] * y.imag[:, b]], axis=1)
+    assert np.array_equal(montecarlo._gram_features(X), gram)
+    assert np.array_equal(montecarlo._real_features(X), real)
+
+
 @pytest.mark.parametrize("n", [5, 8])
 def test_real_symmetric_form_holds_on_unit_nodes_alone(n):
     # For nodes on the unit circle J G J = conj(G), so with y = x + i Jx,
@@ -510,7 +525,7 @@ def test_real_symmetric_form_holds_on_unit_nodes_alone(n):
         v = montecarlo._bases(frame.matrix[None, :3])[0]
         g = v.conj().T @ v
         h = g.real - g.imag[::-1]
-        real = montecarlo._real_features(X, pairs) @ h[i, j]
+        real = montecarlo._real_features(X) @ h[i, j]
         hermitian = np.einsum("sa,ab,sb->s", X.conj(), g, X).real
         if np.isscalar(radius):
             np.testing.assert_allclose(h, h.T, rtol=0, atol=1e-15)
@@ -712,6 +727,32 @@ def test_exact_search_lifts_a_batch_one_chunk_at_a_time(monkeypatch):
         tracemalloc.stop()
     assert peak < 40 * 10**6
     assert lifts == [("real", 14 * BLOCK)] * 13 + [("real", 200_000 - 13 * 14 * BLOCK)]
+
+
+@pytest.mark.parametrize("frame", [
+    roots_frame(128, 512),
+    vf.make_gaussian_frame(512, 128, seed=9),
+], ids=["real-symmetric", "gram"])
+def test_large_n_search_lifts_rows_and_builds_weights_a_slice_at_a_time(frame, monkeypatch):
+    # At N = 128 one sample block's lift would take 68 MB (real-symmetric)
+    # or 134 MB (Gram), and the 512 shifts of {0} at L = 1 as one orbit
+    # block 34 MB of weights and 135 MB of rotations.  The search lifts
+    # the most rows whose lift fits 4 MiB (63 and 32) and scores blocks of
+    # 16 supports, so an estimate's traced peak stays under 40 MB.
+    rows = 63 if montecarlo._orbit_path(frame) else 32
+    assert montecarlo._chunk_rows(frame) == rows
+    lifts = spy_lifts(monkeypatch)
+    tracemalloc.start()
+    try:
+        est = vf.estimate_distortion(frame, 1, 2 * rows + 1, seed=(9, 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 10**6
+    assert [n for _, n in lifts] == [rows, rows, 1]
+    X = vf.sample_sphere_batch(128, 2 * rows + 1, seed=(9, 1))
+    res = [vf.projection_residual(frame.matrix[[k]], X[-1]) for k in range(512)]
+    assert est.ratios[-1] == pytest.approx(min(res), rel=0, abs=1e-12)
 
 
 def test_squared_norms_take_no_copy_of_the_batch():
