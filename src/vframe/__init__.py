@@ -23,7 +23,6 @@ from .bounds import (
     lambda_bound,
     log_binomial,
     rho_0,
-    round_half_up,
 )
 from .decoder import (
     RESIDUAL_TOL,

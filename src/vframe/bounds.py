@@ -38,12 +38,6 @@ BRANCH_LNM1 = "LNminus1"
 BRANCH_LN = "LN"
 
 
-def round_half_up(x: float) -> int:
-    """Nearest integer with .5 rounded up: the convention used to turn
-    a sparsity fraction eps into a count L = round(eps * N)."""
-    return int(math.floor(x + 0.5))
-
-
 def binary_entropy(p: float) -> float:
     """H(p) = -p log2 p - (1-p) log2 (1-p), in bits; H(0) = H(1) = 0."""
     if not 0.0 <= p <= 1.0:

@@ -367,31 +367,20 @@ def cmd_sweep(args):
             except BudgetExceeded as exc:
                 raise BudgetExceeded(f"cell (N,M,L)=({inp.n},{inp.m},{inp.l}) is over "
                                      f"--budget {args.budget}: {exc}") from None
-    # Every cell of one N reads the same stream in the same chunks: the
-    # last chunk drawn is kept, read-only, and handed to the next pass that
-    # asks for it, so no more than one is held.
-    last = {}
-
-    def draw(*key):
-        if key not in last:
-            last.clear()
-            last[key] = montecarlo.sample_sphere_batch(*key)
-            last[key].flags.writeable = False
-        return last[key]
-
-    # The cells of one (N, M) are estimated together, in one pass over
-    # each chunk of samples, before their rows are written.  A group of one
+    # The cells of one N are estimated together, in one pass over each
+    # chunk of samples, before their rows are written.  A group of one
     # cell is that cell's estimate_distortion, the call through which
     # perfbench's tracer counts Monte-Carlo work.
     def cell_rows():
-        for (n, m), group in itertools.groupby(cells, key=lambda inp: (inp.n, inp.m)):
+        for n, group in itertools.groupby(cells, key=lambda inp: inp.n):
             group = list(group)
             if args.samples > 0:
-                frame = _build_frame("vandermonde", n, m, seed)
-                ls = [inp.l for inp in group]
-                ests = ([montecarlo.estimate_distortion(frame, ls[0], args.samples, seed,
-                                                        args.budget)] if len(ls) == 1 else
-                        montecarlo._estimates(frame, ls, args.samples, seed, args.budget, draw))
+                built = {m: _build_frame("vandermonde", n, m, seed)
+                         for m in dict.fromkeys(inp.m for inp in group)}
+                pairs = [(built[inp.m], inp.l) for inp in group]
+                ests = ([montecarlo.estimate_distortion(*pairs[0], args.samples, seed, args.budget)]
+                        if len(pairs) == 1 else
+                        montecarlo._estimates(pairs, args.samples, seed, args.budget))
             for i, inp in enumerate(group):
                 report, row = _bound_row(inp)
                 if args.samples > 0:

@@ -69,11 +69,10 @@ numbers: as easy as 1, 2, 3", SC 2011); the normals are numpy's own
 ziggurat (Marsaglia & Tsang, J. Stat. Softw. 5(8), 2000).  A row does
 not depend on how many rows are drawn with it, so estimate_distortion
 draws and scores a chunk of whole blocks at a time, at least one, its
-size fixed by the frame (_chunk_rows).  vframe sweep scores every L of
-one (N, M) in one pass over each chunk (_estimates).  Every cell of one
-(N, seed) reads the same stream in the same chunks, so the sweep keeps
-the last chunk drawn and hands it to the next pass that asks for it: a
-stream that fits one chunk is drawn once per N.  Another chunk size gives the
+size fixed by the frame (_chunk_rows).  vframe sweep scores every
+(M, L) cell of one N in one pass (_estimates): the default_nodes frames
+of one N share their chunks and their lift, so each chunk is drawn,
+checked and lifted once per N.  Another chunk size gives the
 same samples; their residuals may move by an ulp, as BLAS rounds a GEMM
 by its shape (at most 7.8e-16 measured, at N = 6, M = 12,
 L = 3).  The layout of a small block's energies moved the sweep's
@@ -530,6 +529,9 @@ def _residuals(frame: Frame, X: np.ndarray, norms: np.ndarray, l: int, budget: i
         best = top[start:start + chunk]
         for rows, _, energy in _energies(frame, X[start:start + chunk], l, budget):
             best[rows] = np.maximum(best[rows], energy.max(axis=1))
+        # energy views this piece's GEMM buffer: let it go before the next
+        # piece's _energies makes its own.
+        del energy
     return np.maximum(norms - top, 0.0)
 
 
@@ -653,55 +655,60 @@ def estimate_distortion(
     raises BudgetExceeded or, with fallback_greedy, substitutes the greedy
     search and labels the estimate approximate.  No sample is drawn and no
     support counted where the exact search reads none: at l = 0 every
-    ratio is 1, at l >= N every ratio is 0.
+    ratio is 1, at l >= N every ratio is 0.  It is the one-cell case of
+    _estimates, vframe sweep's pass over the cells of one N.
     """
-    return _estimates(frame, (l,), n_samples, seed, budget, sample_sphere_batch,
-                      fallback_greedy)[0]
+    return _estimates([(frame, l)], n_samples, seed, budget, fallback_greedy)[0]
 
 
-def _estimates(frame: Frame, ls, n_samples: int, seed, budget: int, draw,
+def _estimates(cells, n_samples: int, seed, budget: int,
                fallback_greedy: bool = False) -> list[DistortionEstimate]:
-    """estimate_distortion of frame at each weight of ls, in ls order.
+    """estimate_distortion of each (frame, l) of cells, in cells order.
+    The frames share N and their lift (_orbit_path), as the
+    default_nodes frames of one N do.
 
-    Every weight reads the samples in the same chunks of whole blocks
-    (_chunk_rows).  Each chunk is read through draw(n, rows, seed, start),
-    which must return sample_sphere_batch(n, rows, seed, start); it is not
-    written to.  It is checked and normed once and, where its lift fits
-    _chunk_rows, lifted once (_lift), and every weight is scored from that
-    lift, so each estimate is estimate_distortion's.  The ratios of every
-    weight are kept, 8 bytes per sample each."""
+    One pass draws the samples in chunks of whole blocks (_chunk_rows),
+    each with sample_sphere_batch, once.  A chunk is checked and normed
+    once and, where its lift fits _chunk_rows, lifted once (_lift), and
+    every cell is scored from that lift, so each estimate is
+    estimate_distortion's.  The ratios of every cell are kept, 8 bytes
+    per sample each."""
     seed = _seed(seed)
     if n_samples < 1:
         raise DomainError("need n_samples >= 1")
-    n, ratios, approximate = frame.n, {}, {}
-    for l in ls:
+    ratios, approximate = [], []
+    for frame, l in cells:
         if not 0 <= l <= frame.m:
             raise DomainError(f"need 0 <= L <= M, got L={l}")
-        approximate[l] = 0 < l < n and _over_budget(frame.m, l, budget,
-                                                    refuse=not fallback_greedy)
-        ratios[l] = np.ones(n_samples) if l == 0 else np.zeros(n_samples)
-    searched, rows = [l for l in ls if 0 < l < n], _chunk_rows(frame)
+        approximate.append(0 < l < frame.n and _over_budget(frame.m, l, budget,
+                                                            refuse=not fallback_greedy))
+        ratios.append(np.ones(n_samples) if l == 0 else np.zeros(n_samples))
+    searched = [i for i, (frame, l) in enumerate(cells) if 0 < l < frame.n]
+    n, rows = cells[0][0].n, _chunk_rows(cells[0][0])
     chunk = max(rows, _BLOCK)
     for start in range(0, n_samples if searched else 0, chunk):
-        X, norms = _signals(frame, draw(n, min(chunk, n_samples - start), seed, start),
-                            searched[0])
+        frame, l = cells[searched[0]]
+        X, norms = _signals(frame, sample_sphere_batch(n, min(chunk, n_samples - start), seed,
+                                                       start), l)
         lifted = None
-        for l in searched:
-            if approximate[l]:
+        for i in searched:
+            frame, l = cells[i]
+            if approximate[i]:
                 mins = np.array([smdd_greedy(frame, x, l).residual_sq for x in X])
             else:
                 if lifted is None:
                     # A block too large to lift whole is lifted a piece at a
-                    # time by each weight's _residuals.
+                    # time by each cell's _residuals.
                     lifted = X if len(X) > rows else _lift(frame, X)
                 mins = _residuals(frame, lifted, norms, l, budget)
-            ratios[l][start:start + len(X)] = mins / norms
-    estimates, fid = [], frame_id(frame)
-    for l in ls:
-        config = EstimateConfig(fid, n, frame.m, l, seed)
-        stderr = float(ratios[l].std(ddof=1) / math.sqrt(n_samples)) if n_samples > 1 else 0.0
-        estimates.append(DistortionEstimate(float(ratios[l].mean()), stderr, n_samples, config,
-                                            approximate[l], ratios[l]))
+            ratios[i][start:start + len(X)] = mins / norms
+    ids = {id(frame): frame_id(frame) for frame, _ in cells}
+    estimates = []
+    for (frame, l), r, approx in zip(cells, ratios, approximate):
+        config = EstimateConfig(ids[id(frame)], frame.n, frame.m, l, seed)
+        stderr = float(r.std(ddof=1) / math.sqrt(n_samples)) if n_samples > 1 else 0.0
+        estimates.append(DistortionEstimate(float(r.mean()), stderr, n_samples, config,
+                                            approx, r))
     return estimates
 
 

@@ -207,7 +207,7 @@ def test_criterion_8_asymptotic_convergence():
     k0 = vf.asymptotic_kappa0(2.0, 0.25)
     errs = []
     for n in (50, 100, 200, 400):
-        l = vf.round_half_up(0.25 * n)
+        l = math.floor(0.25 * n + 0.5)    # eps = 1/4, .5 rounded up
         errs.append(abs(vf.kappa_c(BoundInput(n, 2 * n, l)) / 0.75 - k0))
     monotone = all(a >= b for a, b in zip(errs, errs[1:]))
     ok = monotone and errs[-1] <= 0.02

@@ -359,10 +359,3 @@ def test_bound_input_validation():
         BoundInput(4, 8, 5)
     inp = BoundInput(4, 8, 2)
     assert inp.log2_t == pytest.approx(math.log2(math.comb(8, 2)))
-
-
-def test_round_half_up():
-    assert vf.round_half_up(12.5) == 13
-    assert vf.round_half_up(12.4) == 12
-    assert vf.round_half_up(12.6) == 13
-    assert vf.round_half_up(13.5) == 14

@@ -433,9 +433,9 @@ def test_sweep_draws_each_n_once_and_matches_per_cell_estimates(tmp_path, capsys
 
 def test_sweep_lifts_and_checks_each_chunk_once_per_n_and_m(tmp_path, capsys, monkeypatch):
     # On the validate-sweep grid (N = 3..6, M = 2N, every L, 5,000 samples)
-    # one chunk holds every sample.  Each (N, M) checks, norms and lifts it
-    # once for all of its cells: 4 lifts and 4 checks, where an estimate
-    # per cell takes 12 and 14.
+    # one chunk holds every sample.  Each N checks, norms and lifts it once
+    # for all of its cells: 4 lifts and 4 checks, where an estimate per cell
+    # takes 12 and 14.  With M = N and 2N the cells of both M share them too.
     lifts, checks = [], []
     for name in ("_real_features", "_gram_features"):
         monkeypatch.setattr(montecarlo, name, lambda xs, name=name,
@@ -444,12 +444,14 @@ def test_sweep_lifts_and_checks_each_chunk_once_per_n_and_m(tmp_path, capsys, mo
     signals = montecarlo._signals
     monkeypatch.setattr(montecarlo, "_signals", lambda frame, X, l:
                         checks.append((frame.n, len(X))) or signals(frame, X, l))
-    code, _, err = run(capsys, ["sweep", "--n-list", "3,4,5,6", "--m-factors", "2", "--l", "all",
-                                "--samples", "5000", "--seed", "3",
-                                "--out", str(tmp_path / "sweep.csv")])
-    assert code == 0, err
-    assert lifts == [("_real_features", 5000)] * 4
-    assert checks == [(3, 5000), (4, 5000), (5, 5000), (6, 5000)]
+    for factors in ("2", "1,2"):
+        del lifts[:], checks[:]
+        code, _, err = run(capsys, ["sweep", "--n-list", "3,4,5,6", "--m-factors", factors,
+                                    "--l", "all", "--samples", "5000", "--seed", "3",
+                                    "--out", str(tmp_path / "sweep.csv")])
+        assert code == 0, err
+        assert lifts == [("_real_features", 5000)] * 4
+        assert checks == [(3, 5000), (4, 5000), (5, 5000), (6, 5000)]
 
 
 def test_sweep_csv_equals_one_drawn_per_sample(tmp_path, capsys, monkeypatch):

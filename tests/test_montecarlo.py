@@ -2,6 +2,7 @@ import itertools
 import math
 import re
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -710,6 +711,24 @@ def test_exact_search_keeps_one_chunk_of_energies_at_a_time():
     assert peak < 2 * 2**20 * 8
 
 
+def test_a_search_over_lift_pieces_holds_one_gemm_buffer(monkeypatch):
+    # At roots (64, 128, 1) a lift piece is 252 rows, so 1,000 samples are
+    # searched in four pieces, each with its own GEMM buffer.  A piece's
+    # buffer is gone before the next piece scores into its own.
+    buffers = []
+    energies = montecarlo._chunk_energies
+
+    def spy(xs, weights, out):
+        if not buffers or buffers[-1]() is not out:
+            assert all(ref() is None for ref in buffers)
+            buffers.append(weakref.ref(out))
+        return energies(xs, weights, out)
+
+    monkeypatch.setattr(montecarlo, "_chunk_energies", spy)
+    vf.estimate_distortion(roots_frame(64, 128), 1, 1000, seed=(64, 1))
+    assert len(buffers) == 4
+
+
 def test_exact_search_lifts_a_batch_one_chunk_at_a_time(monkeypatch):
     # roots(8, 12) at L = 2 scores real-symmetric weights, whose lift takes
     # 36 floats (288 bytes) a row: 200,000 rows lifted at once would take
@@ -1101,34 +1120,26 @@ def test_estimate_chunk_of_lifted_rows_is_the_whole_blocks_that_fit(frame, l, bl
     (4, 8, 2, 3, [(4, 300, 5, 0)]),
     (64, 64, 1, montecarlo.DEFAULT_BUDGET, [(64, BLOCK, 5, 0), (64, 1, 5, BLOCK)]),
 ], ids=["orbit", "greedy", "two-chunks"])
-def test_estimate_through_a_reusing_draw_is_the_default_one(n, m, l, budget, chunks, monkeypatch):
-    # vframe sweep hands the chunk one pass drew to the next pass of its N.
-    # Through a draw that keeps every chunk, read-only, an estimate is byte
-    # for byte the default one, also when every chunk was drawn before.
-    frame, n_samples = roots_frame(n, m), sum(rows for _, rows, _, _ in chunks)
+def test_estimates_over_frames_of_one_n_are_each_cells_own(n, m, l, budget, chunks, monkeypatch):
+    # vframe sweep estimates the cells of one N, over every M, in one pass:
+    # each chunk is drawn once for all of them, and each cell's estimate is
+    # byte for byte its estimate_distortion.
+    frames_of_n = [roots_frame(n, m), roots_frame(n, 2 * m)]
+    n_samples = sum(rows for _, rows, _, _ in chunks)
     greedy = budget < math.comb(m, l)
-    kept, calls = {}, []
-
-    def draw(*key):
-        calls.append(key)
-        if key not in kept:
-            kept[key] = vf.sample_sphere_batch(*key)
-            kept[key].flags.writeable = False
-        return kept[key]
-
-    default = vf.estimate_distortion(frame, l, n_samples, 5, budget, fallback_greedy=greedy)
-    for _ in range(2):
-        est, = montecarlo._estimates(frame, (l,), n_samples, 5, budget, draw, greedy)
-        assert est.approximate == greedy
+    cells = [(frame, weight) for frame in frames_of_n for weight in (l, 0, n)]
+    defaults = [vf.estimate_distortion(frame, weight, n_samples, 5, budget,
+                                       fallback_greedy=greedy) for frame, weight in cells]
+    draws = spy_draws(monkeypatch)
+    ests = montecarlo._estimates(cells, n_samples, 5, budget, greedy)
+    assert draws == chunks
+    for est, default in zip(ests, defaults, strict=True):
+        assert est == default and est.approximate == (greedy and 0 < est.config.l < n)
         assert est.ratios.tobytes() == default.ratios.tobytes()
-        assert (est.mean, est.stderr) == (default.mean, default.stderr)
-    assert calls == chunks * 2 and list(kept) == chunks
-    # No sample is read at L = 0 or L >= N, through draw or the default.
+    # No sample is read at L = 0 or L >= N.
     monkeypatch.setattr(montecarlo, "sample_sphere_batch", None)
-    for weight in (0, n, n + 1):
-        if weight <= m:
-            montecarlo._estimates(frame, (weight,), n_samples, 5, budget, draw, greedy)
-    assert len(calls) == 2 * len(chunks)
+    montecarlo._estimates([(frame, weight) for frame in frames_of_n for weight in (0, n, n + 1)
+                           if weight <= frame.m], n_samples, 5, budget, greedy)
 
 
 def test_estimate_memory_grows_by_its_ratios_alone():
