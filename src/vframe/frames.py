@@ -165,9 +165,7 @@ def make_gaussian_frame(m: int, n: int, seed) -> Frame:
 class SparseRep:
     """Sparse coefficient vector: 1-based support plus complex values.
 
-    The weight of the representation is the support size.  Use
-    from_dense to threshold a dense coefficient vector (entries count
-    as non-zero above ZERO_REL_TOL times the largest magnitude).
+    The weight of the representation is the support size.
     """
 
     ambient_len: int
@@ -193,26 +191,6 @@ class SparseRep:
     @property
     def weight(self) -> int:
         return len(self.support)
-
-    def to_dense(self) -> np.ndarray:
-        dense = np.zeros(self.ambient_len, dtype=complex)
-        if self.support:
-            dense[np.asarray(self.support) - 1] = self.values
-        return dense
-
-    @classmethod
-    def from_dense(cls, dense) -> "SparseRep":
-        c = np.asarray(dense, dtype=complex).ravel()
-        mags = np.abs(c)
-        top = mags.max() if c.size else 0.0
-        if top == 0.0:
-            return cls(ambient_len=c.size, support=(), values=np.zeros(0, complex))
-        idx = np.nonzero(mags > ZERO_REL_TOL * top)[0]
-        return cls(
-            ambient_len=c.size,
-            support=tuple(int(i) + 1 for i in idx),
-            values=c[idx],
-        )
 
 
 def random_sparse_rep(m, weight, rng, mag_range=(0.5, 2.0)) -> SparseRep:

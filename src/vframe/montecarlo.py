@@ -22,12 +22,13 @@ _GEMM_ENERGIES // B rows, so at most _GEMM_ENERGIES energies per GEMM,
 written into one buffer, as (supports, samples) when the block is the
 smaller side (_chunk_energies).  So memory grows with C(M, L) only
 through the ties smdd_exact keeps; the budget on C(M, L) bounds the
-time.  The samples are lifted once per chunk of _chunk_rows rows: the
-most whole sample blocks whose lift fits _CHUNK_ENTRIES complex entries
-(4 MiB), or, where one block's does not (N >= 32 on roots frames,
-N >= 23 on others), the most rows whose lift does.  Every block of
-supports is scored against that lift, so no part of the working set
-grows with N past a few MiB.
+time.  The samples are lifted a piece of _chunk_rows rows at a time,
+each piece once for every cell of a pass (_residuals): the most whole
+sample blocks whose lift fits _CHUNK_ENTRIES complex entries (4 MiB),
+or, where one block's does not (N >= 32 on roots frames, N >= 23 on
+others), the most rows whose lift does.  Every block of supports is
+scored against that lift, so no part of the working set grows with N
+past a few MiB.
 
 Where the weights come from: on most frames, one SVD per support, C(M, L)
 in all.  On the default frame, whose nodes z_j are the M-th roots of
@@ -368,26 +369,24 @@ def _lift(frame: Frame, X: np.ndarray) -> np.ndarray:
     return _real_features(X) if _orbit_path(frame) else _gram_features(X)
 
 
-def _energies(frame: Frame, X: np.ndarray, l: int, budget: int):
-    """Projection energies ||P_S x||^2 of the (S, N) batch X on every size-l
-    support S (l >= 1), one block of supports at a time.
+def _energies(frame: Frame, lifted: np.ndarray, l: int):
+    """Projection energies ||P_S x||^2 on every size-l support S (l >= 1)
+    of the samples x whose real lift (_lift) is lifted, one block of
+    supports at a time.  The caller has checked the budget.
 
-    Yields (rows, supports, energy): a slice of X, a function that maps
-    columns of the block to their (len(cols), l) supports, each sorted,
-    and the (len(rows), B) energies of those rows on the block, valid only
-    until the next step: every GEMM writes them into one buffer.  A
-    complex X is lifted once (_lift), for all blocks; a real X is taken
-    as its lift.  When _orbit_path holds, the blocks come
+    Yields (rows, supports, energy): a slice of the samples, a function
+    that maps columns of the block to their (len(cols), l) supports, each
+    sorted, and the (len(rows), B) energies of those rows on the block,
+    valid only until the next step: every GEMM writes them into one
+    buffer.  When _orbit_path holds, the blocks come
     from _orbit_blocks: the weights of each shift and reflection are made
     from its representative's, so the energies may differ from a
     support's own SVD by a few ulp, and a support whose shifts fix it
     appears once per such shift.  Otherwise the blocks hold B =
     _GEMM_ENERGIES // (4*N*max(N, 4*l)) supports each, in lexicographic
     order, every support once, its weights from its own SVD.  Every GEMM
-    makes at most _GEMM_ENERGIES energies.  Raises BudgetExceeded when
-    C(M, l) exceeds the budget.
+    makes at most _GEMM_ENERGIES energies.
     """
-    _over_budget(frame.m, l, budget)
     m, n = frame.matrix.shape
     pairs = np.triu_indices(n, 1)
     # A block's Gram weights (N*N floats per support) then take at most a
@@ -402,17 +401,15 @@ def _energies(frame: Frame, X: np.ndarray, l: int, budget: int):
         # Column k of a block scores its row k.
         blocks = ((s.__getitem__, _block_weights(frame.matrix, s, pairs))
                   for s in support_blocks(m, l, width))
-    if X.dtype == complex:
-        X = _lift(frame, X)
     # Fresh GEMM outputs of unequal sizes left heap holes that raised an
     # estimate's peak RSS by 8 MiB.  A block holds at most 2 * width
     # supports, so one row of any block fits.
     out = np.empty(_GEMM_ENERGIES)
     for supports, weights in blocks:
         chunk = max(1, _GEMM_ENERGIES // weights.shape[1])
-        for start in range(0, len(X), chunk):
+        for start in range(0, len(lifted), chunk):
             rows = slice(start, start + chunk)
-            yield rows, supports, _chunk_energies(X[rows], weights, out)
+            yield rows, supports, _chunk_energies(lifted[rows], weights, out)
 
 
 def _chunk_energies(xs: np.ndarray, weights: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -477,8 +474,8 @@ def smdd_exact(frame: Frame, x, l: int, budget: int = DEFAULT_BUDGET) -> SmddRes
         return SmddResult((), float(norms[0]), False)
     if l >= frame.n and frame.kind == VANDERMONDE:
         return SmddResult(tuple(range(1, l + 1)), 0.0, l < frame.m)
+    _over_budget(frame.m, l, budget)
     if norms[0] == 0.0:
-        _over_budget(frame.m, l, budget)
         return SmddResult(tuple(range(1, l + 1)), 0.0, l < frame.m)
     # Ties are judged against the global minimum.  Each block's supports
     # within the margin of the running one join those kept, and only the
@@ -488,7 +485,7 @@ def smdd_exact(frame: Frame, x, l: int, budget: int = DEFAULT_BUDGET) -> SmddRes
     # shifts fix: np.unique keeps each one's first residual, sorted.
     margin, best, dominated = TIE_TOL * norms[0], np.inf, np.inf
     res, supports = np.empty(0), np.empty((0, l), dtype=np.intp)
-    for _, support_of, energy in _energies(frame, xs, l, budget):
+    for _, support_of, energy in _energies(frame, _lift(frame, xs), l):
         block = np.maximum(norms[0] - energy[0], 0.0)
         best = min(best, block.min())
         cols = np.flatnonzero(block <= best + margin)
@@ -506,32 +503,39 @@ def smdd_exact(frame: Frame, x, l: int, budget: int = DEFAULT_BUDGET) -> SmddRes
 
 def smdd_residuals(frame: Frame, X, l: int, budget: int = DEFAULT_BUDGET) -> np.ndarray:
     """smdd_exact's squared residual for each row of the (S, N) batch X: the
-    norm less the largest projection energy over supports, kept as a running
-    maximum while they are scored block by block, _chunk_rows rows at a
-    time.  At l >= N it is 0 without a search: every frame spans C^N, so
-    some size-l support does (the bound's L = N branch).  Raises
-    BudgetExceeded when C(M, l) exceeds the subset budget at 1 <= l < N,
-    where supports are scored."""
-    return _residuals(frame, *_signals(frame, X, l), l, budget)
-
-
-def _residuals(frame: Frame, X: np.ndarray, norms: np.ndarray, l: int, budget: int) -> np.ndarray:
-    """smdd_residuals of a batch X that _signals has checked, or of its
-    _lift, with the squared row norms it returned."""
+    norm less the largest projection energy over supports (_residuals).
+    At l = 0 it is the squared norm, and at l >= N it is 0 without a
+    search: every frame spans C^N, so some size-l support does (the
+    bound's L = N branch).  Raises BudgetExceeded when C(M, l) exceeds
+    the subset budget at 1 <= l < N, where supports are scored."""
+    X, norms = _signals(frame, X, l)
     if l == 0:
         return norms
     if l >= frame.n:
         return np.zeros(len(X))
     _over_budget(frame.m, l, budget)
-    top = np.full(X.shape[0], -np.inf)
-    chunk = _chunk_rows(frame)
+    return _residuals([(frame, l)], X, norms)[0]
+
+
+def _residuals(cells, X: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """(len(cells), S) smdd_residuals of the batch X that _signals has
+    checked, with the squared row norms it returned, for each (frame, l)
+    of cells.  Each cell has 1 <= l < N within the budget, and the frames
+    share N and their lift (_orbit_path).
+
+    X is lifted _chunk_rows rows at a time, each piece once (_lift), and
+    every cell scores that piece block by block, its largest projection
+    energy kept as a running maximum: 8 bytes per row per cell."""
+    top = np.full((len(cells), len(X)), -np.inf)
+    chunk = _chunk_rows(cells[0][0])
     for start in range(0, len(X), chunk):
-        best = top[start:start + chunk]
-        for rows, _, energy in _energies(frame, X[start:start + chunk], l, budget):
-            best[rows] = np.maximum(best[rows], energy.max(axis=1))
-        # energy views this piece's GEMM buffer: let it go before the next
-        # piece's _energies makes its own.
-        del energy
+        lifted = _lift(cells[0][0], X[start:start + chunk])
+        for (frame, l), best in zip(cells, top[:, start:start + chunk]):
+            for rows, _, energy in _energies(frame, lifted, l):
+                best[rows] = np.maximum(best[rows], energy.max(axis=1))
+            # energy views this cell's GEMM buffer: let it go before the
+            # next _energies makes its own.
+            del energy
     return np.maximum(norms - top, 0.0)
 
 
@@ -669,10 +673,10 @@ def _estimates(cells, n_samples: int, seed, budget: int,
 
     One pass draws the samples in chunks of whole blocks (_chunk_rows),
     each with sample_sphere_batch, once.  A chunk is checked and normed
-    once and, where its lift fits _chunk_rows, lifted once (_lift), and
-    every cell is scored from that lift, so each estimate is
-    estimate_distortion's.  The ratios of every cell are kept, 8 bytes
-    per sample each."""
+    once, and _residuals scores every searched cell from it, lifting each
+    piece once for all of them, so each estimate is estimate_distortion's.
+    The budget is checked once per cell, before any sample is drawn.  The
+    ratios of every cell are kept, 8 bytes per sample each."""
     seed = _seed(seed)
     if n_samples < 1:
         raise DomainError("need n_samples >= 1")
@@ -684,24 +688,18 @@ def _estimates(cells, n_samples: int, seed, budget: int,
                                                             refuse=not fallback_greedy))
         ratios.append(np.ones(n_samples) if l == 0 else np.zeros(n_samples))
     searched = [i for i, (frame, l) in enumerate(cells) if 0 < l < frame.n]
-    n, rows = cells[0][0].n, _chunk_rows(cells[0][0])
-    chunk = max(rows, _BLOCK)
+    exact = [i for i in searched if not approximate[i]]
+    n, chunk = cells[0][0].n, max(_chunk_rows(cells[0][0]), _BLOCK)
     for start in range(0, n_samples if searched else 0, chunk):
         frame, l = cells[searched[0]]
         X, norms = _signals(frame, sample_sphere_batch(n, min(chunk, n_samples - start), seed,
                                                        start), l)
-        lifted = None
+        mins = dict(zip(exact, _residuals([cells[i] for i in exact], X, norms))) if exact else {}
         for i in searched:
             frame, l = cells[i]
             if approximate[i]:
-                mins = np.array([smdd_greedy(frame, x, l).residual_sq for x in X])
-            else:
-                if lifted is None:
-                    # A block too large to lift whole is lifted a piece at a
-                    # time by each cell's _residuals.
-                    lifted = X if len(X) > rows else _lift(frame, X)
-                mins = _residuals(frame, lifted, norms, l, budget)
-            ratios[i][start:start + len(X)] = mins / norms
+                mins[i] = np.array([smdd_greedy(frame, x, l).residual_sq for x in X])
+            ratios[i][start:start + len(X)] = mins[i] / norms
     ids = {id(frame): frame_id(frame) for frame, _ in cells}
     estimates = []
     for (frame, l), r, approx in zip(cells, ratios, approximate):

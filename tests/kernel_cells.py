@@ -6,7 +6,10 @@ For each (N, M, L) of CELLS, on the roots-of-unity frame default_nodes(M)
 and on make_gaussian_frame(M, N, seed=(S, N, M)), the script times
 estimate_distortion(frame, L, samples, (S, N, M, L)) in process time and
 keeps the fastest of RUNS runs; samples is 1,000, or 200 at
-(64, 256, 2).  BLAS runs one thread: OPENBLAS_NUM_THREADS,
+(64, 256, 2).  A last row times SWEEP, one in-process
+`vframe sweep` of the cells (64, 128, 1) and (64, 128, 2) in one pass,
+the same way; its mean is the sum of the sweep's est_mean column.
+BLAS runs one thread: OPENBLAS_NUM_THREADS,
 OMP_NUM_THREADS and MKL_NUM_THREADS are set to 1 before numpy loads.
 With no LABEL=SRC the script times the vframe it imports.  Each SRC is
 a directory holding a vframe package, such as the src of another
@@ -25,16 +28,20 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import argparse
+import csv
 import json
 import subprocess
 import sys
+import tempfile
 import time
 
 import vframe as vf
+from vframe import cli
 
 CELLS = ((12, 48, 2), (16, 32, 3), (16, 64, 3), (32, 64, 2), (48, 96, 2), (64, 128, 1),
          (64, 256, 2))
 RUNS = 3
+SWEEP = ["sweep", "--n-list", "64", "--m-factors", "2", "--l", "1,2", "--samples", "1000"]
 
 
 def time_cells(seed: int) -> list[list]:
@@ -50,7 +57,23 @@ def time_cells(seed: int) -> list[list]:
                 est = vf.estimate_distortion(frame, l, samples, (seed, n, m, l))
                 times.append(time.process_time() - start)
             rows.append([kind, n, m, l, samples, 1e3 * min(times), est.mean])
-    return rows
+    return rows + [time_sweep(seed)]
+
+
+def time_sweep(seed: int) -> list:
+    """[kind, N, M, L, samples, ms, mean] for RUNS runs of SWEEP at seed."""
+    times = []
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "sweep.csv")
+        for _ in range(RUNS):
+            start = time.process_time()
+            if cli.main(SWEEP + ["--seed", str(seed), "--out", out]) != 0:
+                raise RuntimeError(f"vframe {' '.join(SWEEP)} failed")
+            times.append(time.process_time() - start)
+        with open(out, encoding="utf-8") as fh:
+            next(fh)                                    # the config echo
+            means = [float(row["est_mean"]) for row in csv.DictReader(fh)]
+    return ["sweep", 64, 128, "1,2", 1000, 1e3 * min(times), sum(means)]
 
 
 def main(argv=None) -> int:

@@ -494,8 +494,7 @@ def test_uniqueness_boundary_two_representations():
     v = vf.null_vector_on_support(frame, range(1, n + 2))
     half = (n + 1) // 2
     c = vf.SparseRep(m, v.support[:half], v.values[:half])
-    d_dense = c.to_dense() - v.to_dense()
-    d = vf.SparseRep.from_dense(d_dense)
+    d = vf.SparseRep(m, v.support[half:], -v.values[half:])     # c - d = v
     assert c.weight == half and d.weight == half
     assert c.support != d.support
     diff = vf.synthesize(frame, c) - vf.synthesize(frame, d)

@@ -103,23 +103,14 @@ def test_sparse_rep_validation():
     with pytest.raises(ValueError):
         vf.SparseRep(4, (5,), np.array([1.0]))
     rep = vf.SparseRep(4, (1, 3), np.array([1.0, 2.0]))
-    assert rep.weight == 2
-    assert np.allclose(rep.to_dense(), [1.0, 0.0, 2.0, 0.0])
+    assert rep.weight == 2 and rep.support == (1, 3)
+    assert np.array_equal(rep.values, [1.0, 2.0])
 
 
 @pytest.mark.parametrize("value", [3, 2.5, 1 - 2j, np.complex128(1j)])
 def test_sparse_rep_takes_a_scalar_value_for_one_atom(value):
     rep = vf.SparseRep(4, (2,), value)
-    assert rep.values.shape == (1,) and rep.values[0] == value
-    assert np.array_equal(rep.to_dense(), [0, value, 0, 0])
-
-
-def test_from_dense_threshold():
-    dense = np.array([1.0, 1e-12, 0.5j, 0.0])
-    rep = vf.SparseRep.from_dense(dense)
-    assert rep.support == (1, 3)
-    zero = vf.SparseRep.from_dense(np.zeros(3))
-    assert zero.weight == 0 and zero.ambient_len == 3
+    assert rep.support == (2,) and rep.values.shape == (1,) and rep.values[0] == value
 
 
 # -- synthesis ----------------------------------------------------------------

@@ -337,7 +337,7 @@ def spy_bases(monkeypatch):
 def energy_blocks(frame, X, l):
     """Every step of _energies, each with a copy of its energies, which are
     valid only until the next step."""
-    steps = montecarlo._energies(frame, X, l, montecarlo.DEFAULT_BUDGET)
+    steps = montecarlo._energies(frame, montecarlo._lift(frame, X), l)
     return [(rows, supports, energy.copy()) for rows, supports, energy in steps]
 
 
@@ -352,7 +352,7 @@ def test_energies_of_one_search_share_one_buffer():
     # moved an estimate's peak RSS by 8 MiB.
     frame = roots_frame(8, 32)
     X = vf.sample_sphere_batch(8, 1000, seed=(1, 5))
-    steps = montecarlo._energies(frame, X, 4, montecarlo.DEFAULT_BUDGET)
+    steps = montecarlo._energies(frame, montecarlo._lift(frame, X), 4)
     first = next(steps)[2]
     second = next(steps)[2]
     assert first.dtype == second.dtype == float
@@ -389,7 +389,7 @@ def test_small_blocks_write_sample_contiguous_energies():
     frame, l = roots_frame(6, 12), 3
     X = vf.sample_sphere_batch(6, 5000, seed=(32, 1))
     steps = [(rows, energy, energy.copy())
-             for rows, _, energy in montecarlo._energies(frame, X, l, montecarlo.DEFAULT_BUDGET)]
+             for rows, _, energy in montecarlo._energies(frame, montecarlo._lift(frame, X), l)]
     assert len(steps) == 2 and np.shares_memory(steps[0][1], steps[1][1])
     pairs = np.triu_indices(6, 1)
     (_, weights), = montecarlo._orbit_blocks(
@@ -1140,6 +1140,20 @@ def test_estimates_over_frames_of_one_n_are_each_cells_own(n, m, l, budget, chun
     monkeypatch.setattr(montecarlo, "sample_sphere_batch", None)
     montecarlo._estimates([(frame, weight) for frame in frames_of_n for weight in (0, n, n + 1)
                            if weight <= frame.m], n_samples, 5, budget, greedy)
+
+
+def test_a_pass_lifts_each_piece_once_for_all_its_cells(monkeypatch):
+    # At roots (32, 64) a lift piece is 992 rows, less than a sample block,
+    # so a chunk of 1,024 samples is lifted in two pieces, each once for
+    # the cells at L = 1 and 2, where a lift per cell would take four.
+    frame = roots_frame(32, 64)
+    cells = [(frame, 1), (frame, 2)]
+    defaults = [vf.estimate_distortion(frame, l, BLOCK, 6) for _, l in cells]
+    lifts = spy_lifts(monkeypatch)
+    ests = montecarlo._estimates(cells, BLOCK, 6, montecarlo.DEFAULT_BUDGET)
+    assert lifts == [("real", 992), ("real", 32)]
+    for est, default in zip(ests, defaults, strict=True):
+        assert est.ratios.tobytes() == default.ratios.tobytes()
 
 
 def test_estimate_memory_grows_by_its_ratios_alone():
