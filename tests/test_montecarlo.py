@@ -1142,6 +1142,19 @@ def test_estimates_over_frames_of_one_n_are_each_cells_own(n, m, l, budget, chun
                            if weight <= frame.m], n_samples, 5, budget, greedy)
 
 
+def test_a_pass_that_mixes_exact_and_greedy_cells_gives_each_cells_own_estimate():
+    # Under a budget of 100, L = 1 (C(12, 1) = 12) is searched exactly and
+    # L = 3 (C(12, 3) = 220) greedily, in the same pass as L = 0 and L = N.
+    frame = roots_frame(6, 12)
+    cells = [(frame, l) for l in (0, 1, 3, 6)]
+    ests = montecarlo._estimates(cells, 300, 9, 100, fallback_greedy=True)
+    assert [est.approximate for est in ests] == [False, False, True, False]
+    for est, (_, l) in zip(ests, cells, strict=True):
+        own = vf.estimate_distortion(frame, l, 300, 9, 100, fallback_greedy=True)
+        assert (est.mean, est.stderr, est.approximate) == (own.mean, own.stderr, own.approximate)
+        assert est.ratios.tobytes() == own.ratios.tobytes()
+
+
 def test_a_pass_lifts_each_piece_once_for_all_its_cells(monkeypatch):
     # At roots (32, 64) a lift piece is 992 rows, less than a sample block,
     # so a chunk of 1,024 samples is lifted in two pieces, each once for
