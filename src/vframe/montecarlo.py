@@ -73,17 +73,16 @@ draws and scores a chunk of whole blocks at a time, at least one, its
 size fixed by the frame (_chunk_rows).  vframe sweep scores every
 (M, L) cell of one N in one pass (_estimates): the default_nodes frames
 of one N share their chunks and their lift, so each chunk is drawn,
-checked and lifted once per N, and the pass fills one (cells, samples)
-table of ratios, 8 bytes per sample per cell.  Another chunk size gives
-the same samples; their residuals may move by an ulp, as BLAS rounds a
-GEMM by its shape (at most 7.8e-16 measured, at N = 6, M = 12, L = 3).
-The layout of a small block's energies moved the sweep's estimates as
-much: by at most 1.9e-15 relative over 40 sweeps of N = 3..6, M = 2N,
-with no verdict changed.  The spawn key keeps block b apart from
-sample_rng(seed, b), the per-sample stream of encode and roundtrip, for
-seeds of fewer than four 32-bit words (every CLI seed).  SeedSequence
-pads its entropy pool with zeros, so seeds that differ only by trailing
-zeros, such as s and (s, 0), name the same stream.
+checked and lifted once per N.  Another chunk size gives the
+same samples; their residuals may move by an ulp, as BLAS rounds a GEMM
+by its shape (at most 7.8e-16 measured, at N = 6, M = 12,
+L = 3).  The layout of a small block's energies moved the sweep's
+estimates as much: by at most 1.9e-15 relative over 40 sweeps of
+N = 3..6, M = 2N, with no verdict changed.  The spawn key keeps block b
+apart from sample_rng(seed, b), the per-sample stream of encode and
+roundtrip, for seeds of fewer than four 32-bit words (every CLI seed).
+SeedSequence pads its entropy pool with zeros, so seeds that differ
+only by trailing zeros, such as s and (s, 0), name the same stream.
 """
 
 from __future__ import annotations
@@ -653,15 +652,15 @@ def estimate_distortion(
     Deterministic given (frame, l, n_samples, seed): the samples are
     sample_sphere_batch(frame.n, n_samples, seed), drawn and scored a
     chunk of whole blocks at a time, at least one (_chunk_rows), and
-    reduced in index order.  Only the ratios are kept, so memory grows by
-    8 bytes per sample.  The seed and the arguments are checked before any
-    sample is drawn: DomainError on bad arguments.  When C(M, l) exceeds
-    the budget at 1 <= l < N, either raises BudgetExceeded or, with
-    fallback_greedy, substitutes the greedy search and labels the
-    estimate approximate.  No sample is drawn and no support counted
-    where the exact search reads none: at l = 0 every ratio is 1, at
-    l >= N every ratio is 0.  It is the one-cell pass of _estimates,
-    whose table of ratios then holds one row.
+    reduced in index order.  Only the
+    ratios are kept, so memory grows by 8 bytes per sample.  The seed and
+    the arguments are checked before any sample is drawn: DomainError on
+    bad arguments.  When C(M, l) exceeds the budget at 1 <= l < N, either
+    raises BudgetExceeded or, with fallback_greedy, substitutes the greedy
+    search and labels the estimate approximate.  No sample is drawn and no
+    support counted where the exact search reads none: at l = 0 every
+    ratio is 1, at l >= N every ratio is 0.  It is the one-cell case of
+    _estimates, vframe sweep's pass over the cells of one N.
     """
     return _estimates([(frame, l)], n_samples, seed, budget, fallback_greedy)[0]
 
@@ -672,40 +671,45 @@ def _estimates(cells, n_samples: int, seed, budget: int,
     The frames share N and their lift (_orbit_path), as the
     default_nodes frames of one N do.
 
-    Every cell's L and budget are checked before any sample is drawn.  The
-    pass fills one (cells, samples) table of ratios, 8 bytes per sample per
-    cell: L = 0 rows are 1 and L >= N rows 0.  Each chunk of whole blocks
-    (_chunk_rows) is drawn, checked and normed once; _residuals fills the
-    exact cells' rows, lifting each piece once for all of them, and
-    smdd_greedy the greedy cells'.  Each estimate's ratios are its row."""
+    Every cell's L and budget are checked before any sample is drawn, and
+    each searched cell is marked exact or greedy.  Each cell's ratios fill
+    an array of 8 bytes per sample: 1 at L = 0, 0 at L >= N.  Each chunk of
+    whole blocks (_chunk_rows) is drawn, checked and normed once;
+    _residuals scores the exact cells from it, lifting each piece once for
+    all of them, and smdd_greedy the greedy cells."""
     seed = _seed(seed)
     if n_samples < 1:
         raise DomainError("need n_samples >= 1")
-    exact, greedy = [], []
+    exact, greedy, approximate = [], [], []
     for i, (frame, l) in enumerate(cells):
         if not 0 <= l <= frame.m:
             raise DomainError(f"need 0 <= L <= M, got L={l}")
-        if 0 < l < frame.n:
-            (greedy if _over_budget(frame.m, l, budget, not fallback_greedy) else exact).append(i)
-    ratios = np.zeros((len(cells), n_samples))
-    ratios[[l == 0 for _, l in cells]] = 1.0
+        approximate.append(0 < l < frame.n and _over_budget(frame.m, l, budget,
+                                                            refuse=not fallback_greedy))
+        if approximate[i]:
+            greedy.append(i)
+        elif 0 < l < frame.n:
+            exact.append(i)
+    ratios = [np.ones(n_samples) if l == 0 else np.zeros(n_samples) for _, l in cells]
     n, chunk = cells[0][0].n, max(_chunk_rows(cells[0][0]), _BLOCK)
     for start in range(0, n_samples if exact or greedy else 0, chunk):
+        # Every L was checked above: 0 only satisfies _signals.
         X, norms = _signals(cells[0][0], sample_sphere_batch(n, min(chunk, n_samples - start),
                                                              seed, start), 0)
         rows = slice(start, start + len(X))
         if exact:
-            ratios[exact, rows] = _residuals([cells[i] for i in exact], X, norms) / norms
+            for i, residual in zip(exact, _residuals([cells[i] for i in exact], X, norms)):
+                ratios[i][rows] = residual / norms
         for i in greedy:
             frame, l = cells[i]
-            ratios[i, rows] = np.array([smdd_greedy(frame, x, l).residual_sq for x in X]) / norms
+            ratios[i][rows] = np.array([smdd_greedy(frame, x, l).residual_sq for x in X]) / norms
     ids = {id(frame): frame_id(frame) for frame, _ in cells}
     estimates = []
-    for i, ((frame, l), r) in enumerate(zip(cells, ratios)):
+    for (frame, l), r, approx in zip(cells, ratios, approximate):
         config = EstimateConfig(ids[id(frame)], frame.n, frame.m, l, seed)
         stderr = float(r.std(ddof=1) / math.sqrt(n_samples)) if n_samples > 1 else 0.0
         estimates.append(DistortionEstimate(float(r.mean()), stderr, n_samples, config,
-                                            i in greedy, r))
+                                            approx, r))
     return estimates
 
 

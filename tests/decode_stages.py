@@ -1,13 +1,13 @@
 """Time decode stage by stage on decode-sparse-like signals and print the table.
 
-    PYTHONPATH=src python tests/decode_stages.py --seed S [--count C] [--n N] [--m M]
+    PYTHONPATH=src python tests/decode_stages.py --seed S [--n N] [--m M]
                                                  [--weights LO..HI | W,W,...]
 
 The signals are drawn like the decode-sparse benchmark and the sparse
 group of decode_corpus.py: on the N x M roots-of-unity frame (N = 64,
 M = 256 by default), weights cycling through --weights (1..8), values of
 magnitude 0.5..2 with random phases on random supports, all from
-np.random.default_rng([S, 0]).  --count signals (3,000) are decoded
+np.random.default_rng([S, 0]).  COUNT signals (3,000) are decoded
 twice, after one warm-up decode: once by decode as it is, and once with
 the decoder module's stage functions wrapped in timers.  The outcomes of
 the two passes must agree.
@@ -46,6 +46,8 @@ import numpy as np
 
 import vframe as vf
 from vframe import decoder
+
+COUNT = 3000  # signals decoded per pass
 
 # (stage, the decoder module's names it times), in table order.
 STAGES = (("pre-checks", ("_check_tol", "syndromes", "_norm")),
@@ -119,7 +121,6 @@ class Stages:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--count", type=int, default=3000)
     parser.add_argument("--n", type=int, default=64)
     parser.add_argument("--m", type=int, default=256)
     parser.add_argument("--weights", default="1..8", help="LO..HI or a comma-separated list")
@@ -127,7 +128,7 @@ def main(argv=None) -> int:
     lo, dots, hi = args.weights.partition("..")
     weights = (list(range(int(lo), int(hi) + 1)) if dots
                else [int(w) for w in args.weights.split(",")])
-    frame, batch = signals(args.seed, args.count, args.n, args.m, weights)
+    frame, batch = signals(args.seed, COUNT, args.n, args.m, weights)
     decoder.decode(frame, batch[0])
 
     start = time.perf_counter()
